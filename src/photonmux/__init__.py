@@ -11,7 +11,6 @@ from .config import CONFIG_VERSION, ConfigError, RunConfig, parse_config
 from .engine import (
     PhotonNumberDistribution,
     output_distribution,
-    priority_weights,
     single_photon_probability,
 )
 from .montecarlo import TrialOutcome, choose_heralded_cell, run_trial, simulate
@@ -85,7 +84,6 @@ __all__ = [
     "pair_distribution",
     "pair_pmf",
     "parse_config",
-    "priority_weights",
     "reproduce_table1",
     "reproduce_table2",
     "run_trial",

@@ -12,7 +12,8 @@ Subcommands
     Recompute the built-in reference configurations and write
     ``table1_repro.csv`` / ``table2_repro.csv`` with pass/fail flags.
 
-Exit codes: 0 success, 2 invalid configuration, 3 pump-strength bracketing
+Exit codes: 0 success, 2 invalid configuration (including pump-strength
+bounds beyond what the input truncation resolves), 3 pump-strength bracketing
 failure, 4 analytic/Monte-Carlo disagreement beyond 4 standard errors.
 The ``PHOTONMUX_WORKERS`` environment variable sets the process count used
 for grid evaluation.
@@ -26,11 +27,11 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import ConfigError, parse_config
+from .config import ConfigError, _line_of, parse_config
 from .engine import DEFAULT_I_MAX, output_distribution
 from .montecarlo import simulate
 from .optimize import BracketError, SweepSpec, sweep, workers_from_env
-from .statistics import PairSourceModel, herald_convolve
+from .statistics import PairSourceModel, TruncationError, herald_convolve
 from .tables import (
     TABLE1_ROWS,
     TABLE2_ROWS,
@@ -87,6 +88,14 @@ def run_sweep(config_path: str | Path) -> int:
     except BracketError as exc:
         print(f"bracket failure: {exc}", file=sys.stderr)
         return EXIT_BRACKET
+    except TruncationError as exc:
+        line = _line_of(Path(config_path).read_text(encoding="utf-8"), "lambda_bounds")
+        print(
+            f"{config_path}:{line}: lambda_bounds reach a pump strength the input "
+            f"truncation cannot resolve: {exc}",
+            file=sys.stderr,
+        )
+        return EXIT_CONFIG
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
 

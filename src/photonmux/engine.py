@@ -12,19 +12,32 @@ logic (the best-ranked heralded arm wins at the period's end) and
 wins), with 0-based ``k`` and ``n``.  Both weightings enumerate the exponents
 ``0 .. M*N-1`` exactly once, which makes the distribution normalize by a
 geometric telescoping argument.
+
+Both weightings factor as ``W(k, n) = a[k] b[n]``: ``a[k] = p0^(N*k)``,
+``b[n] = p0^n`` for lowest-loss and ``a[k] = p0^k``, ``b[n] = p0^(M*n)`` for
+first-detection.  Ranks whose rows of ``V`` are identical contribute the same
+cell terms, so the sum over ``k`` runs over the matrix's runs of consecutive
+identical rows, each weighted by ``A[r]``, the sum of ``a[k]`` over its ranks:
+
+    P(i) = sum_r A[r] sum_n F_i[r, n] b[n]
+
+with ``F_i`` the ``j``-series of one cell.  An evaluation therefore costs
+(distinct rows) x N cells, not M x N: the built-in router tree has
+``log2 M + 1`` distinct arm transmissions.  Equal rows that are not adjacent
+stay separate runs, so any externally built matrix takes the same path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 from scipy.special import gammaln
 
 from .statistics import HeraldedInputDistribution
-from .transmission import MultiplexerLayout, PriorityLogic, TransmissionMatrix
+from .transmission import MultiplexerLayout, PriorityLogic, RowRuns, TransmissionMatrix
 
 # Binomial coefficients evaluated directly up to this truncation order,
 # in log-space beyond (avoids overflow of C(j, i) at large j).
@@ -71,13 +84,24 @@ class PhotonNumberDistribution:
                 raise ValueError("std_err must have one entry per probability bin")
 
 
-def priority_weights(p0: float, layout: MultiplexerLayout) -> np.ndarray:
-    """Selection weight of each (arm rank, window) cell under the layout's logic."""
-    exponents = np.arange(layout.m * layout.n)
-    powers = np.power(p0, exponents)
-    if layout.logic is PriorityLogic.FIRST_DETECTION:
-        return powers.reshape(layout.n, layout.m).T
-    return powers.reshape(layout.m, layout.n)
+@lru_cache(maxsize=64)
+def _weight_exponents(m: int, n: int, logic: PriorityLogic) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents of ``p0`` in the rank factor ``a[k]`` and the window factor ``b[n]``."""
+    if logic is PriorityLogic.FIRST_DETECTION:
+        exponents = np.arange(m), m * np.arange(n)
+    else:
+        exponents = n * np.arange(m), np.arange(n)
+    for array in exponents:
+        array.setflags(write=False)
+    return exponents
+
+
+def _factored_weights(
+    p0: float, runs: RowRuns, layout: MultiplexerLayout
+) -> tuple[np.ndarray, np.ndarray]:
+    """Priority weight of each row run (summed over its ranks) and of each window."""
+    rank_exp, window_exp = _weight_exponents(layout.m, layout.n, layout.logic)
+    return np.add.reduceat(np.power(p0, rank_exp), runs.starts), np.power(p0, window_exp)
 
 
 def _shifted_coeffs(pj: np.ndarray, i: int) -> np.ndarray:
@@ -91,6 +115,9 @@ def _shifted_coeffs(pj: np.ndarray, i: int) -> np.ndarray:
         return np.zeros(1)
     js = np.arange(i, j_max + 1)
     tail = pj[i - 1 :]
+    if i == 1:
+        # C(j, 1) = j: the optimizer's objective builds no binomial table.
+        return js * tail
     if j_max <= _DIRECT_COMB_J:
         comb = np.array([math.comb(int(j), i) for j in js], dtype=float)
         return comb * tail
@@ -98,6 +125,15 @@ def _shifted_coeffs(pj: np.ndarray, i: int) -> np.ndarray:
     positive = tail > 0.0
     out = np.zeros(js.size)
     out[positive] = np.exp(log_comb[positive] + np.log(tail[positive]))
+    return out
+
+
+def _horner(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The polynomial ``sum_t coeffs[t] x^t`` at every entry of ``x`` (broadcasts against ``x``)."""
+    coeffs = coeffs.tolist()
+    out = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        out = out * x + c
     return out
 
 
@@ -139,21 +175,22 @@ def output_distribution(
         return PhotonNumberDistribution(probs=probs, i_max=i_max, tail_bound=0.0)
     if heralded.j_max < i_max:
         raise ValueError(f"input truncated at j_max={heralded.j_max} cannot resolve i_max={i_max}")
-    weights = priority_weights(p0, layout).ravel()
-    v = tm.values.ravel()
+    runs = tm.row_runs
+    run_weights, window_weights = _factored_weights(p0, runs, layout)
+    v = runs.rows
     x = 1.0 - v
     probs = np.empty(i_max + 1)
-    v_pow = np.ones(cells)
+    v_pow = np.ones_like(v)
     for i in range(i_max + 1):
-        series = npoly.polyval(x, _shifted_coeffs(heralded.pj, i))
-        probs[i] = np.dot(weights, v_pow * series)
+        series = _horner(x, _shifted_coeffs(heralded.pj, i))
+        probs[i] = run_weights @ ((v_pow * series) @ window_weights)
         v_pow = v_pow * v
     p0_all = p0**cells
     probs[0] += p0_all
     # Mass accounting: everything the truncated sums can reach, minus what
     # landed in probs, is output-truncation mass; the input truncation adds
     # at most sum(W) * tail_bound.
-    weight_sum = float(np.sum(weights))
+    weight_sum = float(np.sum(run_weights)) * float(np.sum(window_weights))
     included = p0_all + weight_sum * float(np.sum(heralded.pj))
     output_truncated = max(included - float(np.sum(probs)), 0.0)
     tail_bound = output_truncated + weight_sum * heralded.tail_bound
@@ -175,7 +212,8 @@ def single_photon_probability(
     p0 = heralded.p0
     if p0 >= 1.0:
         return 0.0
-    weights = priority_weights(p0, layout).ravel()
-    v = tm.values.ravel()
-    series = npoly.polyval(1.0 - v, _shifted_coeffs(heralded.pj, 1))
-    return float(np.dot(weights, v * series))
+    runs = tm.row_runs
+    run_weights, window_weights = _factored_weights(p0, runs, layout)
+    v = runs.rows
+    series = _horner(1.0 - v, _shifted_coeffs(heralded.pj, 1))
+    return float(run_weights @ ((v * series) @ window_weights))

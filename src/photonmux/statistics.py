@@ -38,6 +38,10 @@ class TruncationError(ValueError):
         super().__init__(message)
         self.tail_bound = tail_bound
 
+    def __reduce__(self):
+        # Rebuilt from both arguments, so the error survives a worker process.
+        return type(self), (str(self), self.tail_bound)
+
 
 class SourceKind(Enum):
     THERMAL = "thermal"

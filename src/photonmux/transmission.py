@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -83,6 +84,20 @@ class MultiplexerLayout:
 
 
 @dataclass(frozen=True)
+class RowRuns:
+    """A transmission matrix with each run of consecutive identical rows kept once.
+
+    ``rows[r]`` is the row shared by the ranks ``starts[r] ..
+    starts[r] + lengths[r] - 1``.  Equal rows that are not adjacent stay
+    separate runs, so the runs depend on the row values alone.
+    """
+
+    rows: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+
+
+@dataclass(frozen=True)
 class TransmissionMatrix:
     """Net transmissions ``values[k, n]``, rows ordered by descending arm transmission.
 
@@ -107,6 +122,19 @@ class TransmissionMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
+
+    @cached_property
+    def row_runs(self) -> RowRuns:
+        """Runs of consecutive identical rows, computed once per matrix."""
+        values = self.values
+        differs = np.any(values[1:] != values[:-1], axis=1)
+        starts = np.flatnonzero(np.concatenate(([True], differs)))
+        runs = RowRuns(
+            rows=values[starts], starts=starts, lengths=np.diff(starts, append=values.shape[0])
+        )
+        for array in (runs.rows, runs.starts, runs.lengths):
+            array.setflags(write=False)
+        return runs
 
 
 def time_window_transmission(params: LossParameters, n: int, big_n: int) -> float:

@@ -137,6 +137,20 @@ class TestRunSweep:
         assert run_sweep(path) == EXIT_BRACKET
         assert "bracket" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_unresolvable_lambda_bound_exits_2(self, tmp_path, capsys, monkeypatch, workers):
+        # A thermal source at 1000 pairs per window keeps a tail of 0.6 beyond j = 512.
+        monkeypatch.setenv("PHOTONMUX_WORKERS", workers)
+        path = write_config(
+            tmp_path, source="thermal", m_values=[1], n_values=[1], lambda_bounds=[1e-4, 1000]
+        )
+        assert run_sweep(path) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        line = int(err.split(":")[1])
+        assert path.read_text().splitlines()[line - 1].strip().startswith('"lambda_bounds"')
+        assert "emission tail" in err
+
 
 class TestRunValidate:
     def test_happy_path(self, tmp_path):

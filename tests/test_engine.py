@@ -1,9 +1,12 @@
 """Output photon-number distribution for both priority logics."""
 
+import math
+
 import numpy as np
 import pytest
 
 from photonmux import (
+    HeraldedInputDistribution,
     LossParameters,
     MultiplexerLayout,
     PairSourceModel,
@@ -21,6 +24,27 @@ LL = PriorityLogic.LOWEST_LOSS
 FD = PriorityLogic.FIRST_DETECTION
 
 LOSSLESS = LossParameters(v_r=1, v_t=1, v_p=1, v_p0_s=1, v_d=1, v_b=1)
+
+
+def priority_weights(p0, layout):
+    """Oracle: selection weight W(k, n) of every (arm rank, window) cell, from its exponent."""
+    powers = np.power(p0, np.arange(layout.m * layout.n))
+    if layout.logic is FD:
+        return powers.reshape(layout.n, layout.m).T
+    return powers.reshape(layout.m, layout.n)
+
+
+def direct_distribution(heralded, tm, layout, i_max):
+    """Oracle: P(0 .. i_max) summed over every (arm, window) cell and every j."""
+    weights = priority_weights(heralded.p0, layout)
+    v = tm.values
+    probs = np.zeros(i_max + 1)
+    for i in range(i_max + 1):
+        for j in range(max(i, 1), heralded.j_max + 1):
+            binom = math.comb(j, i) * v**i * (1.0 - v) ** (j - i)
+            probs[i] += heralded.pj[j - 1] * float(np.sum(weights * binom))
+    probs[0] += heralded.p0 ** (layout.m * layout.n)
+    return probs
 
 
 def random_case(rng, m_choices=(1, 2, 4, 8), n_choices=(1, 2, 4, 8), lo=0.5):
@@ -180,3 +204,58 @@ class TestSinglePhotonProbability:
         model = PairSourceModel(SourceKind.POISSONIAN, 6.9182, 128)
         h = herald_convolve(model, params.v_d)
         assert single_photon_probability(h, tm, layout) == pytest.approx(0.854, abs=5e-4)
+
+
+def external_matrices(n):
+    """Externally built matrices whose row runs the engine must merge, or keep apart."""
+    rng = np.random.default_rng(23)
+    a, b = rng.uniform(0.2, 1.0, size=(2, n))
+    return {
+        "equal rows apart": np.array([a, b, a]),
+        "all rows equal": np.tile(a, (4, 1)),
+        "mixed runs": np.array([a, a, b, b, b, a]),
+        "distinct rows": rng.uniform(0.2, 1.0, size=(3, n)),
+    }
+
+
+# Heralded inputs and their window counts; at n = 5 the "distinct rows" matrix is a 3 x 5 layout.
+COLLAPSE_INPUTS = {
+    "poissonian": (herald_convolve(PairSourceModel(SourceKind.POISSONIAN, 2.0, 5), 0.8), 5),
+    "thermal": (herald_convolve(PairSourceModel(SourceKind.THERMAL, 3.0, 5), 0.9), 5),
+    "p0 = 0": (HeraldedInputDistribution(p0=0.0, pj=[1.0], j_max=1, tail_bound=0.0), 5),
+    "p0 near 1": (
+        herald_convolve(PairSourceModel(SourceKind.POISSONIAN, 1e-4, 512), 0.9, j_max=4),
+        512,
+    ),
+}
+
+
+class TestRowRunCollapse:
+    """The run-summed engine against the direct sum over all m * n cells."""
+
+    @pytest.mark.parametrize("logic", [LL, FD])
+    @pytest.mark.parametrize("label", COLLAPSE_INPUTS)
+    def test_matches_direct_cell_sum(self, logic, label):
+        heralded, n = COLLAPSE_INPUTS[label]
+        for name, values in external_matrices(n).items():
+            m = values.shape[0]
+            layout = MultiplexerLayout(m, n, logic=logic)
+            tm = TransmissionMatrix(values=values, arm_order=tuple(range(m)))
+            i_max = min(4, heralded.j_max)
+            expected = direct_distribution(heralded, tm, layout, i_max)
+            dist = output_distribution(heralded, tm, layout, i_max=i_max)
+            p1 = single_photon_probability(heralded, tm, layout)
+            assert np.max(np.abs(dist.probs - expected)) <= 1e-14, name
+            assert abs(p1 - expected[1]) <= 1e-14, name
+            assert p1 == dist.probs[1], name
+
+    @pytest.mark.parametrize("logic", [LL, FD])
+    def test_built_matrix_matches_direct_cell_sum(self, logic):
+        params = LossParameters(v_r=0.996, v_t=0.97, v_p=0.95, v_p0_s=0.99, v_d=0.9, v_r_s=0.993)
+        layout = MultiplexerLayout(16, 8, logic=logic)
+        tm = build_matrix(params, layout)
+        assert len(tm.row_runs.starts) == 5
+        h = herald_convolve(PairSourceModel(SourceKind.THERMAL, 6.0, 8), params.v_d)
+        expected = direct_distribution(h, tm, layout, 6)
+        assert np.max(np.abs(output_distribution(h, tm, layout, i_max=6).probs - expected)) <= 1e-14
+        assert abs(single_photon_probability(h, tm, layout) - expected[1]) <= 1e-14
