@@ -13,7 +13,7 @@ from .engine import (
     output_distribution,
     single_photon_probability,
 )
-from .montecarlo import TrialOutcome, choose_heralded_cell, run_trial, simulate
+from .montecarlo import simulate
 from .optimize import (
     BracketError,
     OptimizationResult,
@@ -21,7 +21,6 @@ from .optimize import (
     maximize_unimodal,
     optimize_lambda,
     sweep,
-    workers_from_env,
 )
 from .statistics import (
     HeraldedInputDistribution,
@@ -72,10 +71,8 @@ __all__ = [
     "Table1Row",
     "Table2Row",
     "TransmissionMatrix",
-    "TrialOutcome",
     "TruncationError",
     "build_matrix",
-    "choose_heralded_cell",
     "emission_tail",
     "herald_convolve",
     "maximize_unimodal",
@@ -86,11 +83,9 @@ __all__ = [
     "parse_config",
     "reproduce_table1",
     "reproduce_table2",
-    "run_trial",
     "simulate",
     "single_photon_probability",
     "spatial_arm_transmissions",
     "sweep",
     "time_window_transmission",
-    "workers_from_env",
 ]

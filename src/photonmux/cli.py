@@ -15,8 +15,6 @@ Subcommands
 Exit codes: 0 success, 2 invalid configuration (including pump-strength
 bounds beyond what the input truncation resolves), 3 pump-strength bracketing
 failure, 4 analytic/Monte-Carlo disagreement beyond 4 standard errors.
-The ``PHOTONMUX_WORKERS`` environment variable sets the process count used
-for grid evaluation.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from pathlib import Path
 from .config import ConfigError, _line_of, parse_config
 from .engine import DEFAULT_I_MAX, output_distribution
 from .montecarlo import simulate
-from .optimize import BracketError, SweepSpec, sweep, workers_from_env
+from .optimize import BracketError, SweepSpec, sweep
 from .statistics import PairSourceModel, TruncationError, herald_convolve
 from .tables import (
     TABLE1_ROWS,
@@ -72,7 +70,6 @@ def run_sweep(config_path: str | Path) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
-    workers = workers_from_env()
     results = {}
     try:
         for logic in config.logics:
@@ -84,7 +81,7 @@ def run_sweep(config_path: str | Path) -> int:
                 logic=logic,
                 lambda_bounds=config.lambda_bounds,
             )
-            results[logic] = sweep(spec, workers=workers)
+            results[logic] = sweep(spec)
     except BracketError as exc:
         print(f"bracket failure: {exc}", file=sys.stderr)
         return EXIT_BRACKET
@@ -310,10 +307,9 @@ def run_tables(out_dir: str | Path = ".", rows1=TABLE1_ROWS, rows2=TABLE2_ROWS) 
     """Recompute the built-in reference configurations and write comparison CSVs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    workers = workers_from_env()
     results1 = reproduce_table1(rows1)
     _write_csv(out / "table1_repro.csv", TABLE1_HEADER, _table1_csv_rows(results1))
-    results2 = reproduce_table2(rows2, workers=workers)
+    results2 = reproduce_table2(rows2)
     _write_csv(out / "table2_repro.csv", TABLE2_HEADER, _table2_csv_rows(results2))
     for r in results1:
         print(f"table1 row {r.row.no}: {'PASS' if r.passes else 'FAIL'}")

@@ -69,12 +69,12 @@ class PhotonNumberDistribution:
         object.__setattr__(self, "probs", probs)
         if probs.size != self.i_max + 1:
             raise ValueError(f"probs size {probs.size} inconsistent with i_max={self.i_max}")
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
+        if not np.all((0.0 <= probs) & (probs <= 1.0)):
             raise ValueError("probabilities must lie in [0, 1]")
-        if self.tail_bound < 0.0:
+        if not self.tail_bound >= 0.0:
             raise ValueError(f"tail_bound must be >= 0, got {self.tail_bound}")
         total = float(np.sum(probs)) + self.tail_bound
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"sum(probs) + tail_bound = {total!r} deviates from 1 beyond 1e-10")
         if self.std_err is not None:
             std_err = np.asarray(self.std_err, dtype=float)

@@ -7,15 +7,13 @@ selected cell through a Bernoulli loss channel.  Nothing is shared with the
 series evaluation in :mod:`photonmux.engine`, so agreement between the two is
 a genuine cross-check.
 
-Trials are partitioned into fixed-size blocks, each driven by its own child
-of ``numpy.random.SeedSequence(seed)``; results are therefore reproducible
-bit for bit and blocks may be evaluated in any order (the block structure is
-part of the random-stream definition).
+Trials are partitioned into blocks of ``BLOCK_SIZE`` trials, each driven by
+its own child of ``numpy.random.SeedSequence(seed)``; results are therefore
+reproducible bit for bit and blocks may be evaluated in any order (the block
+structure is part of the random-stream definition).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,41 +27,30 @@ from .transmission import (
     build_matrix,
 )
 
-DEFAULT_BLOCK_SIZE = 1 << 20
+BLOCK_SIZE = 1 << 20
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Result of one simulated period."""
-
-    output_photons: int
-    heralded_arm: int | None = None
-    heralded_window: int | None = None
-
-    def __post_init__(self):
-        if (self.heralded_arm is None) != (self.heralded_window is None):
-            raise ValueError("heralded_arm and heralded_window must be present together")
-        if self.output_photons < 0:
-            raise ValueError("output_photons must be >= 0")
-        if self.heralded_arm is None and self.output_photons != 0:
-            raise ValueError("a trial without heralding cannot emit photons")
-
-
-def choose_heralded_cell(clicked: np.ndarray, logic: PriorityLogic) -> tuple[int, int] | None:
-    """Apply the priority rule to a boolean (arm rank, window) click matrix.
+def _select_cells(
+    clicked: np.ndarray, logic: PriorityLogic
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Apply the priority rule to each trial of a boolean (trial, arm rank, window) click array.
 
     Lowest-loss: best-ranked arm first, earliest window within it.
     First-detection: earliest window first, best-ranked arm within it.
+
+    Returns:
+        ``(heralded, arm, window)``: whether each trial clicked at all, and
+        its selected cell; the cell of a trial without a click is (0, 0).
     """
-    if not clicked.any():
-        return None
+    heralded = clicked.any(axis=(1, 2))
+    rows = np.arange(clicked.shape[0])
     if logic is PriorityLogic.LOWEST_LOSS:
-        arm = int(clicked.any(axis=1).argmax())
-        window = int(clicked[arm].argmax())
+        arm = clicked.any(axis=2).argmax(axis=1)
+        window = clicked[rows, arm].argmax(axis=1)
     else:
-        window = int(clicked.any(axis=0).argmax())
-        arm = int(clicked[:, window].argmax())
-    return arm, window
+        window = clicked.any(axis=1).argmax(axis=1)
+        arm = clicked[rows, :, window].argmax(axis=1)
+    return heralded, arm, window
 
 
 def _sample_pairs(model: PairSourceModel, rng: np.random.Generator, shape) -> np.ndarray:
@@ -71,26 +58,6 @@ def _sample_pairs(model: PairSourceModel, rng: np.random.Generator, shape) -> np
     if model.kind is SourceKind.THERMAL:
         return rng.geometric(1.0 / (1.0 + mu), size=shape) - 1
     return rng.poisson(mu, size=shape)
-
-
-def run_trial(
-    model: PairSourceModel,
-    params: LossParameters,
-    layout: MultiplexerLayout,
-    rng: np.random.Generator,
-    tm: TransmissionMatrix | None = None,
-) -> TrialOutcome:
-    """Simulate a single period, photon by photon (readable scalar path)."""
-    if tm is None:
-        tm = build_matrix(params, layout)
-    pairs = _sample_pairs(model, rng, (layout.m, layout.n))
-    clicked = rng.random((layout.m, layout.n)) < 1.0 - (1.0 - params.v_d) ** pairs
-    cell = choose_heralded_cell(clicked, layout.logic)
-    if cell is None:
-        return TrialOutcome(output_photons=0)
-    arm, window = cell
-    survived = int(np.sum(rng.random(pairs[arm, window]) < tm.values[arm, window]))
-    return TrialOutcome(output_photons=survived, heralded_arm=arm, heralded_window=window)
 
 
 def _simulate_block(
@@ -105,15 +72,8 @@ def _simulate_block(
     shape = (n_trials, layout.m, layout.n)
     pairs = _sample_pairs(model, rng, shape)
     clicked = rng.random(shape) < 1.0 - (1.0 - params.v_d) ** pairs
-    heralded = clicked.any(axis=(1, 2))
-    rows = np.arange(n_trials)
-    if layout.logic is PriorityLogic.LOWEST_LOSS:
-        arm = clicked.any(axis=2).argmax(axis=1)
-        window = clicked[rows, arm].argmax(axis=1)
-    else:
-        window = clicked.any(axis=1).argmax(axis=1)
-        arm = clicked[rows, :, window].argmax(axis=1)
-    survivors = rng.binomial(pairs[rows, arm, window], tm.values[arm, window])
+    heralded, arm, window = _select_cells(clicked, layout.logic)
+    survivors = rng.binomial(pairs[np.arange(n_trials), arm, window], tm.values[arm, window])
     survivors[~heralded] = 0
     return np.bincount(survivors)
 
@@ -125,7 +85,6 @@ def simulate(
     trials: int,
     seed: int,
     tm: TransmissionMatrix | None = None,
-    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> PhotonNumberDistribution:
     """Empirical output photon-number distribution over ``trials`` periods.
 
@@ -136,7 +95,6 @@ def simulate(
         trials: number of simulated periods (>= 1).
         seed: seed of the block-splitting random stream.
         tm: transmission matrix override; built from ``params`` when omitted.
-        block_size: trials per random-stream block.
 
     Returns:
         Empirical distribution with per-bin binomial standard errors.
@@ -149,12 +107,12 @@ def simulate(
         raise ValueError(
             f"transmission matrix of shape {tm.shape} does not match layout ({layout.m}, {layout.n})"
         )
-    n_blocks = (trials + block_size - 1) // block_size
+    n_blocks = (trials + BLOCK_SIZE - 1) // BLOCK_SIZE
     streams = np.random.SeedSequence(seed).spawn(n_blocks)
     counts = np.zeros(1, dtype=np.int64)
     remaining = trials
     for stream in streams:
-        block = min(block_size, remaining)
+        block = min(BLOCK_SIZE, remaining)
         hist = _simulate_block(model, params, layout, tm, block, np.random.default_rng(stream))
         if hist.size > counts.size:
             counts = np.concatenate([counts, np.zeros(hist.size - counts.size, dtype=np.int64)])

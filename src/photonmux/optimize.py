@@ -10,9 +10,7 @@ refinement; the sweep then ranks all grid points.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,8 +22,6 @@ LAMBDA_TOL = 1e-5
 COARSE_POINTS = 32
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-WORKERS_ENV_VAR = "PHOTONMUX_WORKERS"
 
 
 class BracketError(RuntimeError):
@@ -80,19 +76,14 @@ class OptimizationResult:
             raise ValueError("best entry does not carry the surface maximum")
 
 
-def maximize_unimodal(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = LAMBDA_TOL,
-    coarse_points: int = COARSE_POINTS,
-) -> tuple[float, float]:
-    """Locate the maximum of a unimodal ``f`` on [lo, hi] to absolute ``tol`` in x.
+def maximize_unimodal(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """Locate the maximum of a unimodal ``f`` on [lo, hi] to absolute ``LAMBDA_TOL`` in x.
 
-    A coarse logarithmic grid brackets the peak, golden-section search
-    refines it.  The bounds are validated by a finite-difference sign check
-    at both endpoints; a coarse profile with more than one local maximum
-    triggers a warning and falls back to refining around the best grid point.
+    A coarse logarithmic grid of ``COARSE_POINTS`` brackets the peak,
+    golden-section search refines it.  The bounds are validated by a
+    finite-difference sign check at both endpoints; a coarse profile with
+    more than one local maximum triggers a warning and falls back to
+    refining around the best grid point.
 
     Raises:
         BracketError: ``f`` does not increase away from ``lo`` or does not
@@ -106,25 +97,25 @@ def maximize_unimodal(
     if not f(hi - step) > f(hi):
         raise BracketError(f"objective not decreasing at upper bound {hi}")
     grid_lo = lo if lo > 0.0 else hi * 1e-12
-    xs = [grid_lo * (hi / grid_lo) ** (i / (coarse_points - 1)) for i in range(coarse_points)]
+    xs = [grid_lo * (hi / grid_lo) ** (i / (COARSE_POINTS - 1)) for i in range(COARSE_POINTS)]
     ys = [f(x) for x in xs]
     n_local_max = sum(
         1
-        for i in range(coarse_points)
-        if (i == 0 or ys[i] > ys[i - 1]) and (i == coarse_points - 1 or ys[i] > ys[i + 1])
+        for i in range(COARSE_POINTS)
+        if (i == 0 or ys[i] > ys[i - 1]) and (i == COARSE_POINTS - 1 or ys[i] > ys[i + 1])
     )
     if n_local_max > 1:
         warnings.warn(
             f"coarse scan found {n_local_max} local maxima; refining around the best grid point",
             stacklevel=2,
         )
-    best = max(range(coarse_points), key=ys.__getitem__)
+    best = max(range(COARSE_POINTS), key=ys.__getitem__)
     a = xs[best - 1] if best > 0 else lo
-    b = xs[best + 1] if best < coarse_points - 1 else hi
+    b = xs[best + 1] if best < COARSE_POINTS - 1 else hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > LAMBDA_TOL:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -171,42 +162,16 @@ def _better(candidate: tuple[int, int, float, float], incumbent: tuple[int, int,
     return cm < im
 
 
-def _solve_point(args: tuple[SweepSpec, tuple[int, int]]) -> tuple[float, float]:
-    spec, point = args
-    return optimize_lambda(point, spec)
-
-
-def sweep(spec: SweepSpec, workers: int | None = None) -> OptimizationResult:
-    """Optimize the pump strength at every (m, n) grid point and rank the results.
-
-    Args:
-        spec: grids, losses, source kind and priority logic.
-        workers: process count for concurrent grid evaluation; ``None`` or 1
-            runs sequentially.  Results merge in grid order either way.
-    """
-    points = [(m, n) for m in spec.m_values for n in spec.n_values]
-    if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(_solve_point, [(spec, p) for p in points]))
-    else:
-        solved = [optimize_lambda(p, spec) for p in points]
+def sweep(spec: SweepSpec) -> OptimizationResult:
+    """Optimize the pump strength at every (m, n) grid point and rank the results."""
     surface: dict[tuple[int, int], tuple[float, float]] = {}
     best: tuple[int, int, float, float] | None = None
-    for (m, n), (lam, p1) in zip(points, solved):
-        surface[(m, n)] = (lam, p1)
-        candidate = (m, n, lam, p1)
-        if best is None or _better(candidate, best):
-            best = candidate
+    for m in spec.m_values:
+        for n in spec.n_values:
+            lam, p1 = optimize_lambda((m, n), spec)
+            surface[(m, n)] = (lam, p1)
+            candidate = (m, n, lam, p1)
+            if best is None or _better(candidate, best):
+                best = candidate
     return OptimizationResult(surface=surface, best=best)
 
-
-def workers_from_env() -> int:
-    """Worker count from the PHOTONMUX_WORKERS environment variable (default 1)."""
-    raw = os.environ.get(WORKERS_ENV_VAR, "1")
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if workers < 1:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be >= 1, got {workers}")
-    return workers

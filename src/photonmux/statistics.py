@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammainc, gammaln
@@ -25,7 +24,8 @@ _LOG_SPACE_K = 20
 # Hard cap on the adaptive truncation order.
 _J_CAP = 512
 
-DEFAULT_TAIL_TOL = 1e-12
+# Emission-tail mass tolerated beyond the input truncation order.
+TAIL_TOL = 1e-12
 
 
 class TruncationError(ValueError):
@@ -37,10 +37,6 @@ class TruncationError(ValueError):
     def __init__(self, message: str, tail_bound: float):
         super().__init__(message)
         self.tail_bound = tail_bound
-
-    def __reduce__(self):
-        # Rebuilt from both arguments, so the error survives a worker process.
-        return type(self), (str(self), self.tail_bound)
 
 
 class SourceKind(Enum):
@@ -96,37 +92,28 @@ class HeraldedInputDistribution:
         object.__setattr__(self, "pj", pj)
         if self.j_max != pj.size or self.j_max < 1:
             raise ValueError(f"j_max={self.j_max} inconsistent with pj of size {pj.size}")
-        if not (0.0 <= self.p0 <= 1.0) or np.any(pj < 0.0) or np.any(pj > 1.0):
+        if not (0.0 <= self.p0 <= 1.0) or not np.all((0.0 <= pj) & (pj <= 1.0)):
             raise ValueError("probabilities must lie in [0, 1]")
-        if self.tail_bound < 0.0:
+        if not self.tail_bound >= 0.0:
             raise ValueError(f"tail_bound must be >= 0, got {self.tail_bound}")
         total = self.p0 + float(np.sum(pj)) + self.tail_bound
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"p0 + sum(pj) + tail_bound = {total!r} deviates from 1 beyond 1e-12")
 
 
 def pair_distribution(model: PairSourceModel, k: int) -> float:
-    """Probability that a single window emits exactly ``k`` photon pairs.
+    """Probability that a single window emits exactly ``k`` photon pairs (``pair_pmf`` at ``k``)."""
+    if k < 0:
+        raise ValueError(f"pair count k must be >= 0, got {k}")
+    return float(pair_pmf(model, k)[k])
+
+
+def pair_pmf(model: PairSourceModel, k_max: int) -> np.ndarray:
+    """Single-window emission probabilities for ``k = 0 .. k_max``.
 
     Thermal: ``mu^k / (1 + mu)^(k+1)``; Poissonian: ``mu^k e^-mu / k!``,
     with ``mu`` the per-window mean pair number.
     """
-    if k < 0:
-        raise ValueError(f"pair count k must be >= 0, got {k}")
-    mu = model.mean_per_window
-    if mu == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if model.kind is SourceKind.THERMAL:
-        if k <= _LOG_SPACE_K:
-            return mu**k / (1.0 + mu) ** (k + 1)
-        return math.exp(k * math.log(mu) - (k + 1) * math.log1p(mu))
-    if k <= _LOG_SPACE_K:
-        return mu**k * math.exp(-mu) / math.factorial(k)
-    return math.exp(k * math.log(mu) - mu - math.lgamma(k + 1))
-
-
-def pair_pmf(model: PairSourceModel, k_max: int) -> np.ndarray:
-    """Vector of emission probabilities for ``k = 0 .. k_max``."""
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     mu = model.mean_per_window
@@ -149,118 +136,80 @@ def pair_pmf(model: PairSourceModel, k_max: int) -> np.ndarray:
     return out
 
 
+def _emission_tails(model: PairSourceModel, js: np.ndarray) -> np.ndarray:
+    """Exact probabilities that a window emits more than ``j`` pairs, for each ``j`` in ``js``."""
+    mu = model.mean_per_window
+    if mu == 0.0:
+        return np.zeros(js.shape)
+    if model.kind is SourceKind.THERMAL:
+        return np.exp((js + 1) * (math.log(mu) - math.log1p(mu)))
+    return gammainc(js + 1.0, mu)
+
+
 def emission_tail(model: PairSourceModel, j: int) -> float:
     """Exact probability that a window emits more than ``j`` pairs (closed form)."""
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
-    mu = model.mean_per_window
-    if mu == 0.0:
-        return 0.0
-    if model.kind is SourceKind.THERMAL:
-        return math.exp((j + 1) * (math.log(mu) - math.log1p(mu)))
-    return float(gammainc(j + 1.0, mu))
+    return float(_emission_tails(model, np.array([j]))[0])
 
 
-def _adaptive_j_max(model: PairSourceModel, tail_tol: float) -> tuple[int, float]:
-    """Smallest j with emission tail below ``tail_tol`` (capped at 512), and that tail."""
-    mu = model.mean_per_window
-    if mu == 0.0:
-        return 1, 0.0
+def _adaptive_j_max(model: PairSourceModel) -> tuple[int, float]:
+    """Smallest j with emission tail below ``TAIL_TOL`` (capped at 512), and that tail."""
     js = np.arange(1, _J_CAP + 1)
-    if model.kind is SourceKind.THERMAL:
-        tails = np.exp((js + 1) * (math.log(mu) - math.log1p(mu)))
-    else:
-        tails = gammainc(js + 1.0, mu)
-    below = np.nonzero(tails < tail_tol)[0]
+    tails = _emission_tails(model, js)
+    below = np.nonzero(tails < TAIL_TOL)[0]
     if below.size == 0:
         raise TruncationError(
-            f"emission tail {tails[-1]:.3e} beyond j={_J_CAP} exceeds tolerance {tail_tol:.1e}",
+            f"emission tail {tails[-1]:.3e} beyond j={_J_CAP} exceeds tolerance {TAIL_TOL:.1e}",
             tail_bound=float(tails[-1]),
         )
     j = int(js[below[0]])
     return j, float(tails[below[0]])
 
 
-@lru_cache(maxsize=256)
-def _click_probabilities(j_max: int, v_d: float) -> tuple[np.ndarray, np.ndarray]:
-    """Click probability given j emitted pairs, summed form and closed form.
-
-    Summed form: ``sum_{k=0}^{j-1} C(j, j-k) v_d^(j-k) (1-v_d)^k`` over the
-    detected-idler patterns with at least one detection; closed form:
-    ``1 - (1-v_d)^j``.  Both returned for the binomial-identity self-check.
-    """
-    js = np.arange(1, j_max + 1)
-    closed = -np.expm1(js * math.log1p(-v_d)) if v_d < 1.0 else np.ones(j_max)
-    if v_d == 0.0:
-        summed = np.zeros(j_max)
-    elif v_d == 1.0:
-        summed = np.ones(j_max)
-    else:
-        jcol = js[:, None].astype(float)
-        krow = np.arange(j_max)[None, :].astype(float)
-        valid = krow < jcol
-        with np.errstate(invalid="ignore"):
-            logterm = (
-                gammaln(jcol + 1.0)
-                - gammaln(np.where(valid, jcol - krow, 1.0) + 1.0)
-                - gammaln(krow + 1.0)
-                + (jcol - krow) * math.log(v_d)
-                + krow * math.log1p(-v_d)
-            )
-        summed = np.where(valid, np.exp(logterm), 0.0).sum(axis=1)
-    summed.setflags(write=False)
-    closed.setflags(write=False)
-    return summed, closed
-
-
 def herald_convolve(
-    model: PairSourceModel,
-    v_d: float,
-    j_max: int | None = None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
+    model: PairSourceModel, v_d: float, j_max: int | None = None
 ) -> HeraldedInputDistribution:
     """Fold the emission distribution with a threshold detector of efficiency ``v_d``.
 
     Returns the no-click probability ``p0 = sum_k P'(k) (1-v_d)^k`` and the
-    heralded-input probabilities ``pj``, computed via the summed detector
-    convolution and verified on every call against the binomial-theorem
-    closed form ``P'(j) (1 - (1-v_d)^j)`` at 1e-12.
+    heralded-input probabilities ``pj = P'(j) (1 - (1-v_d)^j)``: by the
+    binomial theorem, ``1 - (1-v_d)^j`` is the probability that at least one
+    of ``j`` idler photons is detected.
 
     Args:
         model: pair-generation statistics.
         v_d: detector efficiency in [0, 1].
         j_max: truncation order; adaptively chosen when omitted.
-        tail_tol: tolerated emission-tail mass beyond ``j_max``.
 
     Raises:
-        TruncationError: the (given or capped) truncation order leaves a tail
-            above ``tail_tol``.
+        TruncationError: the (given or capped) truncation order leaves an
+            emission tail above ``TAIL_TOL``.
     """
     if not (0.0 <= v_d <= 1.0):
         raise ValueError(f"v_d must lie in [0, 1], got {v_d}")
     if j_max is None:
-        j_max, tail = _adaptive_j_max(model, tail_tol)
+        j_max, tail = _adaptive_j_max(model)
     else:
         if j_max < 1:
             raise ValueError(f"j_max must be >= 1, got {j_max}")
         tail = emission_tail(model, j_max)
-        if tail > tail_tol:
+        if tail > TAIL_TOL:
             raise TruncationError(
-                f"emission tail {tail:.3e} beyond j_max={j_max} exceeds tolerance {tail_tol:.1e}",
+                f"emission tail {tail:.3e} beyond j_max={j_max} exceeds tolerance {TAIL_TOL:.1e}",
                 tail_bound=tail,
             )
     if v_d == 0.0:
         # A blind detector never heralds: all mass sits at "no click".
         return HeraldedInputDistribution(p0=1.0, pj=np.zeros(j_max), j_max=j_max, tail_bound=0.0)
     pmf = pair_pmf(model, j_max)
-    summed, closed = _click_probabilities(j_max, v_d)
-    if np.max(np.abs(summed - closed)) > 1e-12:
-        raise AssertionError("binomial-identity self-check failed in herald_convolve")
+    js = np.arange(1, j_max + 1)
+    click = -np.expm1(js * math.log1p(-v_d)) if v_d < 1.0 else np.ones(j_max)
     # Deriving the no-click factors from the click probabilities keeps
     # p0 + sum(pj) + tail consistent to machine precision.
     miss = np.empty(j_max + 1)
     miss[0] = 1.0
-    miss[1:] = 1.0 - closed
+    miss[1:] = 1.0 - click
     p0 = float(np.sum(pmf * miss))
-    pj = pmf[1:] * closed
+    pj = pmf[1:] * click
     return HeraldedInputDistribution(p0=p0, pj=pj, j_max=j_max, tail_bound=tail)

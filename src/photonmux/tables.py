@@ -209,12 +209,9 @@ def reproduce_table1_row(row: Table1Row) -> Table1Result:
     )
 
 
-def reproduce_table2_row(row: Table2Row, workers: int | None = None) -> Table2Result:
+def reproduce_table2_row(row: Table2Row) -> Table2Result:
     params = row.losses()
-    combined = sweep(
-        SweepSpec(m_values=COMBINED_M_GRID, n_values=COMBINED_N_GRID, params=params),
-        workers=workers,
-    )
+    combined = sweep(SweepSpec(m_values=COMBINED_M_GRID, n_values=COMBINED_N_GRID, params=params))
     return Table2Result(
         row=row,
         time=standalone_time_optimum(params),
@@ -227,7 +224,5 @@ def reproduce_table1(rows: tuple[Table1Row, ...] = TABLE1_ROWS) -> list[Table1Re
     return [reproduce_table1_row(row) for row in rows]
 
 
-def reproduce_table2(
-    rows: tuple[Table2Row, ...] = TABLE2_ROWS, workers: int | None = None
-) -> list[Table2Result]:
-    return [reproduce_table2_row(row, workers=workers) for row in rows]
+def reproduce_table2(rows: tuple[Table2Row, ...] = TABLE2_ROWS) -> list[Table2Result]:
+    return [reproduce_table2_row(row) for row in rows]

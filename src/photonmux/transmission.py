@@ -112,7 +112,7 @@ class TransmissionMatrix:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2:
             raise ValueError(f"values must be a 2-D matrix, got shape {values.shape}")
-        if np.any(values < 0.0) or np.any(values > 1.0):
+        if not np.all((0.0 <= values) & (values <= 1.0)):
             raise ValueError("transmission entries must lie in [0, 1]")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)

@@ -137,10 +137,8 @@ class TestRunSweep:
         assert run_sweep(path) == EXIT_BRACKET
         assert "bracket" in capsys.readouterr().err.lower()
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_unresolvable_lambda_bound_exits_2(self, tmp_path, capsys, monkeypatch, workers):
+    def test_unresolvable_lambda_bound_exits_2(self, tmp_path, capsys):
         # A thermal source at 1000 pairs per window keeps a tail of 0.6 beyond j = 512.
-        monkeypatch.setenv("PHOTONMUX_WORKERS", workers)
         path = write_config(
             tmp_path, source="thermal", m_values=[1], n_values=[1], lambda_bounds=[1e-4, 1000]
         )

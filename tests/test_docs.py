@@ -1,5 +1,6 @@
-"""Smoke test: the README quick start and every demo script run to completion."""
+"""The README quick start and every demo script run; the README names only code that exists."""
 
+import importlib
 import os
 import re
 import subprocess
@@ -32,3 +33,14 @@ def test_readme_quick_start_runs():
 def test_demo_runs(demo):
     result = run_python([str(demo)])
     assert result.returncode == 0, result.stderr
+
+
+def test_library_layout_names_exist():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(photonmux\.\w+)` +\|(.*)\|$", section, flags=re.MULTILINE)
+    assert rows, "no module rows in the Library layout table"
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        for name in re.findall(r"`(\w+)`", contents):
+            assert hasattr(module, name), f"README lists {module_name}.{name}, which does not exist"

@@ -165,6 +165,12 @@ class TestOutputDistribution:
         with pytest.raises(ValueError):
             PhotonNumberDistribution(probs=np.array([0.5, 0.5]), i_max=2, tail_bound=0.0)
 
+    def test_nan_entries_rejected(self):
+        with pytest.raises(ValueError):
+            PhotonNumberDistribution(probs=np.array([math.nan, 0.5]), i_max=1, tail_bound=0.0)
+        with pytest.raises(ValueError):
+            PhotonNumberDistribution(probs=np.array([0.5, 0.5]), i_max=1, tail_bound=math.nan)
+
 
 class TestSinglePhotonProbability:
     def test_matches_full_distribution_exactly(self):

@@ -9,14 +9,12 @@ from photonmux import (
     PairSourceModel,
     PriorityLogic,
     SourceKind,
-    TrialOutcome,
     build_matrix,
-    choose_heralded_cell,
     herald_convolve,
     output_distribution,
-    run_trial,
     simulate,
 )
+from photonmux.montecarlo import _select_cells
 
 LL = PriorityLogic.LOWEST_LOSS
 FD = PriorityLogic.FIRST_DETECTION
@@ -61,9 +59,20 @@ def test_identical_seed_reproduces_counts():
 @pytest.mark.parametrize("logic", [LL, FD])
 def test_selection_rule_matches_brute_force(logic):
     rng = np.random.default_rng(5)
-    for _ in range(300):
-        clicked = rng.random((rng.integers(1, 5), rng.integers(1, 7))) < 0.3
-        assert choose_heralded_cell(clicked, logic) == brute_force_choice(clicked, logic)
+    saw_heralded = saw_empty = False
+    for _ in range(60):
+        shape = (int(rng.integers(1, 40)), int(rng.integers(1, 5)), int(rng.integers(1, 7)))
+        clicked = rng.random(shape) < rng.uniform(0.0, 0.3)
+        heralded, arm, window = _select_cells(clicked, logic)
+        for t in range(shape[0]):
+            expected = brute_force_choice(clicked[t], logic)
+            if expected is None:
+                assert not heralded[t]
+                saw_empty = True
+            else:
+                assert heralded[t] and (arm[t], window[t]) == expected
+                saw_heralded = True
+    assert saw_heralded and saw_empty
 
 
 def test_lowest_loss_rule_selects_best_transmission():
@@ -74,39 +83,11 @@ def test_lowest_loss_rule_selects_best_transmission():
     layout = MultiplexerLayout(4, 2, logic=LL)
     tm = build_matrix(params, layout)
     arm_transmissions = tm.values[:, -1]
-    for _ in range(200):
-        clicked = rng.random((4, 2)) < 0.4
-        cell = choose_heralded_cell(clicked, LL)
-        if cell is None:
-            continue
-        heralded_arms = np.nonzero(clicked.any(axis=1))[0]
-        assert all(arm_transmissions[cell[0]] >= arm_transmissions[a] for a in heralded_arms)
-
-
-def test_run_trial_invariants():
-    rng = np.random.default_rng(8)
-    model = PairSourceModel(SourceKind.POISSONIAN, 2.0, 4)
-    layout = MultiplexerLayout(2, 4)
-    saw_heralded = saw_empty = False
-    for _ in range(200):
-        outcome = run_trial(model, ROW1, layout, rng)
-        if outcome.heralded_arm is None:
-            assert outcome.output_photons == 0
-            saw_empty = True
-        else:
-            assert 0 <= outcome.heralded_arm < 2
-            assert 0 <= outcome.heralded_window < 4
-            saw_heralded = True
-    assert saw_heralded and saw_empty
-
-
-def test_trial_outcome_validation():
-    with pytest.raises(ValueError):
-        TrialOutcome(output_photons=1)
-    with pytest.raises(ValueError):
-        TrialOutcome(output_photons=0, heralded_arm=1)
-    with pytest.raises(ValueError):
-        TrialOutcome(output_photons=-1, heralded_arm=0, heralded_window=0)
+    clicked = rng.random((200, 4, 2)) < 0.4
+    heralded, arm, _ = _select_cells(clicked, LL)
+    for t in np.flatnonzero(heralded):
+        heralded_arms = np.nonzero(clicked[t].any(axis=1))[0]
+        assert all(arm_transmissions[arm[t]] >= arm_transmissions[a] for a in heralded_arms)
 
 
 @pytest.mark.parametrize("logic", [LL, FD])

@@ -13,7 +13,6 @@ from photonmux import (
     maximize_unimodal,
     optimize_lambda,
     sweep,
-    workers_from_env,
 )
 from photonmux.optimize import _better
 
@@ -113,13 +112,6 @@ class TestSweep:
         assert not _better((4, 2, 0.1, 0.5), (2, 4, 0.1, 0.5))
         assert _better((8, 8, 0.1, 0.6), (1, 1, 0.1, 0.5))  # p1 dominates everything
 
-    def test_parallel_matches_serial(self):
-        spec = spec_for(ROW4, (1, 2), (1, 2))
-        serial = sweep(spec, workers=1)
-        parallel = sweep(spec, workers=2)
-        assert serial.surface == parallel.surface
-        assert serial.best == parallel.best
-
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             spec_for(ROW4, (), (1,))
@@ -128,15 +120,3 @@ class TestSweep:
         with pytest.raises(ValueError):
             spec_for(ROW4, (1,), (1,), lambda_bounds=(2.0, 1.0))
 
-
-def test_workers_env(monkeypatch):
-    monkeypatch.delenv("PHOTONMUX_WORKERS", raising=False)
-    assert workers_from_env() == 1
-    monkeypatch.setenv("PHOTONMUX_WORKERS", "4")
-    assert workers_from_env() == 4
-    monkeypatch.setenv("PHOTONMUX_WORKERS", "zero")
-    with pytest.raises(ValueError):
-        workers_from_env()
-    monkeypatch.setenv("PHOTONMUX_WORKERS", "0")
-    with pytest.raises(ValueError):
-        workers_from_env()

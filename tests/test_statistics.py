@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from photonmux import (
     HeraldedInputDistribution,
@@ -156,16 +157,27 @@ class TestHeraldConvolve:
             assert abs(total - 1.0) <= 1e-12
 
     def test_binomial_identity_holds(self):
-        # Summed detector convolution equals the closed form at 1e-12.
+        # The closed-form click probability 1 - (1-v_d)^j equals the summed
+        # detector convolution sum_{k<j} C(j, j-k) v_d^(j-k) (1-v_d)^k at 1e-12.
         rng = np.random.default_rng(11)
         for _ in range(20):
             model = PairSourceModel(POISSONIAN, float(rng.uniform(0.1, 8.0)), 2)
             v_d = float(rng.uniform(0.05, 0.999))
             h = herald_convolve(model, v_d)
             pmf = pair_pmf(model, h.j_max)
-            js = np.arange(1, h.j_max + 1)
-            closed = pmf[1:] * (1.0 - (1.0 - v_d) ** js)
-            assert np.max(np.abs(h.pj - closed)) <= 1e-12
+            jcol = np.arange(1, h.j_max + 1)[:, None].astype(float)
+            krow = np.arange(h.j_max)[None, :].astype(float)
+            valid = krow < jcol
+            with np.errstate(invalid="ignore"):
+                log_terms = (
+                    gammaln(jcol + 1.0)
+                    - gammaln(np.where(valid, jcol - krow, 1.0) + 1.0)
+                    - gammaln(krow + 1.0)
+                    + (jcol - krow) * math.log(v_d)
+                    + krow * math.log1p(-v_d)
+                )
+            summed = np.where(valid, np.exp(log_terms), 0.0).sum(axis=1)
+            assert np.max(np.abs(h.pj - pmf[1:] * summed)) <= 1e-12
 
     def test_adaptive_truncation_is_minimal(self):
         model = PairSourceModel(POISSONIAN, 4.0, 2)
@@ -195,3 +207,9 @@ class TestHeraldConvolve:
             HeraldedInputDistribution(p0=0.5, pj=np.array([0.1]), j_max=1, tail_bound=0.0)
         with pytest.raises(ValueError):
             HeraldedInputDistribution(p0=0.9, pj=np.array([0.1]), j_max=2, tail_bound=0.0)
+
+    def test_nan_entries_rejected(self):
+        with pytest.raises(ValueError):
+            HeraldedInputDistribution(p0=0.5, pj=np.array([math.nan]), j_max=1, tail_bound=0.0)
+        with pytest.raises(ValueError):
+            HeraldedInputDistribution(p0=0.5, pj=np.array([0.5]), j_max=1, tail_bound=math.nan)

@@ -157,6 +157,10 @@ class TestBuildMatrix:
         with pytest.raises(ValueError):
             TransmissionMatrix(values=np.ones(3), arm_order=(0, 1, 2))
 
+    def test_nan_entry_rejected(self):
+        with pytest.raises(ValueError):
+            TransmissionMatrix(values=np.array([[math.nan, 0.5]]), arm_order=(0,))
+
     @pytest.mark.parametrize("m", [1, 2, 8, 256])
     def test_router_tree_has_one_run_per_reflection_count(self, m):
         levels = m.bit_length() - 1
