@@ -29,19 +29,13 @@ stay separate runs, so any externally built matrix takes the same path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .statistics import HeraldedInputDistribution
 from .transmission import MultiplexerLayout, PriorityLogic, RowRuns, TransmissionMatrix
-
-# Binomial coefficients evaluated directly up to this truncation order,
-# in log-space beyond (avoids overflow of C(j, i) at large j).
-_DIRECT_COMB_J = 30
 
 DEFAULT_I_MAX = 10
 
@@ -104,30 +98,6 @@ def _factored_weights(
     return np.add.reduceat(np.power(p0, rank_exp), runs.starts), np.power(p0, window_exp)
 
 
-def _shifted_coeffs(pj: np.ndarray, i: int) -> np.ndarray:
-    """Coefficients c[t] = C(t+i, i) pj[t+i] of the series sum_j C(j,i) pj[j] x^(j-i)."""
-    j_max = pj.size
-    if i == 0:
-        c = np.zeros(j_max + 1)
-        c[1:] = pj
-        return c
-    if i > j_max:
-        return np.zeros(1)
-    js = np.arange(i, j_max + 1)
-    tail = pj[i - 1 :]
-    if i == 1:
-        # C(j, 1) = j: the optimizer's objective builds no binomial table.
-        return js * tail
-    if j_max <= _DIRECT_COMB_J:
-        comb = np.array([math.comb(int(j), i) for j in js], dtype=float)
-        return comb * tail
-    log_comb = gammaln(js + 1.0) - gammaln(js - i + 1.0) - math.lgamma(i + 1)
-    positive = tail > 0.0
-    out = np.zeros(js.size)
-    out[positive] = np.exp(log_comb[positive] + np.log(tail[positive]))
-    return out
-
-
 def _horner(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """The polynomial ``sum_t coeffs[t] x^t`` at every entry of ``x`` (broadcasts against ``x``)."""
     coeffs = coeffs.tolist()
@@ -157,11 +127,12 @@ def output_distribution(
         tm: net transmission matrix; any externally built matrix of matching
             shape is accepted, the rows being taken as the arm priority order.
         layout: geometry and priority logic.
-        i_max: largest photon number evaluated; must not exceed the input's
-            truncation order ``j_max``.
+        i_max: largest photon number evaluated.  Bins above the input's
+            truncation order ``j_max`` are 0.
 
     The returned ``tail_bound`` certifies both the output truncation at
-    ``i_max`` and the propagated input truncation at ``j_max``.
+    ``i_max`` and the propagated input truncation at ``j_max``, which holds
+    the mass of any bin above ``j_max``.
     """
     _check_dimensions(tm, layout)
     if i_max < 1:
@@ -173,18 +144,22 @@ def output_distribution(
         probs = np.zeros(i_max + 1)
         probs[0] = 1.0
         return PhotonNumberDistribution(probs=probs, i_max=i_max, tail_bound=0.0)
-    if heralded.j_max < i_max:
-        raise ValueError(f"input truncated at j_max={heralded.j_max} cannot resolve i_max={i_max}")
     runs = tm.row_runs
     run_weights, window_weights = _factored_weights(p0, runs, layout)
     v = runs.rows
     x = 1.0 - v
-    probs = np.empty(i_max + 1)
+    j_max = heralded.j_max
+    js = np.arange(j_max + 1)
+    pj = np.concatenate(([0.0], heralded.pj))
+    # Bins above j_max stay 0: their mass is part of the input tail bound.
+    probs = np.zeros(i_max + 1)
     v_pow = np.ones_like(v)
-    for i in range(i_max + 1):
-        series = _horner(x, _shifted_coeffs(heralded.pj, i))
+    comb = np.ones(j_max + 1)  # C(j, i), exact while below 2^53
+    for i in range(min(i_max, j_max) + 1):
+        series = _horner(x, (comb * pj)[i:])
         probs[i] = run_weights @ ((v_pow * series) @ window_weights)
         v_pow = v_pow * v
+        comb = comb * (js - i) / (i + 1)
     p0_all = p0**cells
     probs[0] += p0_all
     # Mass accounting: everything the truncated sums can reach, minus what
@@ -215,5 +190,5 @@ def single_photon_probability(
     runs = tm.row_runs
     run_weights, window_weights = _factored_weights(p0, runs, layout)
     v = runs.rows
-    series = _horner(1.0 - v, _shifted_coeffs(heralded.pj, 1))
+    series = _horner(1.0 - v, np.arange(1, heralded.j_max + 1) * heralded.pj)
     return float(run_weights @ ((v * series) @ window_weights))

@@ -14,12 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc, gammaln
-
-# Direct evaluation of factorials/powers below this k, log-space above.
-_LOG_SPACE_K = 20
 
 # Hard cap on the adaptive truncation order.
 _J_CAP = 512
@@ -112,42 +109,61 @@ def pair_pmf(model: PairSourceModel, k_max: int) -> np.ndarray:
     """Single-window emission probabilities for ``k = 0 .. k_max``.
 
     Thermal: ``mu^k / (1 + mu)^(k+1)``; Poissonian: ``mu^k e^-mu / k!``,
-    with ``mu`` the per-window mean pair number.
+    with ``mu`` the per-window mean pair number.  The thermal pmf is evaluated
+    as ``r^k / (1 + mu)`` with ``r = mu / (1 + mu) < 1``, the Poissonian one as
+    ``exp(k log mu - mu - log k!)``, so neither overflows at any ``k``.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     mu = model.mean_per_window
-    out = np.zeros(k_max + 1)
     if mu == 0.0:
+        out = np.zeros(k_max + 1)
         out[0] = 1.0
         return out
     k = np.arange(k_max + 1)
-    lo = k[k <= _LOG_SPACE_K]
-    hi = k[k > _LOG_SPACE_K]
     if model.kind is SourceKind.THERMAL:
-        out[lo] = mu**lo / (1.0 + mu) ** (lo + 1)
-        if hi.size:
-            out[hi] = np.exp(hi * math.log(mu) - (hi + 1) * math.log1p(mu))
-    else:
-        fact = np.array([math.factorial(int(i)) for i in lo], dtype=float)
-        out[lo] = mu**lo * math.exp(-mu) / fact
-        if hi.size:
-            out[hi] = np.exp(hi * math.log(mu) - mu - gammaln(hi + 1.0))
-    return out
+        return (mu / (1.0 + mu)) ** k / (1.0 + mu)
+    log_factorials = _log_factorial_table(1 << int(k_max).bit_length())[: k_max + 1]
+    return np.exp(k * math.log(mu) - mu - log_factorials)
+
+
+@lru_cache(maxsize=None)
+def _log_factorial_table(size: int) -> np.ndarray:
+    """``log k!`` for ``k = 0 .. size - 1``; callers round ``size`` up to a power of two."""
+    table = np.array([math.lgamma(k + 1.0) for k in range(size)])
+    table.setflags(write=False)
+    return table
 
 
 def _emission_tails(model: PairSourceModel, js: np.ndarray) -> np.ndarray:
-    """Exact probabilities that a window emits more than ``j`` pairs, for each ``j`` in ``js``."""
+    """Probabilities that a window emits more than ``j`` pairs, for each ``j`` in ``js``.
+
+    The Poissonian tail sums the pmf smallest term first, down from
+    ``top = mu + 20 sqrt(mu) + 60``, beyond which less than 1e-50 of the mass
+    lies.  When every ``j`` lies below the mean, the range stops at
+    ``max(js)`` instead and the tail is ``1 - P(K <= j)``, about 1/2 or more
+    there, so memory stays bounded for any mean.
+    """
     mu = model.mean_per_window
     if mu == 0.0:
         return np.zeros(js.shape)
     if model.kind is SourceKind.THERMAL:
         return np.exp((js + 1) * (math.log(mu) - math.log1p(mu)))
-    return gammainc(js + 1.0, mu)
+    j_top = int(js.max())
+    if mu > j_top:
+        return 1.0 - np.cumsum(pair_pmf(model, j_top))[js]
+    top = int(mu + 20.0 * math.sqrt(mu)) + 60
+    # at_least[k] = P(k <= K <= top + 1); every j >= top reads P(K = top + 1).
+    at_least = np.cumsum(pair_pmf(model, top + 1)[::-1])[::-1]
+    return at_least[np.minimum(js, top) + 1]
 
 
 def emission_tail(model: PairSourceModel, j: int) -> float:
-    """Exact probability that a window emits more than ``j`` pairs (closed form)."""
+    """Probability that a window emits more than ``j`` pairs.
+
+    Closed form for thermal sources.  For Poissonian sources it is a sum of
+    the pmf, within about 1e-12 relative wherever the tail exceeds 1e-40.
+    """
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
     return float(_emission_tails(model, np.array([j]))[0])

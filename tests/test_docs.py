@@ -1,5 +1,9 @@
-"""The README quick start and every demo script run; the README names only code that exists."""
+"""The README quick start and every demo script run; the README names only code that exists.
 
+The package imports no third-party module but numpy, as ``pyproject.toml`` declares.
+"""
+
+import ast
 import importlib
 import os
 import re
@@ -11,6 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "photonmux").glob("*.py"))
 
 
 def run_python(args: list[str]) -> subprocess.CompletedProcess:
@@ -44,3 +49,36 @@ def test_library_layout_names_exist():
         module = importlib.import_module(module_name)
         for name in re.findall(r"`(\w+)`", contents):
             assert hasattr(module, name), f"README lists {module_name}.{name}, which does not exist"
+
+
+def imported_top_level_modules(path: Path) -> set[str]:
+    """Top-level names of every absolute import in a file, including those inside functions."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in project["dependencies"]}
+    third_party = set().union(*map(imported_top_level_modules, SOURCES))
+    third_party -= set(sys.stdlib_module_names) | {"photonmux"}
+    assert third_party == {"numpy"}
+    assert declared == third_party
+
+
+def test_import_and_heralding_load_no_scipy():
+    code = (
+        "import sys, photonmux\n"
+        "model = photonmux.PairSourceModel(photonmux.SourceKind.POISSONIAN, 3.0, 64)\n"
+        "photonmux.herald_convolve(model, 0.9)\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    result = run_python(["-c", code])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

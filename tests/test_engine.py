@@ -156,8 +156,10 @@ class TestOutputDistribution:
         h = herald_convolve(PairSourceModel(SourceKind.POISSONIAN, 1.0, 1), 0.9)
         with pytest.raises(ValueError):
             output_distribution(h, tm, layout, i_max=0)
-        with pytest.raises(ValueError):
-            output_distribution(h, tm, layout, i_max=h.j_max + 1)
+        # Bins above the input truncation are 0; their mass is in the tail bound.
+        dist = output_distribution(h, tm, layout, i_max=h.j_max + 3)
+        assert np.all(dist.probs[h.j_max + 1 :] == 0.0)
+        assert abs(float(np.sum(dist.probs)) + dist.tail_bound - 1.0) <= 1e-10
 
     def test_distribution_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -228,6 +230,7 @@ def external_matrices(n):
 COLLAPSE_INPUTS = {
     "poissonian": (herald_convolve(PairSourceModel(SourceKind.POISSONIAN, 2.0, 5), 0.8), 5),
     "thermal": (herald_convolve(PairSourceModel(SourceKind.THERMAL, 3.0, 5), 0.9), 5),
+    "thermal, j_max > 30": (herald_convolve(PairSourceModel(SourceKind.THERMAL, 15.0, 5), 0.9), 5),
     "p0 = 0": (HeraldedInputDistribution(p0=0.0, pj=[1.0], j_max=1, tail_bound=0.0), 5),
     "p0 near 1": (
         herald_convolve(PairSourceModel(SourceKind.POISSONIAN, 1e-4, 512), 0.9, j_max=4),
@@ -247,9 +250,8 @@ class TestRowRunCollapse:
             m = values.shape[0]
             layout = MultiplexerLayout(m, n, logic=logic)
             tm = TransmissionMatrix(values=values, arm_order=tuple(range(m)))
-            i_max = min(4, heralded.j_max)
-            expected = direct_distribution(heralded, tm, layout, i_max)
-            dist = output_distribution(heralded, tm, layout, i_max=i_max)
+            expected = direct_distribution(heralded, tm, layout, 10)
+            dist = output_distribution(heralded, tm, layout, i_max=10)
             p1 = single_photon_probability(heralded, tm, layout)
             assert np.max(np.abs(dist.probs - expected)) <= 1e-14, name
             assert abs(p1 - expected[1]) <= 1e-14, name

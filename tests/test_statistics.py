@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaln
 
 from photonmux import (
     HeraldedInputDistribution,
@@ -16,6 +16,7 @@ from photonmux import (
     pair_distribution,
     pair_pmf,
 )
+from photonmux.statistics import _emission_tails
 
 THERMAL = SourceKind.THERMAL
 POISSONIAN = SourceKind.POISSONIAN
@@ -56,6 +57,7 @@ class TestPairDistribution:
         # Frozen from direct evaluation of mu^2 e^-mu / 2 at mu = 0.5.
         model = PairSourceModel(POISSONIAN, 2.0, 4)
         assert pair_distribution(model, 2) == pytest.approx(0.07581633246407918, rel=1e-14)
+        assert pair_distribution(model, np.int64(2)) == pair_distribution(model, 2)
 
     def test_poisson_against_sampling(self):
         # Monte-Carlo cross-check of the same closed form.
@@ -86,8 +88,8 @@ class TestPairDistribution:
 
     @pytest.mark.parametrize("kind", [THERMAL, POISSONIAN])
     def test_log_space_switch_is_seamless(self, kind):
-        # Ratio P(k+1)/P(k) must follow the recurrence across the k = 20 switch.
-        model = PairSourceModel(kind, 30.0, 2)  # mu = 15 keeps mass near the switch
+        # Ratio P(k+1)/P(k) must follow the recurrence around k = 20.
+        model = PairSourceModel(kind, 30.0, 2)  # mu = 15 keeps mass near k = 20
         mu = model.mean_per_window
         for k in (19, 20, 21):
             ratio = pair_distribution(model, k + 1) / pair_distribution(model, k)
@@ -113,6 +115,50 @@ class TestPairDistribution:
                 assert emission_tail(model, j) == pytest.approx(
                     float(1.0 - np.sum(pmf[: j + 1])), abs=1e-13
                 )
+
+
+class TestPoissonianTailAgainstScipy:
+    """``scipy.special.gammainc(j + 1, mu)`` is the exact Poissonian tail P(K > j)."""
+
+    MUS = np.geomspace(1e-6, 1e3, 200)
+    JS = np.arange(1, 513)
+
+    @staticmethod
+    def assert_tails_match(got, ref):
+        resolved = ref >= 1e-40
+        assert np.all(np.abs(got[resolved] - ref[resolved]) <= 1e-12 * ref[resolved])
+        assert np.all(got[~resolved] < 1e-40)
+
+    def test_tails_over_the_truncation_range(self):
+        for mu in self.MUS:
+            model = PairSourceModel(POISSONIAN, float(mu), 1)
+            self.assert_tails_match(_emission_tails(model, self.JS), gammainc(self.JS + 1.0, mu))
+
+    def test_scalar_tail(self):
+        js = np.array([1, 2, 5, 17, 64, 200, 511, 512])
+        for mu in self.MUS[::4]:
+            model = PairSourceModel(POISSONIAN, float(mu), 1)
+            got = np.array([emission_tail(model, int(j)) for j in js])
+            self.assert_tails_match(got, gammainc(js + 1.0, mu))
+
+    @pytest.mark.parametrize("mu", [400.0, 450.0, 800.0, 1e12])
+    def test_truncation_error_carries_tail(self, mu):
+        with pytest.raises(TruncationError) as err:
+            herald_convolve(PairSourceModel(POISSONIAN, mu, 1), 0.9)
+        assert err.value.tail_bound == pytest.approx(gammainc(513.0, mu), rel=1e-12)
+
+    @pytest.mark.parametrize("mu", [300.0, 800.0])
+    def test_pmf_sums_to_one_at_large_mean(self, mu):
+        # Guards against rounding error that builds up with k in log k!.
+        pmf = pair_pmf(PairSourceModel(POISSONIAN, mu, 1), int(mu + 40.0 * math.sqrt(mu)))
+        assert abs(float(np.sum(pmf)) - 1.0) <= 1e-12
+
+    def test_adaptive_j_max_is_minimal(self):
+        for mu in np.geomspace(1e-6, 300.0, 60):
+            model = PairSourceModel(POISSONIAN, float(mu), 1)
+            h = herald_convolve(model, 0.9)
+            below = np.nonzero(gammainc(self.JS + 1.0, mu) < 1e-12)[0]
+            assert h.j_max == self.JS[below[0]]
 
 
 class TestHeraldConvolve:
