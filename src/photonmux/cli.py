@@ -135,7 +135,6 @@ def compare_to_oracle(
     layout: MultiplexerLayout,
     trials: int,
     seed: int,
-    tm: TransmissionMatrix | None = None,
     analytic_tm: TransmissionMatrix | None = None,
 ) -> list[BinComparison]:
     """Per-bin z-scores between the analytic engine and the Monte-Carlo sampler.
@@ -145,13 +144,12 @@ def compare_to_oracle(
     spurious rejections; a zero standard error with a nonzero difference
     yields an infinite z.  ``analytic_tm`` feeds a different matrix to the
     analytic side only, which lets a mutation test measure the harness's
-    sensitivity; it defaults to the simulation matrix.
+    sensitivity; it defaults to ``build_matrix(params, layout)``, the matrix
+    the sampler builds for itself.
     """
-    if tm is None:
-        tm = build_matrix(params, layout)
     if analytic_tm is None:
-        analytic_tm = tm
-    empirical = simulate(model, params, layout, trials=trials, seed=seed, tm=tm)
+        analytic_tm = build_matrix(params, layout)
+    empirical = simulate(model, params, layout, trials=trials, seed=seed)
     heralded = herald_convolve(model, params.v_d)
     i_max = max(empirical.i_max, DEFAULT_I_MAX)
     if heralded.j_max < i_max:
@@ -194,7 +192,6 @@ def run_validate(config_path: str | Path) -> int:
     for logic in config.logics:
         for m, n, lam in config.validation_points:
             layout = MultiplexerLayout(m=m, n=n, logic=logic)
-            tm = build_matrix(config.losses, layout)
             model = PairSourceModel(kind=config.source, mean_pairs=lam, n_windows=n)
             # Stable per-case seed offset keeps the points statistically independent.
             comparisons = compare_to_oracle(
@@ -203,7 +200,6 @@ def run_validate(config_path: str | Path) -> int:
                 layout,
                 trials=config.validation_trials,
                 seed=config.validation_seed + case,
-                tm=tm,
             )
             case += 1
             for c in comparisons:

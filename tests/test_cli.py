@@ -188,18 +188,20 @@ class TestRunValidate:
 
     def test_mutation_is_detected(self):
         # Perturbing one transmission entry by 0.01 must push some bin
-        # beyond four standard errors at 2e5 trials.
+        # beyond four standard errors.  The perturbation moves bin 0 from
+        # 0.19738 to 0.20018, an expected z of 2.80e-3 / sqrt(0.19738 *
+        # 0.80262 / trials): 7.0 at 1e6 trials, but only 3.15 at 2e5.
         params = LossParameters(v_r=0.996, v_t=0.97, v_p=0.95, v_p0_s=0.99, v_d=0.9)
         layout = MultiplexerLayout(2, 2)
         model = PairSourceModel(SourceKind.POISSONIAN, 1.0, 2)
-        clean = compare_to_oracle(model, params, layout, trials=200_000, seed=9)
+        clean = compare_to_oracle(model, params, layout, trials=1_000_000, seed=9)
         assert max(c.z for c in clean) <= 4.0
         tm = build_matrix(params, layout)
         corrupted = tm.values.copy()
         corrupted[0, 0] -= 0.01
         bad_tm = TransmissionMatrix(values=corrupted, arm_order=tm.arm_order)
         mutated = compare_to_oracle(
-            model, params, layout, trials=200_000, seed=9, analytic_tm=bad_tm
+            model, params, layout, trials=1_000_000, seed=9, analytic_tm=bad_tm
         )
         assert max(c.z for c in mutated) > 4.0
 

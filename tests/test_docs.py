@@ -1,6 +1,7 @@
 """The README quick start and every demo script run; the README names only code that exists.
 
-The package imports no third-party module but numpy, as ``pyproject.toml`` declares.
+The package imports no third-party module but numpy, as ``pyproject.toml`` declares,
+and the Monte-Carlo sampler takes nothing from the engine or the heralding layer but types.
 """
 
 import ast
@@ -51,13 +52,19 @@ def test_library_layout_names_exist():
             assert hasattr(module, name), f"README lists {module_name}.{name}, which does not exist"
 
 
+def import_nodes(path: Path) -> list[ast.Import | ast.ImportFrom]:
+    """Every import statement of a file, including those inside functions."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
 def imported_top_level_modules(path: Path) -> set[str]:
-    """Top-level names of every absolute import in a file, including those inside functions."""
+    """Top-level names of every absolute import in a file."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in import_nodes(path):
         if isinstance(node, ast.Import):
             names.update(alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        elif node.level == 0:
             names.add(node.module.split(".")[0])
     return names
 
@@ -70,6 +77,24 @@ def test_numpy_is_the_only_runtime_dependency():
     third_party -= set(sys.stdlib_module_names) | {"photonmux"}
     assert third_party == {"numpy"}
     assert declared == third_party
+
+
+def test_sampler_takes_only_types_from_engine_and_statistics():
+    # The sampler is an independent check of the engine only while it
+    # computes nothing with the engine's or the heralding layer's code.
+    path = ROOT / "src" / "photonmux" / "montecarlo.py"
+    assert "photonmux" not in imported_top_level_modules(path)
+    imports = {
+        (node.module, alias.name)
+        for node in import_nodes(path)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    }
+    assert {pair for pair in imports if pair[0] != "transmission"} == {
+        ("engine", "PhotonNumberDistribution"),
+        ("statistics", "PairSourceModel"),
+        ("statistics", "SourceKind"),
+    }
 
 
 def test_import_and_heralding_load_no_scipy():
