@@ -12,8 +12,7 @@ Subcommands
     Recompute the built-in reference configurations and write
     ``table1_repro.csv`` / ``table2_repro.csv`` with pass/fail flags.
 
-Exit codes: 0 success, 2 invalid configuration (including pump-strength
-bounds beyond what the input truncation resolves), 3 pump-strength bracketing
+Exit codes: 0 success, 2 invalid configuration, 3 pump-strength bracketing
 failure, 4 analytic/Monte-Carlo disagreement beyond 4 standard errors.
 """
 
@@ -25,11 +24,13 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import ConfigError, _line_of, parse_config
+import numpy as np
+
+from .config import ConfigError, parse_config
 from .engine import DEFAULT_I_MAX, output_distribution
 from .montecarlo import simulate
 from .optimize import BracketError, SweepSpec, sweep
-from .statistics import PairSourceModel, TruncationError, herald_convolve
+from .statistics import PairSourceModel, herald_convolve
 from .tables import (
     TABLE1_ROWS,
     TABLE2_ROWS,
@@ -49,8 +50,8 @@ EXIT_DISAGREEMENT = 4
 
 
 def _fmt(value) -> str:
-    """CSV cell formatting: 10 significant digits for floats."""
-    if isinstance(value, bool):
+    """CSV cell formatting: PASS/FAIL for booleans (numpy's too), 10 significant digits for floats."""
+    if isinstance(value, (bool, np.bool_)):
         return "PASS" if value else "FAIL"
     if isinstance(value, float):
         return f"{value:.10g}"
@@ -85,14 +86,6 @@ def run_sweep(config_path: str | Path) -> int:
     except BracketError as exc:
         print(f"bracket failure: {exc}", file=sys.stderr)
         return EXIT_BRACKET
-    except TruncationError as exc:
-        line = _line_of(Path(config_path).read_text(encoding="utf-8"), "lambda_bounds")
-        print(
-            f"{config_path}:{line}: lambda_bounds reach a pump strength the input "
-            f"truncation cannot resolve: {exc}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
 

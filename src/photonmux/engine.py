@@ -25,16 +25,36 @@ with ``F_i`` the ``j``-series of one cell.  An evaluation therefore costs
 (distinct rows) x N cells, not M x N: the built-in router tree has
 ``log2 M + 1`` distinct arm transmissions.  Equal rows that are not adjacent
 stay separate runs, so any externally built matrix takes the same path.
+
+Thinning keeps a Poissonian source Poissonian and a thermal source thermal:
+losing each photon independently with probability ``1 - v`` turns a source
+of mean ``mu`` into one of mean ``mu v``, and the no-click part of the
+heralding, ``P'(j) (1 - v_d)^j``, equals ``p0`` times the source's own pmf at
+the mean ``mu'``:
+
+    source       mu'                         p0
+    Poissonian   mu (1 - v_d)                exp(-mu v_d)
+    thermal      mu (1 - v_d) / (1 + mu v_d)  1 / (1 + mu v_d)
+
+So the ``j``-series of a cell sums in closed form.  For one output photon,
+
+    F_1(v) = T(1; mu v) - p0 T(1; mu' v)
+
+with ``T(1; x) = x e^-x`` (Poissonian) or ``x / (1 + x)^2`` (thermal), the
+probability that the thinned source delivers exactly one photon.
+``p1_closed_form`` evaluates P(1) this way, with no input truncation; the
+optimizer uses it as its objective.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .statistics import HeraldedInputDistribution
+from .statistics import HeraldedInputDistribution, PairSourceModel, SourceKind
 from .transmission import MultiplexerLayout, PriorityLogic, RowRuns, TransmissionMatrix
 
 DEFAULT_I_MAX = 10
@@ -179,16 +199,38 @@ def single_photon_probability(
     tm: TransmissionMatrix,
     layout: MultiplexerLayout,
 ) -> float:
-    """P(exactly one output photon); equals ``output_distribution(...).probs[1]``.
+    """P(exactly one output photon): ``output_distribution(...).probs[1]``."""
+    return float(output_distribution(heralded, tm, layout, i_max=1).probs[1])
 
-    Evaluates only the i = 1 term, which is the optimization objective.
+
+def _one_photon(kind: SourceKind, x: np.ndarray) -> np.ndarray:
+    """``T(1; x)``: probability that a source of mean ``x`` delivers exactly one photon."""
+    if kind is SourceKind.THERMAL:
+        return x / (1.0 + x) ** 2
+    return x * np.exp(-x)
+
+
+def p1_closed_form(
+    model: PairSourceModel,
+    v_d: float,
+    tm: TransmissionMatrix,
+    layout: MultiplexerLayout,
+) -> float:
+    """P(exactly one output photon) from the source model, by the thinning identity.
+
+    Equals ``single_photon_probability(herald_convolve(model, v_d), tm, layout)``
+    up to that path's input truncation, which this one does not have.
     """
     _check_dimensions(tm, layout)
-    p0 = heralded.p0
-    if p0 >= 1.0:
-        return 0.0
+    mu = model.mean_per_window
+    if model.kind is SourceKind.THERMAL:
+        p0 = 1.0 / (1.0 + mu * v_d)
+        mu_miss = mu * (1.0 - v_d) * p0
+    else:
+        p0 = math.exp(-mu * v_d)
+        mu_miss = mu * (1.0 - v_d)
     runs = tm.row_runs
     run_weights, window_weights = _factored_weights(p0, runs, layout)
     v = runs.rows
-    series = _horner(1.0 - v, np.arange(1, heralded.j_max + 1) * heralded.pj)
-    return float(run_weights @ ((v * series) @ window_weights))
+    cells = _one_photon(model.kind, mu * v) - p0 * _one_photon(model.kind, mu_miss * v)
+    return float(run_weights @ (cells @ window_weights))

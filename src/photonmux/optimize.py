@@ -3,8 +3,10 @@
 For fixed losses and geometry (m, n), the single-photon probability is a
 unimodal function of the mean pair number: too weak a pump rarely heralds,
 too strong a pump floods the output with multi-photon events.  Each grid
-point is solved by a coarse logarithmic scan followed by golden-section
-refinement; the sweep then ranks all grid points.
+point is solved by a coarse logarithmic scan followed by a bracketed Brent
+step (parabolic interpolation, safeguarded by golden-section steps); the
+sweep then ranks all grid points.  The objective is the engine's closed-form
+single-photon probability, which has no input truncation.
 """
 
 from __future__ import annotations
@@ -14,14 +16,21 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from .engine import single_photon_probability
-from .statistics import PairSourceModel, SourceKind, herald_convolve
+# single_photon_probability and herald_convolve are not called here.  The
+# benchmark's traced mode (bench/workloads.py, rebinding_targets) rebinds both
+# names on this module, so they stay importable.
+from .engine import p1_closed_form, single_photon_probability  # noqa: F401
+from .statistics import PairSourceModel, SourceKind, herald_convolve  # noqa: F401
 from .transmission import LossParameters, MultiplexerLayout, PriorityLogic, build_matrix
 
 LAMBDA_TOL = 1e-5
 COARSE_POINTS = 32
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Golden-section fraction of the larger bracket segment, for Brent's fallback step.
+_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
+# Smallest Brent step.  Brent's own stopping rule, max(x - a, b - x) <= 2 * _MIN_STEP,
+# implies b - a <= LAMBDA_TOL, so stopping on the bracket width always terminates.
+_MIN_STEP = LAMBDA_TOL / 4.0
 
 
 class BracketError(RuntimeError):
@@ -79,11 +88,15 @@ class OptimizationResult:
 def maximize_unimodal(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """Locate the maximum of a unimodal ``f`` on [lo, hi] to absolute ``LAMBDA_TOL`` in x.
 
-    A coarse logarithmic grid of ``COARSE_POINTS`` brackets the peak,
-    golden-section search refines it.  The bounds are validated by a
+    A coarse logarithmic grid of ``COARSE_POINTS`` brackets the peak between
+    the neighbours of its best point; a Brent step refines it until the
+    bracket is at most ``LAMBDA_TOL`` wide.  The bounds are validated by a
     finite-difference sign check at both endpoints; a coarse profile with
     more than one local maximum triggers a warning and falls back to
     refining around the best grid point.
+
+    Returns:
+        ``(x, f(x))`` as Python floats, ``x`` the best point evaluated.
 
     Raises:
         BracketError: ``f`` does not increase away from ``lo`` or does not
@@ -112,31 +125,75 @@ def maximize_unimodal(f: Callable[[float], float], lo: float, hi: float) -> tupl
     best = max(range(COARSE_POINTS), key=ys.__getitem__)
     a = xs[best - 1] if best > 0 else lo
     b = xs[best + 1] if best < COARSE_POINTS - 1 else hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
+    x, fx = _brent(f, a, b, xs[best], ys[best])
+    return float(x), float(fx)
+
+
+def _brent(
+    f: Callable[[float], float], a: float, b: float, x: float, fx: float
+) -> tuple[float, float]:
+    """Brent's maximization on [a, b] from an interior point ``x`` with ``f(x) = fx``.
+
+    Each step fits a parabola through the three best points and moves to its
+    vertex; a golden-section step into the larger segment replaces it when
+    the vertex leaves the bracket or the steps stop shrinking.  Steps are at
+    least ``_MIN_STEP`` long.  Stops once ``b - a <= LAMBDA_TOL``; ``x`` is
+    the best point evaluated and stays inside the bracket.
+    """
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0  # the last step and the one before it
     while b - a > LAMBDA_TOL:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
+        mid = 0.5 * (a + b)
+        parabolic = False
+        if abs(e) > _MIN_STEP:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # The vertex must lie inside the bracket and the step must be less
+            # than half the step before last, or the fit is not converging.
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                u = x + d
+                if u - a < 2.0 * _MIN_STEP or b - u < 2.0 * _MIN_STEP:
+                    d = _MIN_STEP if x < mid else -_MIN_STEP
+                parabolic = True
+        if not parabolic:
+            e = (a - x) if x >= mid else (b - x)
+            d = _GOLDEN_STEP * e
+        u = x + d if abs(d) >= _MIN_STEP else x + math.copysign(_MIN_STEP, d)
+        fu = f(u)
+        if fu >= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def _objective(spec: SweepSpec, point: tuple[int, int]) -> Callable[[float], float]:
     m, n = point
     layout = MultiplexerLayout(m=m, n=n, logic=spec.logic)
     tm = build_matrix(spec.params, layout)
+    v_d = spec.params.v_d
 
     def p1_of_lambda(lam: float) -> float:
         model = PairSourceModel(kind=spec.source_kind, mean_pairs=lam, n_windows=n)
-        heralded = herald_convolve(model, spec.params.v_d)
-        return single_photon_probability(heralded, tm, layout)
+        return p1_closed_form(model, v_d, tm, layout)
 
     return p1_of_lambda
 

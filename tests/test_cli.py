@@ -9,6 +9,7 @@ from photonmux import (
     LossParameters,
     MultiplexerLayout,
     PairSourceModel,
+    PriorityLogic,
     SourceKind,
     TransmissionMatrix,
     build_matrix,
@@ -20,6 +21,7 @@ from photonmux.cli import (
     EXIT_DISAGREEMENT,
     EXIT_OK,
     BinComparison,
+    _fmt,
     compare_to_oracle,
     main,
     run_sweep,
@@ -27,6 +29,7 @@ from photonmux.cli import (
     run_validate,
 )
 from photonmux.config import ConfigError
+from photonmux.engine import p1_closed_form
 from photonmux.tables import TABLE1_ROWS
 
 
@@ -137,17 +140,25 @@ class TestRunSweep:
         assert run_sweep(path) == EXIT_BRACKET
         assert "bracket" in capsys.readouterr().err.lower()
 
-    def test_unresolvable_lambda_bound_exits_2(self, tmp_path, capsys):
-        # A thermal source at 1000 pairs per window keeps a tail of 0.6 beyond j = 512.
+    def test_thermal_source_at_1000_pairs_per_window_sweeps(self, tmp_path):
+        # The closed-form objective has no input truncation, so a thermal
+        # source at 1000 pairs per window is a valid bound.
         path = write_config(
             tmp_path, source="thermal", m_values=[1], n_values=[1], lambda_bounds=[1e-4, 1000]
         )
-        assert run_sweep(path) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        line = int(err.split(":")[1])
-        assert path.read_text().splitlines()[line - 1].strip().startswith('"lambda_bounds"')
-        assert "emission tail" in err
+        assert run_sweep(path) == EXIT_OK
+        config = parse_config(path)
+        rows = (tmp_path / "out" / "surface.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        for row in rows:
+            m, n, lam, p1, logic = row.split(",")
+            layout = MultiplexerLayout(int(m), int(n), logic=PriorityLogic(logic))
+            model = PairSourceModel(SourceKind.THERMAL, float(lam), int(n))
+            tm = build_matrix(config.losses, layout)
+            assert 1e-4 < float(lam) < 1000
+            assert float(p1) == pytest.approx(
+                p1_closed_form(model, config.losses.v_d, tm, layout), abs=1e-10
+            )
 
 
 class TestRunValidate:
@@ -220,6 +231,15 @@ class TestRunTables:
         table2 = (tmp_path / "table2_repro.csv").read_text().splitlines()
         assert len(table2) == 1  # header only
         assert "table1 row 1: PASS" in capsys.readouterr().out
+
+
+def test_fmt_writes_flags_and_numbers():
+    # Comparisons of numpy scalars give np.bool_, which is not a bool.
+    assert [_fmt(True), _fmt(False)] == ["PASS", "FAIL"]
+    assert [_fmt(np.bool_(True)), _fmt(np.bool_(False))] == ["PASS", "FAIL"]
+    assert _fmt(np.float64(0.5) < 0.6) == "PASS"
+    assert _fmt(np.float64(1.0) / 3.0) == _fmt(1.0 / 3.0) == "0.3333333333"
+    assert _fmt(128) == "128"
 
 
 class TestMain:

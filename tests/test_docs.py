@@ -1,11 +1,13 @@
 """The README quick start and every demo script run; the README names only code that exists.
 
 The package imports no third-party module but numpy, as ``pyproject.toml`` declares,
-and the Monte-Carlo sampler takes nothing from the engine or the heralding layer but types.
+the Monte-Carlo sampler takes nothing from the engine or the heralding layer but types,
+and every attribute the benchmark's traced mode rebinds exists.
 """
 
 import ast
 import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -107,3 +109,15 @@ def test_import_and_heralding_load_no_scipy():
     result = run_python(["-c", code])
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_bench_rebinding_targets_exist():
+    # The benchmark's traced mode (bench/run.py --trace 1) swaps each target
+    # for a traced wrapper through a bare getattr, so a missing one breaks it.
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    targets = workloads.rebinding_targets()
+    assert targets
+    for module, attribute, *_ in targets:
+        assert hasattr(module, attribute), f"{module.__name__}.{attribute} does not exist"

@@ -1,6 +1,7 @@
-"""Output photon-number distribution for both priority logics."""
+"""Output photon-number distribution for both priority logics, and the closed-form P(1)."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -13,12 +14,15 @@ from photonmux import (
     PhotonNumberDistribution,
     PriorityLogic,
     SourceKind,
+    SweepSpec,
     TransmissionMatrix,
     build_matrix,
     herald_convolve,
     output_distribution,
     single_photon_probability,
+    sweep,
 )
+from photonmux.engine import p1_closed_form
 
 LL = PriorityLogic.LOWEST_LOSS
 FD = PriorityLogic.FIRST_DETECTION
@@ -267,3 +271,145 @@ class TestRowRunCollapse:
         expected = direct_distribution(h, tm, layout, 6)
         assert np.max(np.abs(output_distribution(h, tm, layout, i_max=6).probs - expected)) <= 1e-14
         assert abs(single_photon_probability(h, tm, layout) - expected[1]) <= 1e-14
+
+
+def series_p1(model, v_d, tm, layout):
+    """The ``j``-series P(1) and its certified truncation error ``W_sum * tail_bound``."""
+    h = herald_convolve(model, v_d)
+    weight_sum = float(np.sum(np.power(h.p0, np.arange(layout.m * layout.n))))
+    return single_photon_probability(h, tm, layout), weight_sum * h.tail_bound, h
+
+
+LOSS_NAMES = ("v_r", "v_t", "v_p", "v_p0_s", "v_d", "v_b", "v_r_s", "v_t_s")
+
+
+def draw_closed_form_case(rng, m_exp_max, n_exp_max, lam_lo, lam_hi_per_window):
+    """A random geometry, source, logic and loss set; lambda log-uniform in [lam_lo, lam_hi_per_window * n]."""
+    m = 2 ** int(rng.integers(0, m_exp_max + 1))
+    n = 2 ** int(rng.integers(0, n_exp_max + 1))
+    kind = SourceKind.THERMAL if rng.random() < 0.5 else SourceKind.POISSONIAN
+    logic = FD if rng.random() < 0.5 else LL
+    params = LossParameters(**{name: float(rng.uniform(0.5, 1.0)) for name in LOSS_NAMES})
+    lam = float(np.exp(rng.uniform(np.log(lam_lo), np.log(lam_hi_per_window * n))))
+    layout = MultiplexerLayout(m, n, logic=logic)
+    return PairSourceModel(kind, lam, n), params, layout
+
+
+class TestClosedFormP1:
+    """``p1_closed_form`` against the truncated ``j``-series, which serves as its oracle."""
+
+    def test_matches_series_within_its_truncation_bound(self):
+        rng = np.random.default_rng(2016)
+        for case in range(1000):
+            model, params, layout = draw_closed_form_case(rng, 7, 9, 1e-3, 3.0)
+            tm = build_matrix(params, layout)
+            closed = p1_closed_form(model, params.v_d, tm, layout)
+            series, bound, _ = series_p1(model, params.v_d, tm, layout)
+            assert abs(closed - series) <= bound + 1e-15, (case, model, layout)
+
+    def test_matches_series_at_the_design_sweep_optima(self):
+        # The design sweep's domain: m, n <= 8, near-reference efficiencies,
+        # both sources and logics, at the pump strengths the optimizer reports.
+        # (Far below the optimum, at lambda ~ 1e-4, the series' own truncation
+        # error reaches 1e-11, inside its certified bound; the previous test
+        # covers that range.)
+        rng = np.random.default_rng(8)
+        grid = (1, 2, 4, 8)
+        for _ in range(8):
+            losses = {name: float(rng.uniform(0.93, 0.996)) for name in LOSS_NAMES}
+            params = LossParameters(**dict(losses, v_d=float(rng.uniform(0.8, 0.95)), v_b=1.0))
+            for kind in SourceKind:
+                for logic in (LL, FD):
+                    result = sweep(SweepSpec(grid, grid, params, source_kind=kind, logic=logic))
+                    for (m, n), (lam, p1) in result.surface.items():
+                        layout = MultiplexerLayout(m, n, logic=logic)
+                        model = PairSourceModel(kind, lam, n)
+                        series, _, _ = series_p1(model, params.v_d, build_matrix(params, layout), layout)
+                        assert abs(p1 - series) <= 1e-13, (params, kind, logic, m, n)
+
+    def test_exact_edge_cases(self):
+        params = LossParameters(v_r=0.996, v_t=0.97, v_p=0.95, v_p0_s=0.99, v_d=0.9)
+        for kind in SourceKind:
+            for logic in (LL, FD):
+                layout = MultiplexerLayout(4, 8, logic=logic)
+                tm = build_matrix(params, layout)
+                assert p1_closed_form(PairSourceModel(kind, 3.0, 8), 0.0, tm, layout) == 0.0
+                assert p1_closed_form(PairSourceModel(kind, 0.0, 8), 0.9, tm, layout) == 0.0
+                model = PairSourceModel(kind, 3.0, 8)
+                closed = p1_closed_form(model, 1.0, tm, layout)
+                series, bound, _ = series_p1(model, 1.0, tm, layout)
+                assert 0.0 < closed < 1.0
+                assert abs(closed - series) <= bound + 1e-15
+        layout = MultiplexerLayout(1, 1)
+        tm = build_matrix(LOSSLESS, layout)
+        poisson = p1_closed_form(PairSourceModel(SourceKind.POISSONIAN, 1.7, 1), 1.0, tm, layout)
+        thermal = p1_closed_form(PairSourceModel(SourceKind.THERMAL, 1.7, 1), 1.0, tm, layout)
+        assert poisson == pytest.approx(1.7 * math.exp(-1.7), rel=1e-15)
+        assert thermal == pytest.approx(1.7 / 2.7**2, rel=1e-15)
+
+    def test_dimension_mismatch_rejected(self):
+        tm = build_matrix(LOSSLESS, MultiplexerLayout(2, 2))
+        model = PairSourceModel(SourceKind.POISSONIAN, 1.0, 4)
+        with pytest.raises(ValueError):
+            p1_closed_form(model, 0.9, tm, MultiplexerLayout(2, 4))
+
+    def test_forty_digit_reference_decides_against_the_truncated_series(self):
+        # A weak pump at the largest geometry: the adaptive series stops at
+        # j_max = 2, and its truncation, amplified by W_sum ~ 7.9e3, costs it
+        # 6.2e-10.  The closed form has no truncation and agrees with the
+        # 40-digit value to the conditioning of p0 raised to ~1e4.
+        params = LossParameters(v_r=0.996, v_t=0.97, v_p=0.95, v_p0_s=0.99, v_d=0.9)
+        layout = MultiplexerLayout(128, 512)
+        tm = build_matrix(params, layout)
+        model = PairSourceModel(SourceKind.POISSONIAN, 0.0724, 512)
+        exact = decimal_p1(model, params.v_d, tm, layout)
+        closed = p1_closed_form(model, params.v_d, tm, layout)
+        series, bound, heralded = series_p1(model, params.v_d, tm, layout)
+        assert heralded.j_max == 2
+        assert abs(Decimal(closed) - exact) <= Decimal("1e-13")
+        assert Decimal("5e-10") <= abs(Decimal(series) - exact) <= Decimal(bound)
+
+
+def decimal_p1(model, v_d, tm, layout):
+    """Oracle: the defining ``j``-series of P(1) in 40-digit decimal arithmetic.
+
+    The emission pmf is summed until its terms fall below 1e-45, and ``p0`` is
+    its no-click sum, so neither the float series' truncation nor the
+    thinning identity enters.  ``V`` and the inputs are taken at their exact
+    binary values.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        tiny = Decimal("1e-45")
+        mu = Decimal(model.mean_pairs) / model.n_windows
+        miss = 1 - Decimal(v_d)
+        pmf = []
+        if model.kind is SourceKind.POISSONIAN:
+            term, k = (-mu).exp(), 0
+            while term >= tiny or k <= mu:
+                pmf.append(term)
+                k += 1
+                term = term * mu / k
+        else:
+            term, ratio = 1 / (1 + mu), mu / (1 + mu)
+            while term >= tiny:
+                pmf.append(term)
+                term *= ratio
+        p0 = sum(p * miss**k for k, p in enumerate(pmf))
+        pj = [(j, pmf[j] * (1 - miss**j)) for j in range(1, len(pmf))]
+        m, n = layout.m, layout.n
+        rank_step, window_step = (p0, p0**m) if layout.logic is FD else (p0**n, p0)
+        a, b = [Decimal(1)], [Decimal(1)]
+        while len(a) < m:
+            a.append(a[-1] * rank_step)
+        while len(b) < n:
+            b.append(b[-1] * window_step)
+        runs = tm.row_runs
+        total = Decimal(0)
+        for row, start, length in zip(runs.rows, runs.starts, runs.lengths):
+            row_sum = Decimal(0)
+            for window, value in enumerate(row):
+                v = Decimal(float(value))
+                row_sum += b[window] * sum(j * p * v * (1 - v) ** (j - 1) for j, p in pj)
+            total += sum(a[start : start + length]) * row_sum
+        return total

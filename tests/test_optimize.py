@@ -14,7 +14,9 @@ from photonmux import (
     optimize_lambda,
     sweep,
 )
+from photonmux import optimize
 from photonmux.optimize import _better
+from photonmux.tables import TABLE2_ROWS
 
 LOSSLESS = LossParameters(v_r=1, v_t=1, v_p=1, v_p0_s=1, v_d=1, v_b=1)
 ROW4 = LossParameters(v_r=0.996, v_t=0.97, v_p=0.95, v_p0_s=0.99, v_d=0.9)
@@ -29,6 +31,15 @@ class TestMaximizeUnimodal:
         x, fx = maximize_unimodal(lambda x: 1.0 - (x - 2.0) ** 2, 0.5, 10.0)
         assert x == pytest.approx(2.0, abs=1e-5)
         assert fx == pytest.approx(1.0, abs=1e-9)
+
+    def test_kinked_peak_is_resolved_to_tolerance(self):
+        # No parabola fits an asymmetric kink, so only the bracket width bounds the error.
+        def f(x):
+            return 3.0 * (x - math.pi) if x < math.pi else math.pi - x
+
+        x, fx = maximize_unimodal(f, 0.5, 10.0)
+        assert abs(x - math.pi) <= 1e-5
+        assert fx == f(x)
 
     def test_monotone_increasing_fails_bracket(self):
         with pytest.raises(BracketError):
@@ -47,6 +58,10 @@ class TestMaximizeUnimodal:
             x, fx = maximize_unimodal(f, 0.01, 20.0)
         assert x == pytest.approx(0.1, abs=1e-3)
         assert fx == pytest.approx(1.0, abs=1e-6)
+
+    def test_returns_python_floats(self):
+        x, fx = maximize_unimodal(lambda x: np.float64(1.0 - (x - 2.0) ** 2), 0.5, 10.0)
+        assert type(x) is float and type(fx) is float
 
 
 class TestOptimizeLambda:
@@ -72,6 +87,27 @@ class TestOptimizeLambda:
             f = _objective(spec, point)
             assert f(lam + 1e-4) <= p1 + 1e-9
             assert f(max(lam - 1e-4, 0.0)) <= p1 + 1e-9
+
+    def test_brent_step_needs_few_evaluations(self, monkeypatch):
+        # Table-2 row 1 at its combined optimum (2, 64).  The 4 bracket checks
+        # and the 32-point scan take 36 evaluations, which leaves the Brent
+        # step at most 14.
+        calls = []
+        objective = optimize._objective
+
+        def counted(spec, point):
+            f = objective(spec, point)
+
+            def g(lam):
+                calls.append(lam)
+                return f(lam)
+
+            return g
+
+        monkeypatch.setattr(optimize, "_objective", counted)
+        lam, _ = optimize_lambda((2, 64), spec_for(TABLE2_ROWS[0].losses(), (2,), (64,)))
+        assert len(calls) <= 50
+        assert lam == pytest.approx(3.422646523650135, abs=2e-5)  # the golden-section optimum
 
     def test_explicit_bounds_respected(self):
         spec = spec_for(LOSSLESS, (1,), (1,), lambda_bounds=(0.5, 3.0))
