@@ -7,39 +7,10 @@ priority logics, validates it against an independent Monte-Carlo sampler, and
 optimizes the single-photon probability over the pump strength and geometry.
 """
 
-from .config import CONFIG_VERSION, ConfigError, RunConfig, parse_config
-from .engine import (
-    PhotonNumberDistribution,
-    output_distribution,
-    single_photon_probability,
-)
+from .engine import output_distribution, single_photon_probability
 from .montecarlo import simulate
-from .optimize import (
-    BracketError,
-    OptimizationResult,
-    SweepSpec,
-    maximize_unimodal,
-    optimize_lambda,
-    sweep,
-)
-from .statistics import (
-    HeraldedInputDistribution,
-    PairSourceModel,
-    SourceKind,
-    TruncationError,
-    emission_tail,
-    herald_convolve,
-    pair_distribution,
-    pair_pmf,
-)
-from .tables import (
-    TABLE1_ROWS,
-    TABLE2_ROWS,
-    Table1Row,
-    Table2Row,
-    reproduce_table1,
-    reproduce_table2,
-)
+from .optimize import BracketError, SweepSpec, maximize_unimodal, optimize_lambda, sweep
+from .statistics import PairSourceModel, SourceKind, TruncationError, herald_convolve, pair_pmf
 from .transmission import (
     LossParameters,
     MultiplexerLayout,
@@ -54,35 +25,20 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BracketError",
-    "CONFIG_VERSION",
-    "ConfigError",
-    "HeraldedInputDistribution",
     "LossParameters",
     "MultiplexerLayout",
-    "OptimizationResult",
     "PairSourceModel",
-    "PhotonNumberDistribution",
     "PriorityLogic",
-    "RunConfig",
     "SourceKind",
     "SweepSpec",
-    "TABLE1_ROWS",
-    "TABLE2_ROWS",
-    "Table1Row",
-    "Table2Row",
     "TransmissionMatrix",
     "TruncationError",
     "build_matrix",
-    "emission_tail",
     "herald_convolve",
     "maximize_unimodal",
     "optimize_lambda",
     "output_distribution",
-    "pair_distribution",
     "pair_pmf",
-    "parse_config",
-    "reproduce_table1",
-    "reproduce_table2",
     "simulate",
     "single_photon_probability",
     "spatial_arm_transmissions",

@@ -12,8 +12,10 @@ Subcommands
     Recompute the built-in reference configurations and write
     ``table1_repro.csv`` / ``table2_repro.csv`` with pass/fail flags.
 
-Exit codes: 0 success, 2 invalid configuration, 3 pump-strength bracketing
-failure, 4 analytic/Monte-Carlo disagreement beyond 4 standard errors.
+Exit codes: 0 success, 2 invalid configuration (including a validation point
+whose heralded input cannot be truncated within tolerance), 3 pump-strength
+bracketing failure, 4 analytic/Monte-Carlo disagreement beyond 4 standard
+errors.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .config import ConfigError, parse_config
 from .engine import DEFAULT_I_MAX, output_distribution
 from .montecarlo import simulate
 from .optimize import BracketError, SweepSpec, sweep
-from .statistics import PairSourceModel, herald_convolve
+from .statistics import PairSourceModel, TruncationError, herald_convolve
 from .tables import (
     TABLE1_ROWS,
     TABLE2_ROWS,
@@ -139,11 +141,15 @@ def compare_to_oracle(
     analytic side only, which lets a mutation test measure the harness's
     sensitivity; it defaults to ``build_matrix(params, layout)``, the matrix
     the sampler builds for itself.
+
+    Raises:
+        TruncationError: the heralded input cannot be truncated within
+            tolerance; raised before any sampling.
     """
     if analytic_tm is None:
         analytic_tm = build_matrix(params, layout)
-    empirical = simulate(model, params, layout, trials=trials, seed=seed)
     heralded = herald_convolve(model, params.v_d)
+    empirical = simulate(model, params, layout, trials=trials, seed=seed)
     i_max = max(empirical.i_max, DEFAULT_I_MAX)
     if heralded.j_max < i_max:
         heralded = herald_convolve(model, params.v_d, j_max=i_max)
@@ -187,13 +193,17 @@ def run_validate(config_path: str | Path) -> int:
             layout = MultiplexerLayout(m=m, n=n, logic=logic)
             model = PairSourceModel(kind=config.source, mean_pairs=lam, n_windows=n)
             # Stable per-case seed offset keeps the points statistically independent.
-            comparisons = compare_to_oracle(
-                model,
-                config.losses,
-                layout,
-                trials=config.validation_trials,
-                seed=config.validation_seed + case,
-            )
+            try:
+                comparisons = compare_to_oracle(
+                    model,
+                    config.losses,
+                    layout,
+                    trials=config.validation_trials,
+                    seed=config.validation_seed + case,
+                )
+            except TruncationError as exc:
+                print(f"{config_path}:1: cannot validate point [{m}, {n}, {lam}]: {exc}", file=sys.stderr)
+                return EXIT_CONFIG
             case += 1
             for c in comparisons:
                 rows.append([m, n, lam, logic.value, c.bin, c.analytic, c.empirical, c.std_err, c.z])

@@ -39,7 +39,6 @@ class ConfigError(ValueError):
 class RunConfig:
     """Validated contents of a run configuration file."""
 
-    version: int
     losses: LossParameters
     source: SourceKind
     logics: tuple[PriorityLogic, ...]
@@ -192,7 +191,6 @@ def parse_config(path: str | Path) -> RunConfig:
             points = tuple(parsed)
 
     return RunConfig(
-        version=version,
         losses=losses,
         source=source,
         logics=tuple(logics),

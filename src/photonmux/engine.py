@@ -68,21 +68,19 @@ class PhotonNumberDistribution:
     ``i = 0 .. i_max``; ``tail_bound`` bounds the mass beyond ``i_max``
     (including any truncation of the input distribution).  Empirical
     distributions from the Monte-Carlo sampler also carry a per-bin binomial
-    standard error and the trial count.
+    standard error.
     """
 
     probs: np.ndarray
-    i_max: int
     tail_bound: float
     std_err: np.ndarray | None = None
-    trials: int | None = None
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-        if probs.size != self.i_max + 1:
-            raise ValueError(f"probs size {probs.size} inconsistent with i_max={self.i_max}")
+        if probs.ndim != 1:
+            raise ValueError(f"probs must be a vector, got shape {probs.shape}")
         if not np.all((0.0 <= probs) & (probs <= 1.0)):
             raise ValueError("probabilities must lie in [0, 1]")
         if not self.tail_bound >= 0.0:
@@ -96,6 +94,11 @@ class PhotonNumberDistribution:
             object.__setattr__(self, "std_err", std_err)
             if std_err.size != probs.size:
                 raise ValueError("std_err must have one entry per probability bin")
+
+    @property
+    def i_max(self) -> int:
+        """Largest photon number held in ``probs``."""
+        return self.probs.size - 1
 
 
 @lru_cache(maxsize=64)
@@ -163,7 +166,7 @@ def output_distribution(
         # No window ever heralds: vacuum output, exactly.
         probs = np.zeros(i_max + 1)
         probs[0] = 1.0
-        return PhotonNumberDistribution(probs=probs, i_max=i_max, tail_bound=0.0)
+        return PhotonNumberDistribution(probs=probs, tail_bound=0.0)
     runs = tm.row_runs
     run_weights, window_weights = _factored_weights(p0, runs, layout)
     v = runs.rows
@@ -189,9 +192,7 @@ def output_distribution(
     included = p0_all + weight_sum * float(np.sum(heralded.pj))
     output_truncated = max(included - float(np.sum(probs)), 0.0)
     tail_bound = output_truncated + weight_sum * heralded.tail_bound
-    return PhotonNumberDistribution(
-        probs=np.clip(probs, 0.0, 1.0), i_max=i_max, tail_bound=tail_bound
-    )
+    return PhotonNumberDistribution(probs=np.clip(probs, 0.0, 1.0), tail_bound=tail_bound)
 
 
 def single_photon_probability(

@@ -111,10 +111,4 @@ def simulate(
         remaining -= block
     probs = counts / trials
     std_err = np.sqrt(probs * (1.0 - probs) / trials)
-    return PhotonNumberDistribution(
-        probs=probs,
-        i_max=counts.size - 1,
-        tail_bound=0.0,
-        std_err=std_err,
-        trials=trials,
-    )
+    return PhotonNumberDistribution(probs=probs, tail_bound=0.0, std_err=std_err)

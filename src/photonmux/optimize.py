@@ -70,10 +70,9 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Per-point optima and the global best of a sweep."""
+    """Per-point optima of a sweep, ``(m, n) -> (lambda_opt, p1)``."""
 
     surface: dict[tuple[int, int], tuple[float, float]]
-    best: tuple[int, int, float, float]  # (m, n, lambda_opt, p1_max)
 
     def __post_init__(self):
         if not self.surface:
@@ -81,8 +80,17 @@ class OptimizationResult:
         for (m, n), (lam, p1) in self.surface.items():
             if not (0.0 <= p1 <= 1.0):
                 raise ValueError(f"p1 at ({m}, {n}) out of [0, 1]: {p1}")
-        if self.best[3] != max(p for _, p in self.surface.values()):
-            raise ValueError("best entry does not carry the surface maximum")
+
+    @property
+    def best(self) -> tuple[int, int, float, float]:
+        """``(m, n, lambda_opt, p1_max)``; exact ties in p1 prefer smaller m*n, then smaller m."""
+
+        def rank(item):
+            (m, n), (_, p1) = item
+            return p1, -m * n, -m
+
+        (m, n), (lam, p1) = max(self.surface.items(), key=rank)
+        return m, n, lam, p1
 
 
 def maximize_unimodal(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
@@ -105,13 +113,19 @@ def maximize_unimodal(f: Callable[[float], float], lo: float, hi: float) -> tupl
     if not lo < hi:
         raise ValueError(f"need lo < hi, got ({lo}, {hi})")
     step = (hi - lo) * 1e-6
-    if not f(lo + step) > f(lo):
+    f_lo = f(lo)
+    if not f(lo + step) > f_lo:
         raise BracketError(f"objective not increasing at lower bound {lo}")
-    if not f(hi - step) > f(hi):
+    f_hi = f(hi)
+    if not f(hi - step) > f_hi:
         raise BracketError(f"objective not decreasing at upper bound {hi}")
+    # The scan's end points are lo and hi themselves, whose values the checks above hold.
     grid_lo = lo if lo > 0.0 else hi * 1e-12
-    xs = [grid_lo * (hi / grid_lo) ** (i / (COARSE_POINTS - 1)) for i in range(COARSE_POINTS)]
-    ys = [f(x) for x in xs]
+    inner = [
+        grid_lo * (hi / grid_lo) ** (i / (COARSE_POINTS - 1)) for i in range(1, COARSE_POINTS - 1)
+    ]
+    xs = [lo, *inner, hi]
+    ys = [f_lo, *map(f, inner), f_hi]
     n_local_max = sum(
         1
         for i in range(COARSE_POINTS)
@@ -208,27 +222,8 @@ def optimize_lambda(point: tuple[int, int], spec: SweepSpec) -> tuple[float, flo
     return maximize_unimodal(_objective(spec, point), lo, hi)
 
 
-def _better(candidate: tuple[int, int, float, float], incumbent: tuple[int, int, float, float]) -> bool:
-    """Strict improvement; exact ties prefer smaller m*n, then smaller m."""
-    cm, cn, _, cp = candidate
-    im, in_, _, ip = incumbent
-    if cp != ip:
-        return cp > ip
-    if cm * cn != im * in_:
-        return cm * cn < im * in_
-    return cm < im
-
-
 def sweep(spec: SweepSpec) -> OptimizationResult:
-    """Optimize the pump strength at every (m, n) grid point and rank the results."""
-    surface: dict[tuple[int, int], tuple[float, float]] = {}
-    best: tuple[int, int, float, float] | None = None
-    for m in spec.m_values:
-        for n in spec.n_values:
-            lam, p1 = optimize_lambda((m, n), spec)
-            surface[(m, n)] = (lam, p1)
-            candidate = (m, n, lam, p1)
-            if best is None or _better(candidate, best):
-                best = candidate
-    return OptimizationResult(surface=surface, best=best)
-
+    """Optimize the pump strength at every (m, n) grid point."""
+    return OptimizationResult(
+        surface={(m, n): optimize_lambda((m, n), spec) for m in spec.m_values for n in spec.n_values}
+    )

@@ -80,15 +80,14 @@ class HeraldedInputDistribution:
 
     p0: float
     pj: np.ndarray
-    j_max: int
     tail_bound: float
 
     def __post_init__(self):
         pj = np.asarray(self.pj, dtype=float)
         pj.setflags(write=False)
         object.__setattr__(self, "pj", pj)
-        if self.j_max != pj.size or self.j_max < 1:
-            raise ValueError(f"j_max={self.j_max} inconsistent with pj of size {pj.size}")
+        if pj.ndim != 1 or pj.size < 1:
+            raise ValueError(f"pj must be a non-empty vector, got shape {pj.shape}")
         if not (0.0 <= self.p0 <= 1.0) or not np.all((0.0 <= pj) & (pj <= 1.0)):
             raise ValueError("probabilities must lie in [0, 1]")
         if not self.tail_bound >= 0.0:
@@ -97,12 +96,10 @@ class HeraldedInputDistribution:
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"p0 + sum(pj) + tail_bound = {total!r} deviates from 1 beyond 1e-12")
 
-
-def pair_distribution(model: PairSourceModel, k: int) -> float:
-    """Probability that a single window emits exactly ``k`` photon pairs (``pair_pmf`` at ``k``)."""
-    if k < 0:
-        raise ValueError(f"pair count k must be >= 0, got {k}")
-    return float(pair_pmf(model, k)[k])
+    @property
+    def j_max(self) -> int:
+        """Truncation order: the largest heralded photon number held in ``pj``."""
+        return self.pj.size
 
 
 def pair_pmf(model: PairSourceModel, k_max: int) -> np.ndarray:
@@ -158,29 +155,26 @@ def _emission_tails(model: PairSourceModel, js: np.ndarray) -> np.ndarray:
     return at_least[np.minimum(js, top) + 1]
 
 
-def emission_tail(model: PairSourceModel, j: int) -> float:
-    """Probability that a window emits more than ``j`` pairs.
+def _truncation(model: PairSourceModel, j_max: int | None) -> tuple[int, float]:
+    """Truncation order and its emission tail, checked against ``TAIL_TOL``.
 
-    Closed form for thermal sources.  For Poissonian sources it is a sum of
-    the pmf, within about 1e-12 relative wherever the tail exceeds 1e-40.
+    An omitted ``j_max`` is the smallest order whose tail lies below the
+    tolerance, searched up to ``_J_CAP``.
+
+    Raises:
+        TruncationError: the given or capped order leaves a tail above ``TAIL_TOL``.
     """
-    if j < 0:
-        raise ValueError(f"j must be >= 0, got {j}")
-    return float(_emission_tails(model, np.array([j]))[0])
-
-
-def _adaptive_j_max(model: PairSourceModel) -> tuple[int, float]:
-    """Smallest j with emission tail below ``TAIL_TOL`` (capped at 512), and that tail."""
-    js = np.arange(1, _J_CAP + 1)
+    if j_max is not None and j_max < 1:
+        raise ValueError(f"j_max must be >= 1, got {j_max}")
+    js = np.arange(1, _J_CAP + 1) if j_max is None else np.array([j_max])
     tails = _emission_tails(model, js)
     below = np.nonzero(tails < TAIL_TOL)[0]
     if below.size == 0:
         raise TruncationError(
-            f"emission tail {tails[-1]:.3e} beyond j={_J_CAP} exceeds tolerance {TAIL_TOL:.1e}",
+            f"emission tail {tails[-1]:.3e} beyond j={js[-1]} exceeds tolerance {TAIL_TOL:.1e}",
             tail_bound=float(tails[-1]),
         )
-    j = int(js[below[0]])
-    return j, float(tails[below[0]])
+    return int(js[below[0]]), float(tails[below[0]])
 
 
 def herald_convolve(
@@ -204,20 +198,10 @@ def herald_convolve(
     """
     if not (0.0 <= v_d <= 1.0):
         raise ValueError(f"v_d must lie in [0, 1], got {v_d}")
-    if j_max is None:
-        j_max, tail = _adaptive_j_max(model)
-    else:
-        if j_max < 1:
-            raise ValueError(f"j_max must be >= 1, got {j_max}")
-        tail = emission_tail(model, j_max)
-        if tail > TAIL_TOL:
-            raise TruncationError(
-                f"emission tail {tail:.3e} beyond j_max={j_max} exceeds tolerance {TAIL_TOL:.1e}",
-                tail_bound=tail,
-            )
+    j_max, tail = _truncation(model, j_max)
     if v_d == 0.0:
         # A blind detector never heralds: all mass sits at "no click".
-        return HeraldedInputDistribution(p0=1.0, pj=np.zeros(j_max), j_max=j_max, tail_bound=0.0)
+        return HeraldedInputDistribution(p0=1.0, pj=np.zeros(j_max), tail_bound=0.0)
     pmf = pair_pmf(model, j_max)
     js = np.arange(1, j_max + 1)
     click = -np.expm1(js * math.log1p(-v_d)) if v_d < 1.0 else np.ones(j_max)
@@ -228,4 +212,4 @@ def herald_convolve(
     miss[1:] = 1.0 - click
     p0 = float(np.sum(pmf * miss))
     pj = pmf[1:] * click
-    return HeraldedInputDistribution(p0=p0, pj=pj, j_max=j_max, tail_bound=tail)
+    return HeraldedInputDistribution(p0=p0, pj=pj, tail_bound=tail)

@@ -121,20 +121,16 @@ class StandaloneOptimum:
     lambda_opt: float
 
 
-def standalone_time_optimum(
-    params: LossParameters, n_grid: tuple[int, ...] = STANDALONE_GRID
-) -> StandaloneOptimum:
+def standalone_time_optimum(params: LossParameters) -> StandaloneOptimum:
     """Best single time multiplexer (m = 1) over the window grid."""
-    result = sweep(SweepSpec(m_values=(1,), n_values=n_grid, params=params))
+    result = sweep(SweepSpec(m_values=(1,), n_values=STANDALONE_GRID, params=params))
     _, n, lam, p1 = result.best
     return StandaloneOptimum(p1=p1, size=n, lambda_opt=lam)
 
 
-def standalone_spatial_optimum(
-    params: LossParameters, m_grid: tuple[int, ...] = STANDALONE_GRID
-) -> StandaloneOptimum:
+def standalone_spatial_optimum(params: LossParameters) -> StandaloneOptimum:
     """Best single spatial multiplexer (n = 1) over the arm grid."""
-    result = sweep(SweepSpec(m_values=m_grid, n_values=(1,), params=params))
+    result = sweep(SweepSpec(m_values=STANDALONE_GRID, n_values=(1,), params=params))
     m, _, lam, p1 = result.best
     return StandaloneOptimum(p1=p1, size=m, lambda_opt=lam)
 

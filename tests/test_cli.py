@@ -13,7 +13,6 @@ from photonmux import (
     SourceKind,
     TransmissionMatrix,
     build_matrix,
-    parse_config,
 )
 from photonmux.cli import (
     EXIT_BRACKET,
@@ -28,7 +27,7 @@ from photonmux.cli import (
     run_tables,
     run_validate,
 )
-from photonmux.config import ConfigError
+from photonmux.config import ConfigError, parse_config
 from photonmux.engine import p1_closed_form
 from photonmux.tables import TABLE1_ROWS
 
@@ -53,7 +52,6 @@ def write_config(tmp_path, **overrides):
 class TestParseConfig:
     def test_round_trip(self, tmp_path):
         config = parse_config(write_config(tmp_path))
-        assert config.version == 1
         assert config.source is SourceKind.POISSONIAN
         assert config.m_values == (1, 2)
         assert config.losses.v_r_s == 0.996
@@ -184,6 +182,24 @@ class TestRunValidate:
         path = write_config(tmp_path, validation={"trials": 1000, "points": [[1, 1, 1.0]]})
         assert run_validate(path) == EXIT_CONFIG
         assert "trials" in capsys.readouterr().err
+
+    def test_untruncatable_point_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch):
+        # A thermal source at 1000 pairs per window leaves an emission tail
+        # above tolerance at any truncation order the heralding step allows.
+        path = write_config(
+            tmp_path,
+            source="thermal",
+            validation={"trials": 100_000, "points": [[1, 1, 1000.0]]},
+        )
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a point the engine cannot evaluate")
+
+        monkeypatch.setattr("photonmux.cli.simulate", no_sampling)
+        assert run_validate(path) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"{path}:1: ") and "[1, 1, 1000.0]" in err
+        assert len(err.splitlines()) == 1
 
     def test_disagreement_exits_4_and_names_bin(self, tmp_path, capsys, monkeypatch):
         path = write_config(

@@ -1,4 +1,5 @@
-"""The README quick start and every demo script run; the README names only code that exists.
+"""The README quick start and every demo script run; the README names only code that exists,
+and every exported name is documented, demonstrated or an exception class.
 
 The package imports no third-party module but numpy, as ``pyproject.toml`` declares,
 the Monte-Carlo sampler takes nothing from the engine or the heralding layer but types,
@@ -52,6 +53,20 @@ def test_library_layout_names_exist():
         module = importlib.import_module(module_name)
         for name in re.findall(r"`(\w+)`", contents):
             assert hasattr(module, name), f"README lists {module_name}.{name}, which does not exist"
+
+
+def test_public_names_are_documented_or_exercised():
+    # A name earns its place in photonmux.__all__ by appearing in the README,
+    # a demo or the acceptance suite; exception classes are exported so that
+    # callers can catch them.
+    import photonmux
+
+    texts = [ROOT / "README.md", ROOT / "tests" / "test_acceptance.py", *DEMOS]
+    used = set().union(*(re.findall(r"\w+", path.read_text(encoding="utf-8")) for path in texts))
+    for name in photonmux.__all__:
+        value = getattr(photonmux, name)
+        is_exception = isinstance(value, type) and issubclass(value, Exception)
+        assert name in used or is_exception, f"photonmux.{name} is exported but used nowhere"
 
 
 def import_nodes(path: Path) -> list[ast.Import | ast.ImportFrom]:

@@ -7,11 +7,9 @@ import numpy as np
 import pytest
 
 from photonmux import (
-    HeraldedInputDistribution,
     LossParameters,
     MultiplexerLayout,
     PairSourceModel,
-    PhotonNumberDistribution,
     PriorityLogic,
     SourceKind,
     SweepSpec,
@@ -22,7 +20,8 @@ from photonmux import (
     single_photon_probability,
     sweep,
 )
-from photonmux.engine import p1_closed_form
+from photonmux.engine import PhotonNumberDistribution, p1_closed_form
+from photonmux.statistics import HeraldedInputDistribution
 
 LL = PriorityLogic.LOWEST_LOSS
 FD = PriorityLogic.FIRST_DETECTION
@@ -167,15 +166,15 @@ class TestOutputDistribution:
 
     def test_distribution_invariants_enforced(self):
         with pytest.raises(ValueError):
-            PhotonNumberDistribution(probs=np.array([0.5, 0.4]), i_max=1, tail_bound=0.2)
+            PhotonNumberDistribution(probs=np.array([0.5, 0.4]), tail_bound=0.2)
         with pytest.raises(ValueError):
-            PhotonNumberDistribution(probs=np.array([0.5, 0.5]), i_max=2, tail_bound=0.0)
+            PhotonNumberDistribution(probs=np.array([[0.5, 0.5]]), tail_bound=0.0)
 
     def test_nan_entries_rejected(self):
         with pytest.raises(ValueError):
-            PhotonNumberDistribution(probs=np.array([math.nan, 0.5]), i_max=1, tail_bound=0.0)
+            PhotonNumberDistribution(probs=np.array([math.nan, 0.5]), tail_bound=0.0)
         with pytest.raises(ValueError):
-            PhotonNumberDistribution(probs=np.array([0.5, 0.5]), i_max=1, tail_bound=math.nan)
+            PhotonNumberDistribution(probs=np.array([0.5, 0.5]), tail_bound=math.nan)
 
 
 class TestSinglePhotonProbability:
@@ -235,7 +234,7 @@ COLLAPSE_INPUTS = {
     "poissonian": (herald_convolve(PairSourceModel(SourceKind.POISSONIAN, 2.0, 5), 0.8), 5),
     "thermal": (herald_convolve(PairSourceModel(SourceKind.THERMAL, 3.0, 5), 0.9), 5),
     "thermal, j_max > 30": (herald_convolve(PairSourceModel(SourceKind.THERMAL, 15.0, 5), 0.9), 5),
-    "p0 = 0": (HeraldedInputDistribution(p0=0.0, pj=[1.0], j_max=1, tail_bound=0.0), 5),
+    "p0 = 0": (HeraldedInputDistribution(p0=0.0, pj=[1.0], tail_bound=0.0), 5),
     "p0 near 1": (
         herald_convolve(PairSourceModel(SourceKind.POISSONIAN, 1e-4, 512), 0.9, j_max=4),
         512,

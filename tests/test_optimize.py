@@ -15,7 +15,7 @@ from photonmux import (
     sweep,
 )
 from photonmux import optimize
-from photonmux.optimize import _better
+from photonmux.optimize import OptimizationResult
 from photonmux.tables import TABLE2_ROWS
 
 LOSSLESS = LossParameters(v_r=1, v_t=1, v_p=1, v_p0_s=1, v_d=1, v_b=1)
@@ -90,8 +90,8 @@ class TestOptimizeLambda:
 
     def test_brent_step_needs_few_evaluations(self, monkeypatch):
         # Table-2 row 1 at its combined optimum (2, 64).  The 4 bracket checks
-        # and the 32-point scan take 36 evaluations, which leaves the Brent
-        # step at most 14.
+        # and the 30 inner points of the scan take 34 evaluations, which
+        # leaves the Brent step at most 14.
         calls = []
         objective = optimize._objective
 
@@ -106,8 +106,30 @@ class TestOptimizeLambda:
 
         monkeypatch.setattr(optimize, "_objective", counted)
         lam, _ = optimize_lambda((2, 64), spec_for(TABLE2_ROWS[0].losses(), (2,), (64,)))
-        assert len(calls) <= 50
+        assert len(calls) <= 48
         assert lam == pytest.approx(3.422646523650135, abs=2e-5)  # the golden-section optimum
+
+    def test_no_lambda_is_evaluated_twice(self, monkeypatch):
+        # The bracket checks evaluate both bounds, which are also the scan's end points.
+        calls = {}
+        objective = optimize._objective
+
+        def recorded(spec, point):
+            f = objective(spec, point)
+            lams = calls.setdefault((spec.lambda_bounds, point), [])
+
+            def g(lam):
+                lams.append(lam)
+                return f(lam)
+
+            return g
+
+        monkeypatch.setattr(optimize, "_objective", recorded)
+        sweep(spec_for(TABLE2_ROWS[0].losses(), (1, 2, 4), (1, 16, 64)))
+        optimize_lambda((1, 1), spec_for(LOSSLESS, (1,), (1,), lambda_bounds=(0.0, 5.0)))
+        assert len(calls) == 10
+        for key, lams in calls.items():
+            assert len(set(lams)) == len(lams), key
 
     def test_explicit_bounds_respected(self):
         spec = spec_for(LOSSLESS, (1,), (1,), lambda_bounds=(0.5, 3.0))
@@ -143,10 +165,13 @@ class TestSweep:
         assert result.best[3] == best_p1
 
     def test_tie_breaking_rules(self):
-        assert _better((2, 2, 0.1, 0.5), (4, 4, 0.1, 0.5))  # smaller m*n wins a tie
-        assert _better((2, 4, 0.1, 0.5), (4, 2, 0.1, 0.5))  # equal m*n: smaller m wins
-        assert not _better((4, 2, 0.1, 0.5), (2, 4, 0.1, 0.5))
-        assert _better((8, 8, 0.1, 0.6), (1, 1, 0.1, 0.5))  # p1 dominates everything
+        def best(*points):
+            return OptimizationResult(surface={(m, n): (0.1, p1) for m, n, p1 in points}).best[:2]
+
+        assert best((4, 4, 0.5), (2, 2, 0.5)) == (2, 2)  # smaller m*n wins a tie
+        assert best((4, 2, 0.5), (2, 4, 0.5)) == (2, 4)  # equal m*n: smaller m wins
+        assert best((2, 4, 0.5), (4, 2, 0.5)) == (2, 4)  # whatever the grid order
+        assert best((1, 1, 0.5), (8, 8, 0.6)) == (8, 8)  # p1 dominates everything
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -6,17 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import gammainc, gammaln
 
-from photonmux import (
-    HeraldedInputDistribution,
-    PairSourceModel,
-    SourceKind,
-    TruncationError,
-    emission_tail,
-    herald_convolve,
-    pair_distribution,
-    pair_pmf,
-)
-from photonmux.statistics import _emission_tails
+from photonmux import PairSourceModel, SourceKind, TruncationError, herald_convolve, pair_pmf
+from photonmux.statistics import HeraldedInputDistribution, _emission_tails
 
 THERMAL = SourceKind.THERMAL
 POISSONIAN = SourceKind.POISSONIAN
@@ -30,8 +21,9 @@ def brute_force_heralding(model, v_d, j_top=60):
     """
     p0 = 0.0
     pj = np.zeros(j_top)
+    pmf = pair_pmf(model, j_top)
     for k in range(j_top + 1):
-        pk = pair_distribution(model, k)
+        pk = pmf[k]
         p_no_click = math.comb(k, 0) * v_d**0 * (1.0 - v_d) ** k
         p0 += pk * p_no_click
         if k >= 1:
@@ -45,19 +37,20 @@ def brute_force_heralding(model, v_d, j_top=60):
 class TestPairDistribution:
     def test_zero_intensity_emits_nothing(self):
         model = PairSourceModel(POISSONIAN, 0.0, 1)
-        assert pair_distribution(model, 0) == 1.0
-        assert pair_distribution(model, 3) == 0.0
+        pmf = pair_pmf(model, 3)
+        assert pmf[0] == 1.0
+        assert pmf[3] == 0.0
 
     def test_thermal_unit_mean(self):
         # mu = 1: 1^1 / 2^2
         model = PairSourceModel(THERMAL, 1.0, 1)
-        assert pair_distribution(model, 1) == pytest.approx(0.25, abs=1e-15)
+        assert pair_pmf(model, 1)[1] == pytest.approx(0.25, abs=1e-15)
 
     def test_poisson_closed_form_value(self):
         # Frozen from direct evaluation of mu^2 e^-mu / 2 at mu = 0.5.
         model = PairSourceModel(POISSONIAN, 2.0, 4)
-        assert pair_distribution(model, 2) == pytest.approx(0.07581633246407918, rel=1e-14)
-        assert pair_distribution(model, np.int64(2)) == pair_distribution(model, 2)
+        assert pair_pmf(model, 2)[2] == pytest.approx(0.07581633246407918, rel=1e-14)
+        assert pair_pmf(model, np.int64(2))[2] == pair_pmf(model, 2)[2]
 
     def test_poisson_against_sampling(self):
         # Monte-Carlo cross-check of the same closed form.
@@ -67,12 +60,12 @@ class TestPairDistribution:
         hits = int(np.sum(rng.poisson(0.5, trials) == 2))
         p_hat = hits / trials
         se = math.sqrt(p_hat * (1 - p_hat) / trials)
-        assert abs(p_hat - pair_distribution(model, 2)) < 4 * se
+        assert abs(p_hat - pair_pmf(model, 2)[2]) < 4 * se
 
     def test_negative_arguments_rejected(self):
         model = PairSourceModel(POISSONIAN, 1.0, 1)
         with pytest.raises(ValueError):
-            pair_distribution(model, -1)
+            pair_pmf(model, -1)
         with pytest.raises(ValueError):
             PairSourceModel(POISSONIAN, -0.5, 1)
         with pytest.raises(ValueError):
@@ -81,18 +74,21 @@ class TestPairDistribution:
     @pytest.mark.parametrize("kind", [THERMAL, POISSONIAN])
     @pytest.mark.parametrize("lam,n", [(0.3, 1), (2.0, 4), (40.0, 8), (9.0, 1)])
     def test_vector_matches_scalar(self, kind, lam, n):
+        # The last entry of a pmf cut at k, as a lookup of one bin computes
+        # it, matches bin k of a longer pmf, whose log k! table is larger.
         model = PairSourceModel(kind, lam, n)
         pmf = pair_pmf(model, 40)
         for k in (0, 1, 5, 19, 20, 21, 33, 40):
-            assert pmf[k] == pytest.approx(pair_distribution(model, k), rel=1e-13, abs=1e-300)
+            assert pmf[k] == pytest.approx(pair_pmf(model, k)[k], rel=1e-13, abs=1e-300)
 
     @pytest.mark.parametrize("kind", [THERMAL, POISSONIAN])
     def test_log_space_switch_is_seamless(self, kind):
         # Ratio P(k+1)/P(k) must follow the recurrence around k = 20.
         model = PairSourceModel(kind, 30.0, 2)  # mu = 15 keeps mass near k = 20
         mu = model.mean_per_window
+        pmf = pair_pmf(model, 22)
         for k in (19, 20, 21):
-            ratio = pair_distribution(model, k + 1) / pair_distribution(model, k)
+            ratio = pmf[k + 1] / pmf[k]
             expected = mu / (1 + mu) if kind is THERMAL else mu / (k + 1)
             assert ratio == pytest.approx(expected, rel=1e-12)
 
@@ -111,10 +107,9 @@ class TestPairDistribution:
         for kind in (THERMAL, POISSONIAN):
             model = PairSourceModel(kind, 3.0, 2)
             pmf = pair_pmf(model, 300)
-            for j in (0, 1, 5, 12):
-                assert emission_tail(model, j) == pytest.approx(
-                    float(1.0 - np.sum(pmf[: j + 1])), abs=1e-13
-                )
+            js = np.array([0, 1, 5, 12])
+            direct = [1.0 - float(np.sum(pmf[: j + 1])) for j in js]
+            assert _emission_tails(model, js) == pytest.approx(direct, abs=1e-13)
 
 
 class TestPoissonianTailAgainstScipy:
@@ -135,10 +130,11 @@ class TestPoissonianTailAgainstScipy:
             self.assert_tails_match(_emission_tails(model, self.JS), gammainc(self.JS + 1.0, mu))
 
     def test_scalar_tail(self):
+        # One order at a time, as an explicit j_max asks for it.
         js = np.array([1, 2, 5, 17, 64, 200, 511, 512])
         for mu in self.MUS[::4]:
             model = PairSourceModel(POISSONIAN, float(mu), 1)
-            got = np.array([emission_tail(model, int(j)) for j in js])
+            got = np.array([_emission_tails(model, js[i : i + 1])[0] for i in range(js.size)])
             self.assert_tails_match(got, gammainc(js + 1.0, mu))
 
     @pytest.mark.parametrize("mu", [400.0, 450.0, 800.0, 1e12])
@@ -165,9 +161,10 @@ class TestHeraldConvolve:
     def test_perfect_detector_passes_source_through(self):
         model = PairSourceModel(POISSONIAN, 1.3, 2)
         h = herald_convolve(model, 1.0)
-        assert h.p0 == pytest.approx(pair_distribution(model, 0), rel=1e-14)
+        pmf = pair_pmf(model, h.j_max)
+        assert h.p0 == pytest.approx(pmf[0], rel=1e-14)
         for j in range(1, h.j_max + 1):
-            assert h.pj[j - 1] == pytest.approx(pair_distribution(model, j), rel=1e-13)
+            assert h.pj[j - 1] == pytest.approx(pmf[j], rel=1e-13)
 
     def test_blind_detector_never_heralds(self):
         model = PairSourceModel(THERMAL, 2.0, 1)
@@ -228,8 +225,11 @@ class TestHeraldConvolve:
     def test_adaptive_truncation_is_minimal(self):
         model = PairSourceModel(POISSONIAN, 4.0, 2)
         h = herald_convolve(model, 0.9)
-        assert emission_tail(model, h.j_max) < 1e-12
-        assert emission_tail(model, h.j_max - 1) >= 1e-12
+        assert h.tail_bound < 1e-12
+        assert h.tail_bound == pytest.approx(1.0 - float(np.sum(pair_pmf(model, h.j_max))), abs=1e-15)
+        with pytest.raises(TruncationError) as err:
+            herald_convolve(model, 0.9, j_max=h.j_max - 1)
+        assert err.value.tail_bound >= 1e-12
 
     def test_explicit_j_max_too_small_raises(self):
         model = PairSourceModel(POISSONIAN, 4.0, 1)
@@ -250,12 +250,12 @@ class TestHeraldConvolve:
 
     def test_distribution_invariants_enforced(self):
         with pytest.raises(ValueError):
-            HeraldedInputDistribution(p0=0.5, pj=np.array([0.1]), j_max=1, tail_bound=0.0)
+            HeraldedInputDistribution(p0=0.5, pj=np.array([0.1]), tail_bound=0.0)
         with pytest.raises(ValueError):
-            HeraldedInputDistribution(p0=0.9, pj=np.array([0.1]), j_max=2, tail_bound=0.0)
+            HeraldedInputDistribution(p0=1.0, pj=np.array([]), tail_bound=0.0)
 
     def test_nan_entries_rejected(self):
         with pytest.raises(ValueError):
-            HeraldedInputDistribution(p0=0.5, pj=np.array([math.nan]), j_max=1, tail_bound=0.0)
+            HeraldedInputDistribution(p0=0.5, pj=np.array([math.nan]), tail_bound=0.0)
         with pytest.raises(ValueError):
-            HeraldedInputDistribution(p0=0.5, pj=np.array([0.5]), j_max=1, tail_bound=math.nan)
+            HeraldedInputDistribution(p0=0.5, pj=np.array([0.5]), tail_bound=math.nan)
