@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +30,10 @@ _TOP_KEYS = {
 }
 _LOSS_KEYS = {"v_r", "v_t", "v_p", "v_p0_s", "v_d", "v_b", "v_r_s", "v_t_s"}
 _VALIDATION_KEYS = {"trials", "seed", "points"}
+
+# Largest finite float, the bound on a configured pump strength: JSON's 1e999
+# parses as inf, NaN as nan, and an integer above this overflows float().
+_FLOAT_MAX = sys.float_info.max
 
 
 class ConfigError(ValueError):
@@ -151,8 +156,10 @@ def parse_config(path: str | Path) -> RunConfig:
             and len(bounds) == 2
             and all(isinstance(b, (int, float)) and not isinstance(b, bool) for b in bounds)
         )
-        if not ok or not 0.0 <= float(bounds[0]) < float(bounds[1]):
-            raise _fail(path, text, "lambda_bounds", "\"lambda_bounds\" must be [lo, hi] with 0 <= lo < hi")
+        if not ok or not 0.0 <= bounds[0] < bounds[1] <= _FLOAT_MAX:
+            raise _fail(
+                path, text, "lambda_bounds", "\"lambda_bounds\" must be finite [lo, hi] with 0 <= lo < hi"
+            )
         lambda_bounds = (float(bounds[0]), float(bounds[1]))
 
     output_dir = Path(_require(raw, path, text, "output_dir", str, "a directory path"))
@@ -185,7 +192,7 @@ def parse_config(path: str | Path) -> RunConfig:
                     and isinstance(triple[2], (int, float))
                     and not any(isinstance(x, bool) for x in triple)
                 )
-                if not ok or triple[0] < 1 or triple[1] < 1 or triple[2] < 0:
+                if not ok or triple[0] < 1 or triple[1] < 1 or not 0 <= triple[2] <= _FLOAT_MAX:
                     raise _fail(path, text, "points", f"invalid validation point {triple!r}")
                 parsed.append((triple[0], triple[1], float(triple[2])))
             points = tuple(parsed)

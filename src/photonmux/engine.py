@@ -42,15 +42,22 @@ So the ``j``-series of a cell sums in closed form.  For one output photon,
 
 with ``T(1; x) = x e^-x`` (Poissonian) or ``x / (1 + x)^2`` (thermal), the
 probability that the thinned source delivers exactly one photon.
-``p1_closed_form`` evaluates P(1) this way, with no input truncation; the
-optimizer uses it as its objective.
+``p1_evaluator`` evaluates P(1) this way, with no input truncation, for a
+whole array of per-window means at once; the optimizer uses it as its
+objective, and ``p1_closed_form`` is its batch of one.  Its priority weights
+take the exponential form ``p0^e = exp(e log p0)``, with ``log p0`` taken
+from the source (``-mu v_d`` or ``-log1p(mu v_d)``): the factored exponents
+reach about ``M*N`` (130,560 at M = 256, N = 512), where ``exp`` is cheaper
+than ``power``.  The batch is evaluated in chunks of at most ``2^15`` cells
+(or one mean, if that has more), so its temporaries stay small at any
+geometry.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -58,6 +65,9 @@ from .statistics import HeraldedInputDistribution, PairSourceModel, SourceKind
 from .transmission import MultiplexerLayout, PriorityLogic, RowRuns, TransmissionMatrix
 
 DEFAULT_I_MAX = 10
+
+# Cells (row runs x windows x means) per chunk of a batched P(1) evaluation.
+_CHUNK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -211,6 +221,57 @@ def _one_photon(kind: SourceKind, x: np.ndarray) -> np.ndarray:
     return x * np.exp(-x)
 
 
+def p1_evaluator(
+    kind: SourceKind,
+    v_d: float,
+    tm: TransmissionMatrix,
+    layout: MultiplexerLayout,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """P(exactly one output photon) as a function of the per-window mean pair number.
+
+    The returned function maps a 1-D array of per-window means ``mu`` to the
+    array of P(1), each by the thinning identity, with the heralding
+    detector efficiency ``v_d``.  Each entry is the value a batch of one
+    gives for that mean, whatever else the array holds.
+    """
+    _check_dimensions(tm, layout)
+    runs = tm.row_runs
+    rows = runs.rows
+    m = layout.m
+    # Rank exponents, then window exponents: one exp call gives both weights.
+    exponents = np.concatenate(_weight_exponents(m, layout.n, layout.logic)).astype(float)
+    per_chunk = max(1, _CHUNK_CELLS // rows.size)
+
+    def chunk(mu: np.ndarray) -> np.ndarray:
+        mu = mu[:, None, None]
+        x = mu * v_d
+        if kind is SourceKind.THERMAL:
+            log_p0 = -np.log1p(x)
+            p0 = 1.0 / (1.0 + x)
+            mu_miss = mu * (1.0 - v_d) * p0
+        else:
+            log_p0 = -x
+            p0 = np.exp(log_p0)
+            mu_miss = mu * (1.0 - v_d)
+        weights = np.exp(log_p0 * exponents)
+        cells = _one_photon(kind, mu * rows)
+        cells -= p0 * _one_photon(kind, mu_miss * rows)
+        cells *= weights[..., m:]
+        run_weights = np.add.reduceat(weights[:, 0, :m], runs.starts, axis=1)
+        return (cells.sum(axis=2) * run_weights).sum(axis=1)
+
+    def p1(mu: np.ndarray) -> np.ndarray:
+        mu = np.asarray(mu, dtype=float)
+        if mu.ndim != 1:
+            raise ValueError(f"means must be a 1-D array, got shape {mu.shape}")
+        out = np.empty(mu.size)
+        for start in range(0, mu.size, per_chunk):
+            out[start : start + per_chunk] = chunk(mu[start : start + per_chunk])
+        return out
+
+    return p1
+
+
 def p1_closed_form(
     model: PairSourceModel,
     v_d: float,
@@ -222,16 +283,4 @@ def p1_closed_form(
     Equals ``single_photon_probability(herald_convolve(model, v_d), tm, layout)``
     up to that path's input truncation, which this one does not have.
     """
-    _check_dimensions(tm, layout)
-    mu = model.mean_per_window
-    if model.kind is SourceKind.THERMAL:
-        p0 = 1.0 / (1.0 + mu * v_d)
-        mu_miss = mu * (1.0 - v_d) * p0
-    else:
-        p0 = math.exp(-mu * v_d)
-        mu_miss = mu * (1.0 - v_d)
-    runs = tm.row_runs
-    run_weights, window_weights = _factored_weights(p0, runs, layout)
-    v = runs.rows
-    cells = _one_photon(model.kind, mu * v) - p0 * _one_photon(model.kind, mu_miss * v)
-    return float(run_weights @ (cells @ window_weights))
+    return float(p1_evaluator(model.kind, v_d, tm, layout)(np.array([model.mean_per_window]))[0])

@@ -6,7 +6,10 @@ too strong a pump floods the output with multi-photon events.  Each grid
 point is solved by a coarse logarithmic scan followed by a bracketed Brent
 step (parabolic interpolation, safeguarded by golden-section steps); the
 sweep then ranks all grid points.  The objective is the engine's closed-form
-single-photon probability, which has no input truncation.
+single-photon probability, which has no input truncation.  It maps an array
+of pump strengths to an array of probabilities, so the bracket checks at
+both bounds and the whole scan take one call; each Brent step is a batch of
+one.
 """
 
 from __future__ import annotations
@@ -16,11 +19,13 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 # single_photon_probability and herald_convolve are not called here.  The
 # benchmark's traced mode (bench/workloads.py, rebinding_targets) rebinds both
 # names on this module, so they stay importable.
-from .engine import p1_closed_form, single_photon_probability  # noqa: F401
-from .statistics import PairSourceModel, SourceKind, herald_convolve  # noqa: F401
+from .engine import p1_evaluator, single_photon_probability  # noqa: F401
+from .statistics import SourceKind, herald_convolve  # noqa: F401
 from .transmission import LossParameters, MultiplexerLayout, PriorityLogic, build_matrix
 
 LAMBDA_TOL = 1e-5
@@ -58,8 +63,10 @@ class SweepSpec:
                 raise ValueError(f"grid values must be powers of 2, got {x}")
         if self.lambda_bounds is not None:
             lo, hi = self.lambda_bounds
-            if not (0.0 <= lo < hi):
-                raise ValueError(f"lambda bounds must satisfy 0 <= lo < hi, got ({lo}, {hi})")
+            if not (0.0 <= lo < hi < math.inf):
+                raise ValueError(
+                    f"lambda bounds must be finite and satisfy 0 <= lo < hi, got ({lo}, {hi})"
+                )
 
     def bounds_for(self, n: int) -> tuple[float, float]:
         """Pump-strength bounds for an n-window point; default (1e-4, 10 n)."""
@@ -93,15 +100,19 @@ class OptimizationResult:
         return m, n, lam, p1
 
 
-def maximize_unimodal(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+def maximize_unimodal(
+    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
+) -> tuple[float, float]:
     """Locate the maximum of a unimodal ``f`` on [lo, hi] to absolute ``LAMBDA_TOL`` in x.
 
-    A coarse logarithmic grid of ``COARSE_POINTS`` brackets the peak between
-    the neighbours of its best point; a Brent step refines it until the
-    bracket is at most ``LAMBDA_TOL`` wide.  The bounds are validated by a
+    ``f`` maps a 1-D array of points to the array of their values.  A coarse
+    logarithmic grid of ``COARSE_POINTS`` brackets the peak between the
+    neighbours of its best point; a Brent step refines it until the bracket
+    is at most ``LAMBDA_TOL`` wide.  The bounds are validated by a
     finite-difference sign check at both endpoints; a coarse profile with
     more than one local maximum triggers a warning and falls back to
-    refining around the best grid point.
+    refining around the best grid point.  The sign checks and the grid take
+    one call of ``f``; each Brent step calls it on one point.
 
     Returns:
         ``(x, f(x))`` as Python floats, ``x`` the best point evaluated.
@@ -113,19 +124,20 @@ def maximize_unimodal(f: Callable[[float], float], lo: float, hi: float) -> tupl
     if not lo < hi:
         raise ValueError(f"need lo < hi, got ({lo}, {hi})")
     step = (hi - lo) * 1e-6
-    f_lo = f(lo)
-    if not f(lo + step) > f_lo:
-        raise BracketError(f"objective not increasing at lower bound {lo}")
-    f_hi = f(hi)
-    if not f(hi - step) > f_hi:
-        raise BracketError(f"objective not decreasing at upper bound {hi}")
-    # The scan's end points are lo and hi themselves, whose values the checks above hold.
     grid_lo = lo if lo > 0.0 else hi * 1e-12
     inner = [
         grid_lo * (hi / grid_lo) ** (i / (COARSE_POINTS - 1)) for i in range(1, COARSE_POINTS - 1)
     ]
+    # The scan's end points are lo and hi themselves, which the sign checks evaluate.
+    f_lo, f_lo_step, f_hi, f_hi_step, *f_inner = f(
+        np.array([lo, lo + step, hi, hi - step, *inner])
+    ).tolist()
+    if not f_lo_step > f_lo:
+        raise BracketError(f"objective not increasing at lower bound {lo}")
+    if not f_hi_step > f_hi:
+        raise BracketError(f"objective not decreasing at upper bound {hi}")
     xs = [lo, *inner, hi]
-    ys = [f_lo, *map(f, inner), f_hi]
+    ys = [f_lo, *f_inner, f_hi]
     n_local_max = sum(
         1
         for i in range(COARSE_POINTS)
@@ -139,7 +151,7 @@ def maximize_unimodal(f: Callable[[float], float], lo: float, hi: float) -> tupl
     best = max(range(COARSE_POINTS), key=ys.__getitem__)
     a = xs[best - 1] if best > 0 else lo
     b = xs[best + 1] if best < COARSE_POINTS - 1 else hi
-    x, fx = _brent(f, a, b, xs[best], ys[best])
+    x, fx = _brent(lambda u: float(f(np.array([u]))[0]), a, b, xs[best], ys[best])
     return float(x), float(fx)
 
 
@@ -199,15 +211,14 @@ def _brent(
     return x, fx
 
 
-def _objective(spec: SweepSpec, point: tuple[int, int]) -> Callable[[float], float]:
+def _objective(spec: SweepSpec, point: tuple[int, int]) -> Callable[[np.ndarray], np.ndarray]:
+    """P(1) at one grid point as a function of an array of pump strengths."""
     m, n = point
     layout = MultiplexerLayout(m=m, n=n, logic=spec.logic)
-    tm = build_matrix(spec.params, layout)
-    v_d = spec.params.v_d
+    p1 = p1_evaluator(spec.source_kind, spec.params.v_d, build_matrix(spec.params, layout), layout)
 
-    def p1_of_lambda(lam: float) -> float:
-        model = PairSourceModel(kind=spec.source_kind, mean_pairs=lam, n_windows=n)
-        return p1_closed_form(model, v_d, tm, layout)
+    def p1_of_lambda(lams: np.ndarray) -> np.ndarray:
+        return p1(np.asarray(lams, dtype=float) / n)
 
     return p1_of_lambda
 

@@ -12,6 +12,7 @@ binomial expansion of ``(v_r_s + v_t_s)^levels``.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -137,6 +138,18 @@ class TransmissionMatrix:
         return runs
 
 
+def _window_transmissions(params: LossParameters, big_n: int, delays: Iterable[int]) -> list[float]:
+    """``v_r^h * v_t^(levels-h) * v_p^(d/big_n) * v_b`` for each delay ``d``, ``h`` its set bits.
+
+    The splitter factor takes one of ``levels + 1`` values, computed once.
+    """
+    if not _is_power_of_two(big_n):
+        raise ValueError(f"window count must be a power of 2, got {big_n}")
+    levels = big_n.bit_length() - 1
+    splitter = [params.v_r**h * params.v_t ** (levels - h) for h in range(levels + 1)]
+    return [splitter[d.bit_count()] * params.v_p ** (d / big_n) * params.v_b for d in delays]
+
+
 def time_window_transmission(params: LossParameters, n: int, big_n: int) -> float:
     """Transmission for a photon heralded in window ``n`` of an ``big_n``-window delay network.
 
@@ -146,14 +159,9 @@ def time_window_transmission(params: LossParameters, n: int, big_n: int) -> floa
     ``v_r^h * v_t^(levels-h) * v_p^((big_n-n)/big_n) * v_b`` with ``h`` the
     number of set bits (Hamming weight).
     """
-    if not _is_power_of_two(big_n):
-        raise ValueError(f"window count must be a power of 2, got {big_n}")
     if not 1 <= n <= big_n:
         raise ValueError(f"window index must lie in 1..{big_n}, got {n}")
-    levels = big_n.bit_length() - 1
-    delay = big_n - n
-    h = delay.bit_count()
-    return params.v_r**h * params.v_t ** (levels - h) * params.v_p ** (delay / big_n) * params.v_b
+    return _window_transmissions(params, big_n, [big_n - n])[0]
 
 
 def _ranked_arms(params: LossParameters, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -188,10 +196,9 @@ def spatial_arm_transmissions(params: LossParameters, m: int) -> np.ndarray:
 def build_matrix(params: LossParameters, layout: MultiplexerLayout) -> TransmissionMatrix:
     """Assemble the full transmission matrix ``V[k, n] = V_arm(k) * V_window(n)``."""
     arm_values, order = _ranked_arms(params, layout.m)
-    window_values = np.array(
-        [time_window_transmission(params, n, layout.n) for n in range(1, layout.n + 1)]
-    )
+    # Windows 1 .. n need delays n - 1 .. 0.
+    window_values = np.array(_window_transmissions(params, layout.n, range(layout.n - 1, -1, -1)))
     return TransmissionMatrix(
         values=np.outer(arm_values, window_values),
-        arm_order=tuple(int(i) for i in order),
+        arm_order=tuple(order.tolist()),
     )

@@ -49,6 +49,18 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def write_raw_lambda(tmp_path, literal, **overrides):
+    """A config whose "LAMBDA" placeholder strings become the raw JSON literal, e.g. 1e999 or NaN."""
+    path = write_config(tmp_path, **overrides)
+    path.write_text(path.read_text().replace('"LAMBDA"', literal))
+    return path
+
+
+def assert_line_anchored(path, message, key):
+    line = int(message.removeprefix(f"{path}:").split(":")[0])
+    assert path.read_text().splitlines()[line - 1].strip().startswith(f'"{key}"')
+
+
 class TestParseConfig:
     def test_round_trip(self, tmp_path):
         config = parse_config(write_config(tmp_path))
@@ -89,6 +101,21 @@ class TestParseConfig:
         ):
             with pytest.raises(ConfigError):
                 parse_config(write_config(tmp_path, **overrides))
+
+    @pytest.mark.parametrize(
+        "literal", ["1e999", "-1e999", "NaN", "1" + "0" * 400], ids=["inf", "-inf", "nan", "1e400"]
+    )
+    def test_non_finite_lambda_rejected(self, tmp_path, literal):
+        # Python's json reads 1e999 as inf and NaN as nan.
+        for overrides, key in (
+            ({"lambda_bounds": [0, "LAMBDA"]}, "lambda_bounds"),
+            ({"lambda_bounds": ["LAMBDA", 1.0]}, "lambda_bounds"),
+            ({"validation": {"points": [[1, 1, "LAMBDA"]]}}, "points"),
+        ):
+            path = write_raw_lambda(tmp_path, literal, **overrides)
+            with pytest.raises(ConfigError) as err:
+                parse_config(path)
+            assert_line_anchored(path, str(err.value), key)
 
 
 class TestRunSweep:
@@ -132,6 +159,14 @@ class TestRunSweep:
         path = write_config(tmp_path, m_values=[])
         assert run_sweep(path) == EXIT_CONFIG
         assert "m_values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", ["1e999", "NaN"])
+    def test_non_finite_bounds_exit_2(self, tmp_path, capsys, literal):
+        path = write_raw_lambda(tmp_path, literal, lambda_bounds=[0, "LAMBDA"])
+        assert run_sweep(path) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"{path}:") and "lambda_bounds" in err
+        assert len(err.splitlines()) == 1
 
     def test_bracket_failure_exits_3(self, tmp_path, capsys):
         path = write_config(tmp_path, m_values=[1], n_values=[1], lambda_bounds=[8.0, 10.0])
@@ -199,6 +234,16 @@ class TestRunValidate:
         assert run_validate(path) == EXIT_CONFIG
         err = capsys.readouterr().err.strip()
         assert err.startswith(f"{path}:1: ") and "[1, 1, 1000.0]" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("literal", ["1e999", "NaN"])
+    def test_non_finite_point_exits_2(self, tmp_path, capsys, literal):
+        path = write_raw_lambda(
+            tmp_path, literal, validation={"trials": 100_000, "points": [[1, 1, "LAMBDA"]]}
+        )
+        assert run_validate(path) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"{path}:") and "validation point" in err
         assert len(err.splitlines()) == 1
 
     def test_disagreement_exits_4_and_names_bin(self, tmp_path, capsys, monkeypatch):

@@ -20,7 +20,7 @@ from photonmux import (
     single_photon_probability,
     sweep,
 )
-from photonmux.engine import PhotonNumberDistribution, p1_closed_form
+from photonmux.engine import PhotonNumberDistribution, p1_closed_form, p1_evaluator
 from photonmux.statistics import HeraldedInputDistribution
 
 LL = PriorityLogic.LOWEST_LOSS
@@ -351,6 +351,23 @@ class TestClosedFormP1:
         model = PairSourceModel(SourceKind.POISSONIAN, 1.0, 4)
         with pytest.raises(ValueError):
             p1_closed_form(model, 0.9, tm, MultiplexerLayout(2, 4))
+
+    @pytest.mark.parametrize("kind", list(SourceKind))
+    @pytest.mark.parametrize("logic", [LL, FD])
+    def test_batch_equals_element_wise_calls(self, kind, logic):
+        # At (256, 512) a chunk holds 7 means (9 row runs x 512 windows per
+        # mean), so 20 means span two chunk boundaries.
+        params = LossParameters(v_r=0.996, v_t=0.97, v_p=0.95, v_p0_s=0.99, v_d=0.9)
+        layout = MultiplexerLayout(256, 512, logic=logic)
+        tm = build_matrix(params, layout)
+        assert tm.row_runs.rows.shape == (9, 512)
+        p1 = p1_evaluator(kind, params.v_d, tm, layout)
+        mu = np.geomspace(1e-6, 10.0, 20)
+        batch = p1(mu)
+        assert batch.shape == (20,)
+        for value, mean in zip(batch, mu):
+            assert value == p1(np.array([mean]))[0]
+            assert value == p1_closed_form(PairSourceModel(kind, mean * 512, 512), 0.9, tm, layout)
 
     def test_forty_digit_reference_decides_against_the_truncated_series(self):
         # A weak pump at the largest geometry: the adaptive series stops at

@@ -16,7 +16,7 @@ from photonmux import (
 )
 from photonmux import optimize
 from photonmux.optimize import OptimizationResult
-from photonmux.tables import TABLE2_ROWS
+from photonmux.tables import TABLE2_ROWS, reproduce_table2_row
 
 LOSSLESS = LossParameters(v_r=1, v_t=1, v_p=1, v_p0_s=1, v_d=1, v_b=1)
 ROW4 = LossParameters(v_r=0.996, v_t=0.97, v_p=0.95, v_p0_s=0.99, v_d=0.9)
@@ -35,11 +35,11 @@ class TestMaximizeUnimodal:
     def test_kinked_peak_is_resolved_to_tolerance(self):
         # No parabola fits an asymmetric kink, so only the bracket width bounds the error.
         def f(x):
-            return 3.0 * (x - math.pi) if x < math.pi else math.pi - x
+            return np.where(x < math.pi, 3.0 * (x - math.pi), math.pi - x)
 
         x, fx = maximize_unimodal(f, 0.5, 10.0)
         assert abs(x - math.pi) <= 1e-5
-        assert fx == f(x)
+        assert fx == f(np.array([x]))[0]
 
     def test_monotone_increasing_fails_bracket(self):
         with pytest.raises(BracketError):
@@ -52,7 +52,7 @@ class TestMaximizeUnimodal:
     def test_bimodal_profile_warns_and_refines_best_peak(self):
         # Peaks at 0.1 (height 1.0) and 8 (height 0.8) with a dip between.
         def f(x):
-            return math.exp(-((math.log(x / 0.1)) ** 2)) + 0.8 * math.exp(-((x - 8.0) ** 2))
+            return np.exp(-((np.log(x / 0.1)) ** 2)) + 0.8 * np.exp(-((x - 8.0) ** 2))
 
         with pytest.warns(UserWarning, match="local maxima"):
             x, fx = maximize_unimodal(f, 0.01, 20.0)
@@ -60,7 +60,7 @@ class TestMaximizeUnimodal:
         assert fx == pytest.approx(1.0, abs=1e-6)
 
     def test_returns_python_floats(self):
-        x, fx = maximize_unimodal(lambda x: np.float64(1.0 - (x - 2.0) ** 2), 0.5, 10.0)
+        x, fx = maximize_unimodal(lambda x: 1.0 - (x - 2.0) ** 2, 0.5, 10.0)
         assert type(x) is float and type(fx) is float
 
 
@@ -85,28 +85,30 @@ class TestOptimizeLambda:
             spec = spec_for(ROW4, (point[0],), (point[1],))
             lam, p1 = optimize_lambda(point, spec)
             f = _objective(spec, point)
-            assert f(lam + 1e-4) <= p1 + 1e-9
-            assert f(max(lam - 1e-4, 0.0)) <= p1 + 1e-9
+            above, below = f(np.array([lam + 1e-4, max(lam - 1e-4, 0.0)]))
+            assert above <= p1 + 1e-9
+            assert below <= p1 + 1e-9
 
     def test_brent_step_needs_few_evaluations(self, monkeypatch):
         # Table-2 row 1 at its combined optimum (2, 64).  The 4 bracket checks
-        # and the 30 inner points of the scan take 34 evaluations, which
-        # leaves the Brent step at most 14.
+        # and the 30 inner points of the scan take 34 pump strengths in one
+        # call, which leaves the Brent step at most 14, one per call.
         calls = []
         objective = optimize._objective
 
         def counted(spec, point):
             f = objective(spec, point)
 
-            def g(lam):
-                calls.append(lam)
-                return f(lam)
+            def g(lams):
+                calls.append(np.array(lams))
+                return f(lams)
 
             return g
 
         monkeypatch.setattr(optimize, "_objective", counted)
         lam, _ = optimize_lambda((2, 64), spec_for(TABLE2_ROWS[0].losses(), (2,), (64,)))
-        assert len(calls) <= 48
+        assert sum(c.size for c in calls) <= 48
+        assert len(calls) <= 15
         assert lam == pytest.approx(3.422646523650135, abs=2e-5)  # the golden-section optimum
 
     def test_no_lambda_is_evaluated_twice(self, monkeypatch):
@@ -118,9 +120,9 @@ class TestOptimizeLambda:
             f = objective(spec, point)
             lams = calls.setdefault((spec.lambda_bounds, point), [])
 
-            def g(lam):
-                lams.append(lam)
-                return f(lam)
+            def g(batch):
+                lams.extend(np.ravel(batch).tolist())
+                return f(batch)
 
             return g
 
@@ -130,6 +132,28 @@ class TestOptimizeLambda:
         assert len(calls) == 10
         for key, lams in calls.items():
             assert len(set(lams)) == len(lams), key
+
+    def test_table2_row_averages_few_objective_calls(self, monkeypatch):
+        # One batched call for the bracket checks and the scan, then the Brent
+        # step's single-point calls, at each of the row's 92 grid points.
+        calls = []
+        objective = optimize._objective
+
+        def counted(spec, point):
+            f = objective(spec, point)
+            index = len(calls)
+            calls.append(0)
+
+            def g(lams):
+                calls[index] += 1
+                return f(lams)
+
+            return g
+
+        monkeypatch.setattr(optimize, "_objective", counted)
+        reproduce_table2_row(TABLE2_ROWS[0])
+        assert len(calls) == 92
+        assert sum(calls) / len(calls) <= 11
 
     def test_explicit_bounds_respected(self):
         spec = spec_for(LOSSLESS, (1,), (1,), lambda_bounds=(0.5, 3.0))
@@ -180,4 +204,7 @@ class TestSweep:
             spec_for(ROW4, (3,), (1,))
         with pytest.raises(ValueError):
             spec_for(ROW4, (1,), (1,), lambda_bounds=(2.0, 1.0))
+        for bounds in ((0.0, math.inf), (0.0, math.nan), (math.nan, 1.0)):
+            with pytest.raises(ValueError):
+                spec_for(ROW4, (1,), (1,), lambda_bounds=bounds)
 

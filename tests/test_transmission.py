@@ -13,6 +13,7 @@ from photonmux import (
     spatial_arm_transmissions,
     time_window_transmission,
 )
+from photonmux.tables import TABLE1_ROWS, TABLE2_ROWS
 
 
 def params(**kwargs):
@@ -127,6 +128,22 @@ class TestBuildMatrix:
             for n in range(2):
                 expected = arms[k] * time_window_transmission(p, n + 1, 2)
                 assert tm.values[k, n] == expected
+
+    def test_equals_outer_product_of_the_per_element_builders(self):
+        # Bit for bit, for every power-of-two geometry up to (256, 512), on the
+        # 19 reference loss sets and on random ones.
+        rng = np.random.default_rng(512)
+        names = ["v_r", "v_t", "v_p", "v_p0_s", "v_d", "v_b", "v_r_s", "v_t_s"]
+        loss_sets = [row.losses() for row in TABLE1_ROWS + TABLE2_ROWS]
+        loss_sets += [
+            LossParameters(**{name: float(rng.uniform(0.5, 1.0)) for name in names}) for _ in range(20)
+        ]
+        for p in loss_sets:
+            for big_n in (2**i for i in range(10)):
+                windows = [time_window_transmission(p, n, big_n) for n in range(1, big_n + 1)]
+                for m in (2**i for i in range(9)):
+                    expected = np.outer(spatial_arm_transmissions(p, m), windows)
+                    assert np.array_equal(build_matrix(p, MultiplexerLayout(m, big_n)).values, expected)
 
     def test_arm_order_records_relabeling(self):
         # Reflection no longer dominant: the canonical enumeration reverses.
