@@ -44,25 +44,29 @@ with ``T(1; x) = x e^-x`` (Poissonian) or ``x / (1 + x)^2`` (thermal), the
 probability that the thinned source delivers exactly one photon.
 ``p1_evaluator`` evaluates P(1) this way, with no input truncation, for a
 whole array of per-window means at once; the optimizer uses it as its
-objective, and ``p1_closed_form`` is its batch of one.  Its priority weights
-take the exponential form ``p0^e = exp(e log p0)``, with ``log p0`` taken
-from the source (``-mu v_d`` or ``-log1p(mu v_d)``): the factored exponents
-reach about ``M*N`` (130,560 at M = 256, N = 512), where ``exp`` is cheaper
-than ``power``.  The batch is evaluated in chunks of at most ``2^15`` cells
-(or one mean, if that has more), so its temporaries stay small at any
-geometry.
+objective.  The batch is evaluated in chunks of at most ``2^15`` cells (or
+one mean, if that has more), so its temporaries stay small at any geometry.
+
+The two evaluators differ only in how they build cell terms: the ``j``-series
+stacks ``F_i`` over ``i``, the closed form stacks ``F_1`` over the means.  Both
+take their priority weights in the exponential form ``p0^e = exp(e log p0)``,
+with ``log p0`` from the heralded input or from the source (``-mu v_d`` or
+``-log1p(mu v_d)``): the factored exponents reach about ``M*N`` (130,560 at
+M = 256, N = 512), where ``exp`` is cheaper than ``power``.  Both contract
+their stacked cells with the window and run weights in one batched matrix
+product.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .statistics import HeraldedInputDistribution, PairSourceModel, SourceKind
-from .transmission import MultiplexerLayout, PriorityLogic, RowRuns, TransmissionMatrix
+from .statistics import HeraldedInputDistribution, SourceKind
+from .transmission import MultiplexerLayout, PriorityLogic, TransmissionMatrix
 
 DEFAULT_I_MAX = 10
 
@@ -111,24 +115,29 @@ class PhotonNumberDistribution:
         return self.probs.size - 1
 
 
-@lru_cache(maxsize=64)
-def _weight_exponents(m: int, n: int, logic: PriorityLogic) -> tuple[np.ndarray, np.ndarray]:
+def _weight_exponents(layout: MultiplexerLayout) -> tuple[np.ndarray, np.ndarray]:
     """Exponents of ``p0`` in the rank factor ``a[k]`` and the window factor ``b[n]``."""
-    if logic is PriorityLogic.FIRST_DETECTION:
-        exponents = np.arange(m), m * np.arange(n)
-    else:
-        exponents = n * np.arange(m), np.arange(n)
-    for array in exponents:
-        array.setflags(write=False)
-    return exponents
+    ranks, windows = np.arange(layout.m, dtype=float), np.arange(layout.n, dtype=float)
+    if layout.logic is PriorityLogic.FIRST_DETECTION:
+        return ranks, layout.m * windows
+    return layout.n * ranks, windows
 
 
-def _factored_weights(
-    p0: float, runs: RowRuns, layout: MultiplexerLayout
+def _priority_weights(
+    log_p0: float | np.ndarray, exponents: tuple[np.ndarray, np.ndarray], starts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Priority weight of each row run (summed over its ranks) and of each window."""
-    rank_exp, window_exp = _weight_exponents(layout.m, layout.n, layout.logic)
-    return np.add.reduceat(np.power(p0, rank_exp), runs.starts), np.power(p0, window_exp)
+    """Weight ``exp(e log p0)`` of each row run (summed over its ranks) and of each window.
+
+    ``log_p0`` is a scalar or has shape ``(..., 1)``; the weights gain a
+    trailing axis of row runs or windows.
+    """
+    rank_exp, window_exp = exponents
+    return np.add.reduceat(np.exp(log_p0 * rank_exp), starts, axis=-1), np.exp(log_p0 * window_exp)
+
+
+def _contract(cells: np.ndarray, run_weights: np.ndarray, window_weights: np.ndarray) -> np.ndarray:
+    """``sum_r A[..., r] sum_n b[..., n] cells[..., r, n]`` over stacked ``(runs, windows)`` cells."""
+    return ((cells @ window_weights[..., None])[..., 0] * run_weights).sum(axis=-1)
 
 
 def _horner(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -171,29 +180,27 @@ def output_distribution(
     if i_max < 1:
         raise ValueError(f"i_max must be >= 1, got {i_max}")
     p0 = heralded.p0
-    cells = layout.m * layout.n
-    if p0 >= 1.0:
-        # No window ever heralds: vacuum output, exactly.
-        probs = np.zeros(i_max + 1)
-        probs[0] = 1.0
-        return PhotonNumberDistribution(probs=probs, tail_bound=0.0)
     runs = tm.row_runs
-    run_weights, window_weights = _factored_weights(p0, runs, layout)
+    # At p0 = 0, log p0 = -inf would make the weight at exponent 0 NaN; any
+    # log below -745 keeps that weight 1 and underflows every other to 0.
+    log_p0 = math.log(p0) if p0 > 0.0 else -1e3
+    run_weights, window_weights = _priority_weights(log_p0, _weight_exponents(layout), runs.starts)
     v = runs.rows
     x = 1.0 - v
     j_max = heralded.j_max
     js = np.arange(j_max + 1)
     pj = np.concatenate(([0.0], heralded.pj))
-    # Bins above j_max stay 0: their mass is part of the input tail bound.
-    probs = np.zeros(i_max + 1)
+    terms = []
     v_pow = np.ones_like(v)
     comb = np.ones(j_max + 1)  # C(j, i), exact while below 2^53
     for i in range(min(i_max, j_max) + 1):
-        series = _horner(x, (comb * pj)[i:])
-        probs[i] = run_weights @ ((v_pow * series) @ window_weights)
+        terms.append(v_pow * _horner(x, (comb * pj)[i:]))
         v_pow = v_pow * v
         comb = comb * (js - i) / (i + 1)
-    p0_all = p0**cells
+    # Bins above j_max stay 0: their mass is part of the input tail bound.
+    probs = np.zeros(i_max + 1)
+    probs[: len(terms)] = _contract(np.stack(terms), run_weights, window_weights)
+    p0_all = p0 ** (layout.m * layout.n)
     probs[0] += p0_all
     # Mass accounting: everything the truncated sums can reach, minus what
     # landed in probs, is output-truncation mass; the input truncation adds
@@ -237,9 +244,7 @@ def p1_evaluator(
     _check_dimensions(tm, layout)
     runs = tm.row_runs
     rows = runs.rows
-    m = layout.m
-    # Rank exponents, then window exponents: one exp call gives both weights.
-    exponents = np.concatenate(_weight_exponents(m, layout.n, layout.logic)).astype(float)
+    exponents = _weight_exponents(layout)
     per_chunk = max(1, _CHUNK_CELLS // rows.size)
 
     def chunk(mu: np.ndarray) -> np.ndarray:
@@ -253,12 +258,9 @@ def p1_evaluator(
             log_p0 = -x
             p0 = np.exp(log_p0)
             mu_miss = mu * (1.0 - v_d)
-        weights = np.exp(log_p0 * exponents)
         cells = _one_photon(kind, mu * rows)
         cells -= p0 * _one_photon(kind, mu_miss * rows)
-        cells *= weights[..., m:]
-        run_weights = np.add.reduceat(weights[:, 0, :m], runs.starts, axis=1)
-        return (cells.sum(axis=2) * run_weights).sum(axis=1)
+        return _contract(cells, *_priority_weights(log_p0[..., 0], exponents, runs.starts))
 
     def p1(mu: np.ndarray) -> np.ndarray:
         mu = np.asarray(mu, dtype=float)
@@ -271,16 +273,3 @@ def p1_evaluator(
 
     return p1
 
-
-def p1_closed_form(
-    model: PairSourceModel,
-    v_d: float,
-    tm: TransmissionMatrix,
-    layout: MultiplexerLayout,
-) -> float:
-    """P(exactly one output photon) from the source model, by the thinning identity.
-
-    Equals ``single_photon_probability(herald_convolve(model, v_d), tm, layout)``
-    up to that path's input truncation, which this one does not have.
-    """
-    return float(p1_evaluator(model.kind, v_d, tm, layout)(np.array([model.mean_per_window]))[0])

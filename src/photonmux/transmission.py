@@ -88,14 +88,13 @@ class MultiplexerLayout:
 class RowRuns:
     """A transmission matrix with each run of consecutive identical rows kept once.
 
-    ``rows[r]`` is the row shared by the ranks ``starts[r] ..
-    starts[r] + lengths[r] - 1``.  Equal rows that are not adjacent stay
-    separate runs, so the runs depend on the row values alone.
+    ``rows[r]`` is the row shared by the ranks from ``starts[r]`` up to the
+    next run's start.  Equal rows that are not adjacent stay separate runs,
+    so the runs depend on the row values alone.
     """
 
     rows: np.ndarray
     starts: np.ndarray
-    lengths: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -130,10 +129,8 @@ class TransmissionMatrix:
         values = self.values
         differs = np.any(values[1:] != values[:-1], axis=1)
         starts = np.flatnonzero(np.concatenate(([True], differs)))
-        runs = RowRuns(
-            rows=values[starts], starts=starts, lengths=np.diff(starts, append=values.shape[0])
-        )
-        for array in (runs.rows, runs.starts, runs.lengths):
+        runs = RowRuns(rows=values[starts], starts=starts)
+        for array in (runs.rows, runs.starts):
             array.setflags(write=False)
         return runs
 

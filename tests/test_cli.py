@@ -28,7 +28,7 @@ from photonmux.cli import (
     run_validate,
 )
 from photonmux.config import ConfigError, parse_config
-from photonmux.engine import p1_closed_form
+from photonmux.engine import p1_evaluator
 from photonmux.tables import TABLE1_ROWS
 
 
@@ -189,9 +189,8 @@ class TestRunSweep:
             model = PairSourceModel(SourceKind.THERMAL, float(lam), int(n))
             tm = build_matrix(config.losses, layout)
             assert 1e-4 < float(lam) < 1000
-            assert float(p1) == pytest.approx(
-                p1_closed_form(model, config.losses.v_d, tm, layout), abs=1e-10
-            )
+            closed = p1_evaluator(model.kind, config.losses.v_d, tm, layout)
+            assert float(p1) == pytest.approx(closed(np.array([model.mean_per_window]))[0], abs=1e-10)
 
 
 class TestRunValidate:

@@ -3,6 +3,7 @@ and every exported name is documented, demonstrated or an exception class.
 
 The package imports no third-party module but numpy, as ``pyproject.toml`` declares,
 the Monte-Carlo sampler takes nothing from the engine or the heralding layer but types,
+every module-level private name is used somewhere in the package,
 and every attribute the benchmark's traced mode rebinds exists.
 """
 
@@ -112,6 +113,40 @@ def test_sampler_takes_only_types_from_engine_and_statistics():
         ("statistics", "PairSourceModel"),
         ("statistics", "SourceKind"),
     }
+
+
+def module_private_names(path: Path) -> set[str]:
+    """Names with one leading underscore that a module defines at its top level."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if re.fullmatch(r"_[^_]\w*", name)}
+
+
+def used_names(path: Path) -> set[str]:
+    """Every name a module reads, looks up as an attribute or imports by name."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_module_private_names_are_used():
+    # A private helper that nothing in the package calls any more is dead
+    # code; tests alone do not keep it alive.
+    defined = set().union(*map(module_private_names, SOURCES))
+    used = set().union(*map(used_names, SOURCES))
+    assert defined
+    assert sorted(defined - used) == []
 
 
 def test_import_and_heralding_load_no_scipy():

@@ -20,7 +20,7 @@ from photonmux import (
     single_photon_probability,
     sweep,
 )
-from photonmux.engine import PhotonNumberDistribution, p1_closed_form, p1_evaluator
+from photonmux.engine import PhotonNumberDistribution, p1_evaluator
 from photonmux.statistics import HeraldedInputDistribution
 
 LL = PriorityLogic.LOWEST_LOSS
@@ -294,15 +294,20 @@ def draw_closed_form_case(rng, m_exp_max, n_exp_max, lam_lo, lam_hi_per_window):
     return PairSourceModel(kind, lam, n), params, layout
 
 
+def closed_p1(model, v_d, tm, layout):
+    """``p1_evaluator``'s P(1), a batch of one, at the source model's per-window mean."""
+    return p1_evaluator(model.kind, v_d, tm, layout)(np.array([model.mean_per_window]))[0]
+
+
 class TestClosedFormP1:
-    """``p1_closed_form`` against the truncated ``j``-series, which serves as its oracle."""
+    """``p1_evaluator`` against the truncated ``j``-series, which serves as its oracle."""
 
     def test_matches_series_within_its_truncation_bound(self):
         rng = np.random.default_rng(2016)
         for case in range(1000):
             model, params, layout = draw_closed_form_case(rng, 7, 9, 1e-3, 3.0)
             tm = build_matrix(params, layout)
-            closed = p1_closed_form(model, params.v_d, tm, layout)
+            closed = closed_p1(model, params.v_d, tm, layout)
             series, bound, _ = series_p1(model, params.v_d, tm, layout)
             assert abs(closed - series) <= bound + 1e-15, (case, model, layout)
 
@@ -332,25 +337,24 @@ class TestClosedFormP1:
             for logic in (LL, FD):
                 layout = MultiplexerLayout(4, 8, logic=logic)
                 tm = build_matrix(params, layout)
-                assert p1_closed_form(PairSourceModel(kind, 3.0, 8), 0.0, tm, layout) == 0.0
-                assert p1_closed_form(PairSourceModel(kind, 0.0, 8), 0.9, tm, layout) == 0.0
+                assert closed_p1(PairSourceModel(kind, 3.0, 8), 0.0, tm, layout) == 0.0
+                assert closed_p1(PairSourceModel(kind, 0.0, 8), 0.9, tm, layout) == 0.0
                 model = PairSourceModel(kind, 3.0, 8)
-                closed = p1_closed_form(model, 1.0, tm, layout)
+                closed = closed_p1(model, 1.0, tm, layout)
                 series, bound, _ = series_p1(model, 1.0, tm, layout)
                 assert 0.0 < closed < 1.0
                 assert abs(closed - series) <= bound + 1e-15
         layout = MultiplexerLayout(1, 1)
         tm = build_matrix(LOSSLESS, layout)
-        poisson = p1_closed_form(PairSourceModel(SourceKind.POISSONIAN, 1.7, 1), 1.0, tm, layout)
-        thermal = p1_closed_form(PairSourceModel(SourceKind.THERMAL, 1.7, 1), 1.0, tm, layout)
+        poisson = closed_p1(PairSourceModel(SourceKind.POISSONIAN, 1.7, 1), 1.0, tm, layout)
+        thermal = closed_p1(PairSourceModel(SourceKind.THERMAL, 1.7, 1), 1.0, tm, layout)
         assert poisson == pytest.approx(1.7 * math.exp(-1.7), rel=1e-15)
         assert thermal == pytest.approx(1.7 / 2.7**2, rel=1e-15)
 
     def test_dimension_mismatch_rejected(self):
         tm = build_matrix(LOSSLESS, MultiplexerLayout(2, 2))
-        model = PairSourceModel(SourceKind.POISSONIAN, 1.0, 4)
         with pytest.raises(ValueError):
-            p1_closed_form(model, 0.9, tm, MultiplexerLayout(2, 4))
+            p1_evaluator(SourceKind.POISSONIAN, 0.9, tm, MultiplexerLayout(2, 4))
 
     @pytest.mark.parametrize("kind", list(SourceKind))
     @pytest.mark.parametrize("logic", [LL, FD])
@@ -367,7 +371,7 @@ class TestClosedFormP1:
         assert batch.shape == (20,)
         for value, mean in zip(batch, mu):
             assert value == p1(np.array([mean]))[0]
-            assert value == p1_closed_form(PairSourceModel(kind, mean * 512, 512), 0.9, tm, layout)
+            assert value == closed_p1(PairSourceModel(kind, mean * 512, 512), 0.9, tm, layout)
 
     def test_forty_digit_reference_decides_against_the_truncated_series(self):
         # A weak pump at the largest geometry: the adaptive series stops at
@@ -379,7 +383,7 @@ class TestClosedFormP1:
         tm = build_matrix(params, layout)
         model = PairSourceModel(SourceKind.POISSONIAN, 0.0724, 512)
         exact = decimal_p1(model, params.v_d, tm, layout)
-        closed = p1_closed_form(model, params.v_d, tm, layout)
+        closed = closed_p1(model, params.v_d, tm, layout)
         series, bound, heralded = series_p1(model, params.v_d, tm, layout)
         assert heralded.j_max == 2
         assert abs(Decimal(closed) - exact) <= Decimal("1e-13")
@@ -422,7 +426,7 @@ def decimal_p1(model, v_d, tm, layout):
             b.append(b[-1] * window_step)
         runs = tm.row_runs
         total = Decimal(0)
-        for row, start, length in zip(runs.rows, runs.starts, runs.lengths):
+        for row, start, length in zip(runs.rows, runs.starts, np.diff(runs.starts, append=m)):
             row_sum = Decimal(0)
             for window, value in enumerate(row):
                 v = Decimal(float(value))

@@ -182,8 +182,8 @@ class TestBuildMatrix:
     def test_router_tree_has_one_run_per_reflection_count(self, m):
         levels = m.bit_length() - 1
         runs = build_matrix(params(v_r_s=0.99, v_t_s=0.98), MultiplexerLayout(m, 4)).row_runs
-        assert runs.lengths.tolist() == [math.comb(levels, q) for q in range(levels, -1, -1)]
-        assert runs.starts.tolist() == np.concatenate(([0], np.cumsum(runs.lengths)[:-1])).tolist()
+        lengths = [math.comb(levels, q) for q in range(levels, -1, -1)]
+        assert runs.starts.tolist() == np.concatenate(([0], np.cumsum(lengths)[:-1])).tolist()
 
     def test_row_runs_merge_only_adjacent_equal_rows(self):
         a, b = [0.9, 0.8], [0.7, 0.6]
@@ -191,7 +191,6 @@ class TestBuildMatrix:
         runs = tm.row_runs
         assert runs.rows.tolist() == [a, b, a]
         assert runs.starts.tolist() == [0, 2, 3]
-        assert runs.lengths.tolist() == [2, 1, 1]
         assert tm.row_runs is runs
 
     def test_layout_validation(self):
