@@ -44,13 +44,19 @@ with ``T(1; x) = x e^-x`` (Poissonian) or ``x / (1 + x)^2`` (thermal), the
 probability that the thinned source delivers exactly one photon.
 ``p1_evaluator`` evaluates P(1) this way, with no input truncation, for a
 whole array of per-window means at once; the optimizer uses it as its
-objective.  The batch is evaluated in chunks of at most ``2^15`` cells (or
-one mean, if that has more), so its temporaries stay small at any geometry.
+objective, on row runs that a sweep builds from the per-arm and per-window
+factors without the full matrix.  The batch is evaluated in chunks of at
+most ``2^15`` cells (row runs x windows x means, or one mean if that has
+more).  A chunk stacks the thinned means ``mu v`` and ``mu' v`` and takes
+``T`` of both in one in-place pass, inside two work arrays that the
+evaluator allocates once, so no call allocates or frees an array of chunk
+size at any geometry.  A batch of one chunk returns that chunk's result.
 
 The two evaluators differ only in how they build cell terms: the ``j``-series
 stacks ``F_i`` over ``i``, the closed form stacks ``F_1`` over the means.  Both
 take their priority weights in the exponential form ``p0^e = exp(e log p0)``,
-with ``log p0`` from the heralded input or from the source (``-mu v_d`` or
+one ``exp`` over the rank exponents followed by the window exponents, with
+``log p0`` from the heralded input or from the source (``-mu v_d`` or
 ``-log1p(mu v_d)``): the factored exponents reach about ``M*N`` (130,560 at
 M = 256, N = 512), where ``exp`` is cheaper than ``power``.  Both contract
 their stacked cells with the window and run weights in one batched matrix
@@ -66,7 +72,7 @@ from typing import Callable
 import numpy as np
 
 from .statistics import HeraldedInputDistribution, SourceKind
-from .transmission import MultiplexerLayout, PriorityLogic, TransmissionMatrix
+from .transmission import MultiplexerLayout, PriorityLogic, RowRuns, TransmissionMatrix
 
 DEFAULT_I_MAX = 10
 
@@ -115,24 +121,25 @@ class PhotonNumberDistribution:
         return self.probs.size - 1
 
 
-def _weight_exponents(layout: MultiplexerLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Exponents of ``p0`` in the rank factor ``a[k]`` and the window factor ``b[n]``."""
+def _weight_exponents(layout: MultiplexerLayout) -> np.ndarray:
+    """Exponents of ``p0`` in the rank factors ``a[k]``, then in the window factors ``b[n]``."""
     ranks, windows = np.arange(layout.m, dtype=float), np.arange(layout.n, dtype=float)
     if layout.logic is PriorityLogic.FIRST_DETECTION:
-        return ranks, layout.m * windows
-    return layout.n * ranks, windows
+        return np.concatenate((ranks, layout.m * windows))
+    return np.concatenate((layout.n * ranks, windows))
 
 
 def _priority_weights(
-    log_p0: float | np.ndarray, exponents: tuple[np.ndarray, np.ndarray], starts: np.ndarray
+    log_p0: float | np.ndarray, exponents: np.ndarray, starts: np.ndarray, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weight ``exp(e log p0)`` of each row run (summed over its ranks) and of each window.
 
-    ``log_p0`` is a scalar or has shape ``(..., 1)``; the weights gain a
-    trailing axis of row runs or windows.
+    ``exponents`` holds the ``m`` rank exponents followed by the window
+    exponents, so one ``exp`` gives both.  ``log_p0`` is a scalar or has
+    shape ``(..., 1)``; the weights gain a trailing axis of row runs or windows.
     """
-    rank_exp, window_exp = exponents
-    return np.add.reduceat(np.exp(log_p0 * rank_exp), starts, axis=-1), np.exp(log_p0 * window_exp)
+    weights = np.exp(log_p0 * exponents)
+    return np.add.reduceat(weights[..., :m], starts, axis=-1), weights[..., m:]
 
 
 def _contract(cells: np.ndarray, run_weights: np.ndarray, window_weights: np.ndarray) -> np.ndarray:
@@ -184,7 +191,9 @@ def output_distribution(
     # At p0 = 0, log p0 = -inf would make the weight at exponent 0 NaN; any
     # log below -745 keeps that weight 1 and underflows every other to 0.
     log_p0 = math.log(p0) if p0 > 0.0 else -1e3
-    run_weights, window_weights = _priority_weights(log_p0, _weight_exponents(layout), runs.starts)
+    run_weights, window_weights = _priority_weights(
+        log_p0, _weight_exponents(layout), runs.starts, layout.m
+    )
     v = runs.rows
     x = 1.0 - v
     j_max = heralded.j_max
@@ -221,17 +230,25 @@ def single_photon_probability(
     return float(output_distribution(heralded, tm, layout, i_max=1).probs[1])
 
 
-def _one_photon(kind: SourceKind, x: np.ndarray) -> np.ndarray:
-    """``T(1; x)``: probability that a source of mean ``x`` delivers exactly one photon."""
+def _one_photon(kind: SourceKind, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``T(1; x)``, the probability that a source of mean ``x`` delivers exactly one photon.
+
+    Computed in ``out``, of the shape of ``x``: ``x / (1 + x)^2`` (thermal)
+    or ``x e^-x`` (Poissonian).
+    """
     if kind is SourceKind.THERMAL:
-        return x / (1.0 + x) ** 2
-    return x * np.exp(-x)
+        np.add(x, 1.0, out=out)
+        np.square(out, out=out)
+        return np.divide(x, out, out=out)
+    np.negative(x, out=out)
+    np.exp(out, out=out)
+    return np.multiply(x, out, out=out)
 
 
 def p1_evaluator(
     kind: SourceKind,
     v_d: float,
-    tm: TransmissionMatrix,
+    tm: TransmissionMatrix | RowRuns,
     layout: MultiplexerLayout,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """P(exactly one output photon) as a function of the per-window mean pair number.
@@ -239,16 +256,27 @@ def p1_evaluator(
     The returned function maps a 1-D array of per-window means ``mu`` to the
     array of P(1), each by the thinning identity, with the heralding
     detector efficiency ``v_d``.  Each entry is the value a batch of one
-    gives for that mean, whatever else the array holds.
+    gives for that mean, whatever else the array holds.  ``tm`` is the
+    transmission matrix or its row runs.  The function reuses its own work
+    arrays, so it serves one thread at a time.
     """
-    _check_dimensions(tm, layout)
-    runs = tm.row_runs
+    if isinstance(tm, TransmissionMatrix):
+        _check_dimensions(tm, layout)
+        runs = tm.row_runs
+    else:
+        runs = tm
+        if runs.rows.shape[1] != layout.n or runs.starts[-1] >= layout.m:
+            raise ValueError(f"row runs {runs.rows.shape} do not fit layout {layout.m}x{layout.n}")
     rows = runs.rows
     exponents = _weight_exponents(layout)
     per_chunk = max(1, _CHUNK_CELLS // rows.size)
+    # Every chunk works in these two arrays, so no call allocates one of chunk
+    # size: the thinned means of both sources and T at them, each stacked as
+    # (2 x means, runs, windows), the source's own means first.
+    means, cells = np.empty((2, 2 * per_chunk) + rows.shape)
 
     def chunk(mu: np.ndarray) -> np.ndarray:
-        mu = mu[:, None, None]
+        size = mu.size
         x = mu * v_d
         if kind is SourceKind.THERMAL:
             log_p0 = -np.log1p(x)
@@ -258,14 +286,19 @@ def p1_evaluator(
             log_p0 = -x
             p0 = np.exp(log_p0)
             mu_miss = mu * (1.0 - v_d)
-        cells = _one_photon(kind, mu * rows)
-        cells -= p0 * _one_photon(kind, mu_miss * rows)
-        return _contract(cells, *_priority_weights(log_p0[..., 0], exponents, runs.starts))
+        thinned = np.multiply.outer(np.concatenate((mu, mu_miss)), rows, out=means[: 2 * size])
+        terms = _one_photon(kind, thinned, cells[: 2 * size])
+        f1, missed = terms[:size], terms[size:]
+        missed *= p0[:, None, None]
+        f1 -= missed
+        return _contract(f1, *_priority_weights(log_p0[:, None], exponents, runs.starts, layout.m))
 
     def p1(mu: np.ndarray) -> np.ndarray:
         mu = np.asarray(mu, dtype=float)
         if mu.ndim != 1:
             raise ValueError(f"means must be a 1-D array, got shape {mu.shape}")
+        if mu.size <= per_chunk:
+            return chunk(mu)
         out = np.empty(mu.size)
         for start in range(0, mu.size, per_chunk):
             out[start : start + per_chunk] = chunk(mu[start : start + per_chunk])

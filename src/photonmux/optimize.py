@@ -10,6 +10,13 @@ single-photon probability, which has no input truncation.  It maps an array
 of pump strengths to an array of probabilities, so the bracket checks at
 both bounds and the whole scan take one call; each Brent step is a batch of
 one.
+
+The transmission matrix of a grid point is the outer product of the ranked
+arm transmissions and the window column, and the router tree gives only
+``log2 m + 1`` distinct arm values.  A ``SweepSpec`` therefore keeps the
+distinct arm values with their run starts per m and the window column per
+n, and each grid point's evaluator gets its (row runs x n) rows from them;
+no m x n matrix is built.
 """
 
 from __future__ import annotations
@@ -17,16 +24,26 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-# single_photon_probability and herald_convolve are not called here.  The
-# benchmark's traced mode (bench/workloads.py, rebinding_targets) rebinds both
-# names on this module, so they stay importable.
+# build_matrix, herald_convolve and single_photon_probability are not called
+# here.  The benchmark's traced mode (bench/workloads.py, rebinding_targets)
+# rebinds all three names on this module, so they stay importable.
 from .engine import p1_evaluator, single_photon_probability  # noqa: F401
 from .statistics import SourceKind, herald_convolve  # noqa: F401
-from .transmission import LossParameters, MultiplexerLayout, PriorityLogic, build_matrix
+from .transmission import (  # noqa: F401
+    LossParameters,
+    MultiplexerLayout,
+    PriorityLogic,
+    RowRuns,
+    _arm_runs,
+    _factored_runs,
+    _window_column,
+    build_matrix,
+)
 
 LAMBDA_TOL = 1e-5
 COARSE_POINTS = 32
@@ -73,6 +90,20 @@ class SweepSpec:
         if self.lambda_bounds is not None:
             return self.lambda_bounds
         return 1e-4, 10.0 * n
+
+    @cached_property
+    def _factors(self) -> tuple[dict, dict]:
+        """Ranked arm runs per m and window column per n, each built on first use."""
+        return {}, {}
+
+    def _row_runs(self, m: int, n: int) -> RowRuns:
+        """Row runs of the (m, n) transmission matrix, without building the matrix."""
+        arms, columns = self._factors
+        if m not in arms:
+            arms[m] = _arm_runs(self.params, m)
+        if n not in columns:
+            columns[n] = _window_column(self.params, n)
+        return _factored_runs(arms[m], columns[n])
 
 
 @dataclass(frozen=True)
@@ -215,7 +246,7 @@ def _objective(spec: SweepSpec, point: tuple[int, int]) -> Callable[[np.ndarray]
     """P(1) at one grid point as a function of an array of pump strengths."""
     m, n = point
     layout = MultiplexerLayout(m=m, n=n, logic=spec.logic)
-    p1 = p1_evaluator(spec.source_kind, spec.params.v_d, build_matrix(spec.params, layout), layout)
+    p1 = p1_evaluator(spec.source_kind, spec.params.v_d, spec._row_runs(m, n), layout)
 
     def p1_of_lambda(lams: np.ndarray) -> np.ndarray:
         return p1(np.asarray(lams, dtype=float) / n)

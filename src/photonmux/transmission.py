@@ -190,12 +190,35 @@ def spatial_arm_transmissions(params: LossParameters, m: int) -> np.ndarray:
     return values
 
 
+def _window_column(params: LossParameters, n: int) -> np.ndarray:
+    """Transmissions of windows 1 .. n, which need delays n - 1 .. 0."""
+    return np.array(_window_transmissions(params, n, range(n - 1, -1, -1)))
+
+
+def _arm_runs(params: LossParameters, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct ranked arm transmission once, and the rank at which its run starts."""
+    arm_values, _ = _ranked_arms(params, m)
+    starts = np.flatnonzero(np.concatenate(([True], arm_values[1:] != arm_values[:-1])))
+    return arm_values[starts], starts
+
+
+def _factored_runs(arm_runs: tuple[np.ndarray, np.ndarray], window_column: np.ndarray) -> RowRuns:
+    """``build_matrix(...).row_runs``, built from the factors without the full matrix.
+
+    Ranks of equal arm transmission share a row.  Adjacent distinct arm
+    values can still give equal rows (a zero window column, or products that
+    round alike), and those merge too, so the runs equal the matrix's own.
+    """
+    arm_values, starts = arm_runs
+    rows = np.outer(arm_values, window_column)
+    keep = np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1)))
+    return RowRuns(rows=rows[keep], starts=starts[keep])
+
+
 def build_matrix(params: LossParameters, layout: MultiplexerLayout) -> TransmissionMatrix:
     """Assemble the full transmission matrix ``V[k, n] = V_arm(k) * V_window(n)``."""
     arm_values, order = _ranked_arms(params, layout.m)
-    # Windows 1 .. n need delays n - 1 .. 0.
-    window_values = np.array(_window_transmissions(params, layout.n, range(layout.n - 1, -1, -1)))
     return TransmissionMatrix(
-        values=np.outer(arm_values, window_values),
+        values=np.outer(arm_values, _window_column(params, layout.n)),
         arm_order=tuple(order.tolist()),
     )

@@ -1,10 +1,11 @@
 """Output photon-number distribution for both priority logics, and the closed-form P(1)."""
 
 import math
-from decimal import Decimal, localcontext
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from decimal_oracle import decimal_p1
 
 from photonmux import (
     LossParameters,
@@ -299,6 +300,48 @@ def closed_p1(model, v_d, tm, layout):
     return p1_evaluator(model.kind, v_d, tm, layout)(np.array([model.mean_per_window]))[0]
 
 
+def two_pass_one_photon(kind, x):
+    """``T(1; x)``, out of place."""
+    if kind is SourceKind.THERMAL:
+        return x / (1.0 + x) ** 2
+    return x * np.exp(-x)
+
+
+def two_pass_p1(kind, v_d, tm, layout, mu):
+    """Reference: P(1) in chunks of ``2^15`` cells, with no stacking and no work arrays.
+
+    Each thinned source gets its own out-of-place ``T`` pass, the second is
+    subtracted as ``cells -= p0 * ...``, and the run and window weights take
+    one ``exp`` each.
+    """
+    runs = tm.row_runs
+    rows = runs.rows
+    ranks, windows = np.arange(layout.m, dtype=float), np.arange(layout.n, dtype=float)
+    if layout.logic is FD:
+        rank_exp, window_exp = ranks, layout.m * windows
+    else:
+        rank_exp, window_exp = layout.n * ranks, windows
+    per_chunk = max(1, (1 << 15) // rows.size)
+    out = []
+    for start in range(0, mu.size, per_chunk):
+        chunk = mu[start : start + per_chunk, None, None]
+        x = chunk * v_d
+        if kind is SourceKind.THERMAL:
+            log_p0 = -np.log1p(x)
+            p0 = 1.0 / (1.0 + x)
+            mu_miss = chunk * (1.0 - v_d) * p0
+        else:
+            log_p0 = -x
+            p0 = np.exp(log_p0)
+            mu_miss = chunk * (1.0 - v_d)
+        cells = two_pass_one_photon(kind, chunk * rows)
+        cells -= p0 * two_pass_one_photon(kind, mu_miss * rows)
+        run_weights = np.add.reduceat(np.exp(log_p0[..., 0] * rank_exp), runs.starts, axis=-1)
+        window_weights = np.exp(log_p0[..., 0] * window_exp)
+        out.append(((cells @ window_weights[..., None])[..., 0] * run_weights).sum(axis=-1))
+    return np.concatenate(out)
+
+
 class TestClosedFormP1:
     """``p1_evaluator`` against the truncated ``j``-series, which serves as its oracle."""
 
@@ -355,6 +398,13 @@ class TestClosedFormP1:
         tm = build_matrix(LOSSLESS, MultiplexerLayout(2, 2))
         with pytest.raises(ValueError):
             p1_evaluator(SourceKind.POISSONIAN, 0.9, tm, MultiplexerLayout(2, 4))
+        with pytest.raises(ValueError):
+            p1_evaluator(SourceKind.POISSONIAN, 0.9, tm.row_runs, MultiplexerLayout(2, 4))
+        params = LossParameters(v_r=0.996, v_t=0.97, v_p=0.95, v_p0_s=0.99, v_d=0.9)
+        runs = build_matrix(params, MultiplexerLayout(4, 2)).row_runs
+        assert runs.starts.tolist() == [0, 1, 3]
+        with pytest.raises(ValueError):
+            p1_evaluator(SourceKind.POISSONIAN, 0.9, runs, MultiplexerLayout(2, 2))
 
     @pytest.mark.parametrize("kind", list(SourceKind))
     @pytest.mark.parametrize("logic", [LL, FD])
@@ -373,6 +423,22 @@ class TestClosedFormP1:
             assert value == p1(np.array([mean]))[0]
             assert value == closed_p1(PairSourceModel(kind, mean * 512, 512), 0.9, tm, layout)
 
+    def test_stacked_chunks_equal_the_two_pass_formula_bit_for_bit(self):
+        # Random geometries up to (256, 512), both sources and logics, and
+        # batches of up to 37 means, which cross chunk boundaries at the
+        # larger geometries.
+        rng = np.random.default_rng(12)
+        crossed = 0
+        for case in range(1000):
+            model, params, layout = draw_closed_form_case(rng, 8, 9, 1e-4, 10.0)
+            tm = build_matrix(params, layout)
+            mu = np.exp(rng.uniform(np.log(1e-6), np.log(10.0), int(rng.integers(1, 38))))
+            expected = two_pass_p1(model.kind, params.v_d, tm, layout, mu)
+            actual = p1_evaluator(model.kind, params.v_d, tm, layout)(mu)
+            assert np.array_equal(actual, expected), (case, model, layout)
+            crossed += mu.size * tm.row_runs.rows.size > 1 << 15
+        assert crossed >= 100, crossed
+
     def test_forty_digit_reference_decides_against_the_truncated_series(self):
         # A weak pump at the largest geometry: the adaptive series stops at
         # j_max = 2, and its truncation, amplified by W_sum ~ 7.9e3, costs it
@@ -388,48 +454,3 @@ class TestClosedFormP1:
         assert heralded.j_max == 2
         assert abs(Decimal(closed) - exact) <= Decimal("1e-13")
         assert Decimal("5e-10") <= abs(Decimal(series) - exact) <= Decimal(bound)
-
-
-def decimal_p1(model, v_d, tm, layout):
-    """Oracle: the defining ``j``-series of P(1) in 40-digit decimal arithmetic.
-
-    The emission pmf is summed until its terms fall below 1e-45, and ``p0`` is
-    its no-click sum, so neither the float series' truncation nor the
-    thinning identity enters.  ``V`` and the inputs are taken at their exact
-    binary values.
-    """
-    with localcontext() as ctx:
-        ctx.prec = 40
-        tiny = Decimal("1e-45")
-        mu = Decimal(model.mean_pairs) / model.n_windows
-        miss = 1 - Decimal(v_d)
-        pmf = []
-        if model.kind is SourceKind.POISSONIAN:
-            term, k = (-mu).exp(), 0
-            while term >= tiny or k <= mu:
-                pmf.append(term)
-                k += 1
-                term = term * mu / k
-        else:
-            term, ratio = 1 / (1 + mu), mu / (1 + mu)
-            while term >= tiny:
-                pmf.append(term)
-                term *= ratio
-        p0 = sum(p * miss**k for k, p in enumerate(pmf))
-        pj = [(j, pmf[j] * (1 - miss**j)) for j in range(1, len(pmf))]
-        m, n = layout.m, layout.n
-        rank_step, window_step = (p0, p0**m) if layout.logic is FD else (p0**n, p0)
-        a, b = [Decimal(1)], [Decimal(1)]
-        while len(a) < m:
-            a.append(a[-1] * rank_step)
-        while len(b) < n:
-            b.append(b[-1] * window_step)
-        runs = tm.row_runs
-        total = Decimal(0)
-        for row, start, length in zip(runs.rows, runs.starts, np.diff(runs.starts, append=m)):
-            row_sum = Decimal(0)
-            for window, value in enumerate(row):
-                v = Decimal(float(value))
-                row_sum += b[window] * sum(j * p * v * (1 - v) ** (j - 1) for j, p in pj)
-            total += sum(a[start : start + length]) * row_sum
-        return total

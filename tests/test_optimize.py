@@ -1,5 +1,6 @@
 """Pump-strength optimization and grid sweeps."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,15 +9,24 @@ import pytest
 from photonmux import (
     BracketError,
     LossParameters,
+    MultiplexerLayout,
     SourceKind,
     SweepSpec,
+    build_matrix,
     maximize_unimodal,
     optimize_lambda,
     sweep,
 )
 from photonmux import optimize
 from photonmux.optimize import OptimizationResult
-from photonmux.tables import TABLE2_ROWS, reproduce_table2_row
+from photonmux.tables import (
+    COMBINED_M_GRID,
+    COMBINED_N_GRID,
+    STANDALONE_GRID,
+    TABLE1_ROWS,
+    TABLE2_ROWS,
+    reproduce_table2_row,
+)
 
 LOSSLESS = LossParameters(v_r=1, v_t=1, v_p=1, v_p0_s=1, v_d=1, v_b=1)
 ROW4 = LossParameters(v_r=0.996, v_t=0.97, v_p=0.95, v_p0_s=0.99, v_d=0.9)
@@ -208,3 +218,63 @@ class TestSweep:
             with pytest.raises(ValueError):
                 spec_for(ROW4, (1,), (1,), lambda_bounds=bounds)
 
+
+def factor_loss_sets():
+    """Reference and random loss sets, equal splitters, and a dead window column (``v_b = 0``)."""
+    rng = np.random.default_rng(9)
+    names = ("v_r", "v_t", "v_p", "v_p0_s", "v_d", "v_b", "v_r_s", "v_t_s")
+    sets = [row.losses() for row in TABLE1_ROWS + TABLE2_ROWS]
+    for _ in range(6):
+        sets.append(LossParameters(**{name: float(rng.uniform(0.5, 1.0)) for name in names}))
+    # Equal splitters: rounding of v^q v^(levels-q) can still split the arms
+    # into a few runs, while v = 1/2 gives exactly one.
+    sets.append(dataclasses.replace(sets[-1], v_t_s=sets[-1].v_r_s))
+    sets.append(dataclasses.replace(sets[-1], v_r_s=0.5, v_t_s=0.5))
+    sets.append(dataclasses.replace(sets[-3], v_b=0.0))
+    return sets
+
+
+class TestSweepTransmissionFactors:
+    TABLE_GRIDS = (
+        ((1,), STANDALONE_GRID),
+        (STANDALONE_GRID, (1,)),
+        (COMBINED_M_GRID, COMBINED_N_GRID),
+    )
+
+    def test_row_runs_equal_the_built_matrix_runs(self, monkeypatch):
+        # Every grid point of the table-1 and table-2 sweeps hands the
+        # evaluator the row runs of build_matrix, bit for bit.
+        seen = []
+        evaluator = optimize.p1_evaluator
+
+        def recording(kind, v_d, runs, layout):
+            seen.append((spec.params, runs, layout))
+            return evaluator(kind, v_d, runs, layout)
+
+        monkeypatch.setattr(optimize, "p1_evaluator", recording)
+        for params in factor_loss_sets():
+            for m_values, n_values in self.TABLE_GRIDS:
+                spec = spec_for(params, m_values, n_values)
+                for m in m_values:
+                    for n in n_values:
+                        optimize._objective(spec, (m, n))
+        for params, runs, layout in seen:
+            expected = build_matrix(params, layout).row_runs
+            assert runs.rows.dtype == expected.rows.dtype
+            assert runs.starts.dtype == expected.starts.dtype
+            assert np.array_equal(runs.rows, expected.rows), (params, layout)
+            assert np.array_equal(runs.starts, expected.starts), (params, layout)
+        assert len(seen) == len(factor_loss_sets()) * (10 + 10 + 72)
+        # A dead window column merges distinct arm values into one run.
+        single_runs = {(params, layout.m) for params, runs, layout in seen if len(runs.starts) == 1}
+        halves, dead_column = factor_loss_sets()[-2:]
+        assert {(halves, 256), (dead_column, 256)} <= single_runs
+
+    def test_sweep_equals_single_point_optimization(self):
+        # A table-2 row's combined grid: the factors a sweep shares between its
+        # points change no optimum in any bit.
+        spec = spec_for(TABLE2_ROWS[9].losses(), COMBINED_M_GRID, COMBINED_N_GRID)
+        result = sweep(spec)
+        for point, optimum in result.surface.items():
+            assert optimum == optimize_lambda(point, spec)
+            assert optimum == optimize_lambda(point, dataclasses.replace(spec))
