@@ -33,14 +33,7 @@ from .engine import DEFAULT_I_MAX, output_distribution
 from .montecarlo import simulate
 from .optimize import BracketError, SweepSpec, sweep
 from .statistics import PairSourceModel, TruncationError, herald_convolve
-from .tables import (
-    TABLE1_ROWS,
-    TABLE2_ROWS,
-    Table1Result,
-    Table2Result,
-    reproduce_table1,
-    reproduce_table2,
-)
+from .tables import TABLE1_ROWS, TABLE2_ROWS, reproduce_table1, reproduce_table2
 from .transmission import LossParameters, MultiplexerLayout, TransmissionMatrix, build_matrix
 
 Z_LIMIT = 4.0
@@ -225,95 +218,68 @@ def run_validate(config_path: str | Path) -> int:
     return EXIT_OK
 
 
-def _table1_csv_rows(results: list[Table1Result]) -> list[list]:
-    rows = []
-    for r in results:
-        rows.append(
-            [
-                r.row.no,
-                r.row.v_r,
-                r.row.v_t,
-                r.row.v_p,
-                r.row.v_p0_s,
-                r.time.p1,
-                r.time.size,
-                r.time.lambda_opt,
-                r.row.p_time_ref,
-                r.row.n_time_ref,
-                r.time_ok,
-                r.spatial.p1,
-                r.spatial.size,
-                r.spatial.lambda_opt,
-                r.row.p_spatial_ref,
-                r.row.m_spatial_ref,
-                r.spatial_ok,
-            ]
-        )
-    return rows
+# Each reference table's CSV columns, in order: a header and the cell it takes from one result.
+_TABLE1_COLUMNS = (
+    ("no", lambda r: r.row.no),
+    ("v_r", lambda r: r.row.v_r),
+    ("v_t", lambda r: r.row.v_t),
+    ("v_p", lambda r: r.row.v_p),
+    ("v_p0_s", lambda r: r.row.v_p0_s),
+    ("p_time", lambda r: r.time.p1),
+    ("n_time_opt", lambda r: r.time.size),
+    ("lambda_time", lambda r: r.time.lambda_opt),
+    ("p_time_ref", lambda r: r.row.p_time_ref),
+    ("n_time_ref", lambda r: r.row.n_time_ref),
+    ("time_flag", lambda r: r.time_ok),
+    ("p_spatial", lambda r: r.spatial.p1),
+    ("m_spatial_opt", lambda r: r.spatial.size),
+    ("lambda_spatial", lambda r: r.spatial.lambda_opt),
+    ("p_spatial_ref", lambda r: r.row.p_spatial_ref),
+    ("m_spatial_ref", lambda r: r.row.m_spatial_ref),
+    ("spatial_flag", lambda r: r.spatial_ok),
+)
 
-
-def _table2_csv_rows(results: list[Table2Result]) -> list[list]:
-    rows = []
-    for r in results:
-        m_c, n_c, lam_c, p_c = r.combined
-        rows.append(
-            [
-                r.row.no,
-                r.row.v_t,
-                r.row.v_r,
-                r.row.v_p,
-                r.row.v_t_s,
-                r.row.v_r_s,
-                r.row.v_p0_s,
-                r.time.p1,
-                r.time.size,
-                r.spatial.p1,
-                r.spatial.size,
-                r.row.p_standalone_ref,
-                r.row.m_spatial_ref,
-                r.row.n_time_ref,
-                r.standalone_ok,
-                p_c,
-                m_c,
-                n_c,
-                lam_c,
-                r.row.p_combined_ref,
-                r.row.m_combined_ref,
-                r.row.n_combined_ref,
-                r.combined_ok,
-                r.product_ok,
-            ]
-        )
-    return rows
-
-
-TABLE1_HEADER = [
-    "no", "v_r", "v_t", "v_p", "v_p0_s",
-    "p_time", "n_time_opt", "lambda_time", "p_time_ref", "n_time_ref", "time_flag",
-    "p_spatial", "m_spatial_opt", "lambda_spatial", "p_spatial_ref", "m_spatial_ref", "spatial_flag",
-]
-
-TABLE2_HEADER = [
-    "no", "v_t", "v_r", "v_p", "v_t_s", "v_r_s", "v_p0_s",
-    "p_time", "n_time_opt", "p_spatial", "m_spatial_opt",
-    "p_standalone_ref", "m_spatial_ref", "n_time_ref", "standalone_flag",
-    "p_combined", "m_combined_opt", "n_combined_opt", "lambda_combined",
-    "p_combined_ref", "m_combined_ref", "n_combined_ref", "combined_flag", "product_flag",
-]
+_TABLE2_COLUMNS = (
+    ("no", lambda r: r.row.no),
+    ("v_t", lambda r: r.row.v_t),
+    ("v_r", lambda r: r.row.v_r),
+    ("v_p", lambda r: r.row.v_p),
+    ("v_t_s", lambda r: r.row.v_t_s),
+    ("v_r_s", lambda r: r.row.v_r_s),
+    ("v_p0_s", lambda r: r.row.v_p0_s),
+    ("p_time", lambda r: r.time.p1),
+    ("n_time_opt", lambda r: r.time.size),
+    ("p_spatial", lambda r: r.spatial.p1),
+    ("m_spatial_opt", lambda r: r.spatial.size),
+    ("p_standalone_ref", lambda r: r.row.p_standalone_ref),
+    ("m_spatial_ref", lambda r: r.row.m_spatial_ref),
+    ("n_time_ref", lambda r: r.row.n_time_ref),
+    ("standalone_flag", lambda r: r.standalone_ok),
+    ("p_combined", lambda r: r.combined[3]),
+    ("m_combined_opt", lambda r: r.combined[0]),
+    ("n_combined_opt", lambda r: r.combined[1]),
+    ("lambda_combined", lambda r: r.combined[2]),
+    ("p_combined_ref", lambda r: r.row.p_combined_ref),
+    ("m_combined_ref", lambda r: r.row.m_combined_ref),
+    ("n_combined_ref", lambda r: r.row.n_combined_ref),
+    ("combined_flag", lambda r: r.combined_ok),
+    ("product_flag", lambda r: r.product_ok),
+)
 
 
 def run_tables(out_dir: str | Path = ".", rows1=TABLE1_ROWS, rows2=TABLE2_ROWS) -> int:
     """Recompute the built-in reference configurations and write comparison CSVs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results1 = reproduce_table1(rows1)
-    _write_csv(out / "table1_repro.csv", TABLE1_HEADER, _table1_csv_rows(results1))
-    results2 = reproduce_table2(rows2)
-    _write_csv(out / "table2_repro.csv", TABLE2_HEADER, _table2_csv_rows(results2))
-    for r in results1:
-        print(f"table1 row {r.row.no}: {'PASS' if r.passes else 'FAIL'}")
-    for r in results2:
-        print(f"table2 row {r.row.no}: {'PASS' if r.passes else 'FAIL'}")
+    for name, reproduce, rows, columns in (
+        ("table1", reproduce_table1, rows1, _TABLE1_COLUMNS),
+        ("table2", reproduce_table2, rows2, _TABLE2_COLUMNS),
+    ):
+        results = reproduce(rows)
+        header = [header for header, _ in columns]
+        _write_csv(out / f"{name}_repro.csv", header, [[cell(r) for _, cell in columns] for r in results])
+        for r in results:
+            print(f"{name} row {r.row.no}: {'PASS' if r.passes else 'FAIL'}")
     return EXIT_OK
 
 

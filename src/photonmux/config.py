@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .statistics import SourceKind
-from .transmission import LossParameters, PriorityLogic
+from .transmission import LossParameters, PriorityLogic, _is_power_of_two
 
 CONFIG_VERSION = 1
 
@@ -68,21 +68,32 @@ def _fail(path: Path, text: str, key: str, message: str) -> ConfigError:
     return ConfigError(f"{path}:{_line_of(text, key)}: {message}")
 
 
+def _is_a(value, kind) -> bool:
+    """``isinstance(value, kind)``, except that a JSON true/false (a Python bool) is not a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _reject_unknown(path: Path, text: str, raw: dict, allowed: set[str], what: str) -> None:
+    for key in raw:
+        if key not in allowed:
+            raise _fail(path, text, key, f"{what} \"{key}\"")
+
+
 def _require(raw: dict, path: Path, text: str, key: str, kind, what: str):
     if key not in raw:
         raise ConfigError(f"{path}:1: missing required key \"{key}\"")
     value = raw[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not _is_a(value, kind):
         raise _fail(path, text, key, f"\"{key}\" must be {what}")
     return value
 
 
 def _int_grid(raw: dict, path: Path, text: str, key: str) -> tuple[int, ...]:
     values = _require(raw, path, text, key, list, "a non-empty list of integers")
-    if not values or not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+    if not values or not all(_is_a(v, int) for v in values):
         raise _fail(path, text, key, f"\"{key}\" must be a non-empty list of integers")
     for v in values:
-        if v < 1 or v & (v - 1):
+        if not _is_power_of_two(v):
             raise _fail(path, text, key, f"\"{key}\" entries must be powers of 2, got {v}")
     return tuple(values)
 
@@ -104,20 +115,16 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}:1: config root must be a JSON object")
-    for key in raw:
-        if key not in _TOP_KEYS:
-            raise _fail(path, text, key, f"unknown key \"{key}\"")
+    _reject_unknown(path, text, raw, _TOP_KEYS, "unknown key")
 
     version = _require(raw, path, text, "version", int, "an integer")
     if version != CONFIG_VERSION:
         raise _fail(path, text, "version", f"unsupported config version {version}, expected {CONFIG_VERSION}")
 
     losses_raw = _require(raw, path, text, "losses", dict, "an object of efficiencies")
-    for key in losses_raw:
-        if key not in _LOSS_KEYS:
-            raise _fail(path, text, key, f"unknown loss key \"{key}\"")
+    _reject_unknown(path, text, losses_raw, _LOSS_KEYS, "unknown loss key")
     for key, value in losses_raw.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not _is_a(value, (int, float)):
             raise _fail(path, text, key, f"loss \"{key}\" must be a number")
     try:
         losses = LossParameters(**{k: float(v) for k, v in losses_raw.items()})
@@ -154,7 +161,7 @@ def parse_config(path: str | Path) -> RunConfig:
         ok = (
             isinstance(bounds, list)
             and len(bounds) == 2
-            and all(isinstance(b, (int, float)) and not isinstance(b, bool) for b in bounds)
+            and all(_is_a(b, (int, float)) for b in bounds)
         )
         if not ok or not 0.0 <= bounds[0] < bounds[1] <= _FLOAT_MAX:
             raise _fail(
@@ -167,16 +174,14 @@ def parse_config(path: str | Path) -> RunConfig:
     trials, seed, points = 1_000_000, 0, ()
     if "validation" in raw:
         validation = _require(raw, path, text, "validation", dict, "an object")
-        for key in validation:
-            if key not in _VALIDATION_KEYS:
-                raise _fail(path, text, key, f"unknown validation key \"{key}\"")
+        _reject_unknown(path, text, validation, _VALIDATION_KEYS, "unknown validation key")
         if "trials" in validation:
             trials = validation["trials"]
-            if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+            if not _is_a(trials, int) or trials < 1:
                 raise _fail(path, text, "trials", "\"trials\" must be a positive integer")
         if "seed" in validation:
             seed = validation["seed"]
-            if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            if not _is_a(seed, int) or seed < 0:
                 raise _fail(path, text, "seed", "\"seed\" must be a non-negative integer")
         if "points" in validation:
             points_raw = validation["points"]
@@ -187,13 +192,13 @@ def parse_config(path: str | Path) -> RunConfig:
                 ok = (
                     isinstance(triple, list)
                     and len(triple) == 3
-                    and isinstance(triple[0], int)
-                    and isinstance(triple[1], int)
-                    and isinstance(triple[2], (int, float))
-                    and not any(isinstance(x, bool) for x in triple)
+                    and all(_is_a(size, int) and _is_power_of_two(size) for size in triple[:2])
+                    and _is_a(triple[2], (int, float))
+                    and 0 <= triple[2] <= _FLOAT_MAX
                 )
-                if not ok or triple[0] < 1 or triple[1] < 1 or not 0 <= triple[2] <= _FLOAT_MAX:
-                    raise _fail(path, text, "points", f"invalid validation point {triple!r}")
+                if not ok:
+                    rule = "m and n powers of 2, lambda finite and >= 0"
+                    raise _fail(path, text, "points", f"invalid validation point {triple!r}: want {rule}")
                 parsed.append((triple[0], triple[1], float(triple[2])))
             points = tuple(parsed)
 

@@ -41,6 +41,7 @@ from .transmission import (  # noqa: F401
     RowRuns,
     _arm_runs,
     _factored_runs,
+    _is_power_of_two,
     _window_column,
     build_matrix,
 )
@@ -76,7 +77,7 @@ class SweepSpec:
         if not self.m_values or not self.n_values:
             raise ValueError("m_values and n_values must be non-empty")
         for x in self.m_values + self.n_values:
-            if x < 1 or x & (x - 1):
+            if not _is_power_of_two(x):
                 raise ValueError(f"grid values must be powers of 2, got {x}")
         if self.lambda_bounds is not None:
             lo, hi = self.lambda_bounds

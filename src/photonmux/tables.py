@@ -121,18 +121,11 @@ class StandaloneOptimum:
     lambda_opt: float
 
 
-def standalone_time_optimum(params: LossParameters) -> StandaloneOptimum:
-    """Best single time multiplexer (m = 1) over the window grid."""
-    result = sweep(SweepSpec(m_values=(1,), n_values=STANDALONE_GRID, params=params))
-    _, n, lam, p1 = result.best
-    return StandaloneOptimum(p1=p1, size=n, lambda_opt=lam)
-
-
-def standalone_spatial_optimum(params: LossParameters) -> StandaloneOptimum:
-    """Best single spatial multiplexer (n = 1) over the arm grid."""
-    result = sweep(SweepSpec(m_values=STANDALONE_GRID, n_values=(1,), params=params))
-    m, _, lam, p1 = result.best
-    return StandaloneOptimum(p1=p1, size=m, lambda_opt=lam)
+def _standalone_optimum(params: LossParameters, *, spatial: bool) -> StandaloneOptimum:
+    """Best single multiplexer: arms swept at one window if ``spatial``, else windows at one arm."""
+    m_values, n_values = (STANDALONE_GRID, (1,)) if spatial else ((1,), STANDALONE_GRID)
+    m, n, lam, p1 = sweep(SweepSpec(m_values=m_values, n_values=n_values, params=params)).best
+    return StandaloneOptimum(p1=p1, size=m * n, lambda_opt=lam)
 
 
 @dataclass(frozen=True)
@@ -200,8 +193,8 @@ def reproduce_table1_row(row: Table1Row) -> Table1Result:
     params = row.losses()
     return Table1Result(
         row=row,
-        time=standalone_time_optimum(params),
-        spatial=standalone_spatial_optimum(params),
+        time=_standalone_optimum(params, spatial=False),
+        spatial=_standalone_optimum(params, spatial=True),
     )
 
 
@@ -210,8 +203,8 @@ def reproduce_table2_row(row: Table2Row) -> Table2Result:
     combined = sweep(SweepSpec(m_values=COMBINED_M_GRID, n_values=COMBINED_N_GRID, params=params))
     return Table2Result(
         row=row,
-        time=standalone_time_optimum(params),
-        spatial=standalone_spatial_optimum(params),
+        time=_standalone_optimum(params, spatial=False),
+        spatial=_standalone_optimum(params, spatial=True),
         combined=combined.best,
     )
 

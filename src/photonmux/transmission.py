@@ -166,12 +166,11 @@ def _ranked_arms(params: LossParameters, m: int) -> tuple[np.ndarray, np.ndarray
     if not _is_power_of_two(m):
         raise ValueError(f"arm count must be a power of 2, got {m}")
     levels = m.bit_length() - 1
-    arms = np.empty(m)
-    pos = 0
-    for q in range(levels, -1, -1):
-        mult = math.comb(levels, q)
-        arms[pos : pos + mult] = params.v_r_s**q * params.v_t_s ** (levels - q)
-        pos += mult
+    reflections = range(levels, -1, -1)
+    v_r_s, v_t_s = params.v_r_s, params.v_t_s
+    # Equal splitters give every arm one value, which the product form would round apart.
+    values = [v_r_s**levels if v_r_s == v_t_s else v_r_s**q * v_t_s ** (levels - q) for q in reflections]
+    arms = np.repeat(values, [math.comb(levels, q) for q in reflections])
     order = np.argsort(-arms, kind="stable")
     return arms[order] * params.v_p0_s**levels, order
 

@@ -98,6 +98,8 @@ class TestParseConfig:
             {"lambda_bounds": [2.0, 1.0]},
             {"losses": {"v_r": 1.4, "v_t": 0.97, "v_p": 0.95, "v_p0_s": 0.99, "v_d": 0.9}},
             {"validation": {"trials": -1}},
+            {"validation": {"points": [[3, 2, 1.0]]}},
+            {"validation": {"points": [[2, 6, 1.0]]}},
         ):
             with pytest.raises(ConfigError):
                 parse_config(write_config(tmp_path, **overrides))
@@ -235,6 +237,22 @@ class TestRunValidate:
         assert err.startswith(f"{path}:1: ") and "[1, 1, 1000.0]" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("point", [[3, 2, 1.0], [2, 6, 1.0], [0, 1, 1.0]])
+    def test_non_power_of_two_point_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch, point):
+        # The transmission builders need power-of-two m and n, so such a
+        # point is a configuration error, not a traceback from the sampler.
+        path = write_config(tmp_path, validation={"trials": 100_000, "points": [point]})
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a point the builders cannot build")
+
+        monkeypatch.setattr("photonmux.cli.simulate", no_sampling)
+        assert run_validate(path) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert f"invalid validation point {point!r}" in err and "powers of 2" in err
+        assert_line_anchored(path, err, "points")
+
     @pytest.mark.parametrize("literal", ["1e999", "NaN"])
     def test_non_finite_point_exits_2(self, tmp_path, capsys, literal):
         path = write_raw_lambda(
@@ -282,6 +300,11 @@ class TestRunTables:
         assert run_tables(tmp_path, rows1=TABLE1_ROWS[:1], rows2=()) == EXIT_OK
         table1 = (tmp_path / "table1_repro.csv").read_text().splitlines()
         assert len(table1) == 2
+        assert table1[0] == (
+            "no,v_r,v_t,v_p,v_p0_s,"
+            "p_time,n_time_opt,lambda_time,p_time_ref,n_time_ref,time_flag,"
+            "p_spatial,m_spatial_opt,lambda_spatial,p_spatial_ref,m_spatial_ref,spatial_flag"
+        )
         header = table1[0].split(",")
         row = dict(zip(header, table1[1].split(",")))
         assert row["time_flag"] == "PASS"
@@ -289,7 +312,13 @@ class TestRunTables:
         assert row["n_time_opt"] == "128"
         assert abs(float(row["p_time"]) - 0.832) <= 5e-4
         table2 = (tmp_path / "table2_repro.csv").read_text().splitlines()
-        assert len(table2) == 1  # header only
+        assert table2 == [  # header only
+            "no,v_t,v_r,v_p,v_t_s,v_r_s,v_p0_s,"
+            "p_time,n_time_opt,p_spatial,m_spatial_opt,"
+            "p_standalone_ref,m_spatial_ref,n_time_ref,standalone_flag,"
+            "p_combined,m_combined_opt,n_combined_opt,lambda_combined,"
+            "p_combined_ref,m_combined_ref,n_combined_ref,combined_flag,product_flag"
+        ]
         assert "table1 row 1: PASS" in capsys.readouterr().out
 
 

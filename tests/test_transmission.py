@@ -14,6 +14,7 @@ from photonmux import (
     time_window_transmission,
 )
 from photonmux.tables import TABLE1_ROWS, TABLE2_ROWS
+from photonmux.transmission import _arm_runs
 
 
 def params(**kwargs):
@@ -86,6 +87,14 @@ class TestSpatialArmTransmissions:
     def test_symmetric_splitter_makes_equal_arms(self):
         arms = spatial_arm_transmissions(params(v_r_s=0.98, v_t_s=0.98, v_p0_s=0.99), 4)
         assert np.allclose(arms, 0.99**2 * 0.98**2, rtol=1e-14)
+        # Bit-equal arms, so the router tree is one run of rows at every size.
+        for v in (0.98, 0.99, 0.6604820588621533):
+            p = params(v_r_s=v, v_t_s=v)
+            for m in (2**i for i in range(1, 9)):
+                arms = spatial_arm_transmissions(p, m)
+                assert np.all(arms == arms[0]), (v, m)
+                values, starts = _arm_runs(p, m)
+                assert values.tolist() == [arms[0]] and starts.tolist() == [0], (v, m)
 
     @pytest.mark.parametrize("m", [2, 8, 64])
     def test_multiset_sums_to_binomial_expansion(self, m):
