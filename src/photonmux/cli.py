@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, parse_config
+from .config import ConfigError, _fail, parse_config
 from .engine import DEFAULT_I_MAX, output_distribution
 from .montecarlo import simulate
 from .optimize import BracketError, SweepSpec, sweep
@@ -151,9 +151,9 @@ def compare_to_oracle(
     for i in range(i_max + 1):
         p_ana = float(analytic.probs[i])
         p_emp = float(empirical.probs[i]) if i <= empirical.i_max else 0.0
-        se_emp = float(empirical.std_err[i]) if i <= empirical.i_max else 0.0
-        se_ana = math.sqrt(p_ana * (1.0 - p_ana) / trials)
-        se = max(se_emp, se_ana)
+        # sqrt and the division round monotonically, so this is bit-equal to
+        # the larger of the two binomial standard errors.
+        se = math.sqrt(max(p_emp * (1.0 - p_emp), p_ana * (1.0 - p_ana)) / trials)
         diff = abs(p_emp - p_ana)
         if se == 0.0:
             z = 0.0 if diff == 0.0 else math.inf
@@ -170,12 +170,14 @@ def run_validate(config_path: str | Path) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
-    if not config.validation_points:
-        print(f"{config_path}:1: validate requires a non-empty \"points\" list", file=sys.stderr)
-        return EXIT_CONFIG
-    if config.validation_trials < 100_000:
-        print(f"{config_path}:1: validate requires \"trials\" >= 100000", file=sys.stderr)
-        return EXIT_CONFIG
+    for key, unusable, message in (
+        ("points", not config.validation_points, 'validate requires a non-empty "points" list'),
+        ("trials", config.validation_trials < 100_000, 'validate requires "trials" >= 100000'),
+    ):
+        if unusable:
+            path = Path(config_path)
+            print(_fail(path, path.read_text(encoding="utf-8"), key, message), file=sys.stderr)
+            return EXIT_CONFIG
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     rows = []

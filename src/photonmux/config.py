@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .statistics import SourceKind
@@ -28,7 +28,7 @@ _TOP_KEYS = {
     "output_dir",
     "validation",
 }
-_LOSS_KEYS = {"v_r", "v_t", "v_p", "v_p0_s", "v_d", "v_b", "v_r_s", "v_t_s"}
+_LOSS_KEYS = {field.name for field in fields(LossParameters)}
 _VALIDATION_KEYS = {"trials", "seed", "points"}
 
 # Largest finite float, the bound on a configured pump strength: JSON's 1e999

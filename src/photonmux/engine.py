@@ -86,14 +86,13 @@ class PhotonNumberDistribution:
 
     ``probs[i]`` is the probability of ``i`` output photons for
     ``i = 0 .. i_max``; ``tail_bound`` bounds the mass beyond ``i_max``
-    (including any truncation of the input distribution).  Empirical
-    distributions from the Monte-Carlo sampler also carry a per-bin binomial
-    standard error.
+    (including any truncation of the input distribution).  An empirical
+    distribution from the Monte-Carlo sampler holds every observed count
+    and has a zero tail bound.
     """
 
     probs: np.ndarray
     tail_bound: float
-    std_err: np.ndarray | None = None
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
@@ -108,12 +107,6 @@ class PhotonNumberDistribution:
         total = float(np.sum(probs)) + self.tail_bound
         if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"sum(probs) + tail_bound = {total!r} deviates from 1 beyond 1e-10")
-        if self.std_err is not None:
-            std_err = np.asarray(self.std_err, dtype=float)
-            std_err.setflags(write=False)
-            object.__setattr__(self, "std_err", std_err)
-            if std_err.size != probs.size:
-                raise ValueError("std_err must have one entry per probability bin")
 
     @property
     def i_max(self) -> int:

@@ -91,7 +91,8 @@ def simulate(
         seed: seed of the block-splitting random stream.
 
     Returns:
-        Empirical distribution with per-bin binomial standard errors.
+        Empirical distribution: the fraction of trials that emitted each
+        photon number, up to the largest one observed, with a zero tail bound.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -109,6 +110,4 @@ def simulate(
             counts = np.concatenate([counts, np.zeros(hist.size - counts.size, dtype=np.int64)])
         counts[: hist.size] += hist
         remaining -= block
-    probs = counts / trials
-    std_err = np.sqrt(probs * (1.0 - probs) / trials)
-    return PhotonNumberDistribution(probs=probs, tail_bound=0.0, std_err=std_err)
+    return PhotonNumberDistribution(probs=counts / trials, tail_bound=0.0)

@@ -22,6 +22,7 @@ no m x n matrix is built.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -72,8 +73,12 @@ class SweepSpec:
     lambda_bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        for name in ("m_values", "n_values"):
+            try:
+                values = tuple(operator.index(x) for x in getattr(self, name))
+            except TypeError as exc:
+                raise ValueError(f"{name} must hold integers, got {getattr(self, name)}") from exc
+            object.__setattr__(self, name, values)
         if not self.m_values or not self.n_values:
             raise ValueError("m_values and n_values must be non-empty")
         for x in self.m_values + self.n_values:

@@ -121,6 +121,11 @@ class StandaloneOptimum:
     lambda_opt: float
 
 
+def _agrees(p1: float, size, p_ref: float, size_ref) -> bool:
+    """Agreement at the reference precision: ``p1`` within ``PROB_TOL``, the optimal size exact."""
+    return abs(p1 - p_ref) <= PROB_TOL and size == size_ref
+
+
 def _standalone_optimum(params: LossParameters, *, spatial: bool) -> StandaloneOptimum:
     """Best single multiplexer: arms swept at one window if ``spatial``, else windows at one arm."""
     m_values, n_values = (STANDALONE_GRID, (1,)) if spatial else ((1,), STANDALONE_GRID)
@@ -136,17 +141,11 @@ class Table1Result:
 
     @property
     def time_ok(self) -> bool:
-        return (
-            abs(self.time.p1 - self.row.p_time_ref) <= PROB_TOL
-            and self.time.size == self.row.n_time_ref
-        )
+        return _agrees(self.time.p1, self.time.size, self.row.p_time_ref, self.row.n_time_ref)
 
     @property
     def spatial_ok(self) -> bool:
-        return (
-            abs(self.spatial.p1 - self.row.p_spatial_ref) <= PROB_TOL
-            and self.spatial.size == self.row.m_spatial_ref
-        )
+        return _agrees(self.spatial.p1, self.spatial.size, self.row.p_spatial_ref, self.row.m_spatial_ref)
 
     @property
     def passes(self) -> bool:
@@ -162,22 +161,16 @@ class Table2Result:
 
     @property
     def standalone_ok(self) -> bool:
-        ref = self.row.p_standalone_ref
-        return (
-            abs(self.time.p1 - ref) <= PROB_TOL
-            and abs(self.spatial.p1 - ref) <= PROB_TOL
-            and self.time.size == self.row.n_time_ref
-            and self.spatial.size == self.row.m_spatial_ref
-        )
+        row = self.row
+        time_ok = _agrees(self.time.p1, self.time.size, row.p_standalone_ref, row.n_time_ref)
+        spatial_ok = _agrees(self.spatial.p1, self.spatial.size, row.p_standalone_ref, row.m_spatial_ref)
+        return time_ok and spatial_ok
 
     @property
     def combined_ok(self) -> bool:
         m, n, _, p1 = self.combined
-        return (
-            abs(p1 - self.row.p_combined_ref) <= PROB_TOL
-            and m == self.row.m_combined_ref
-            and n == self.row.n_combined_ref
-        )
+        row = self.row
+        return _agrees(p1, (m, n), row.p_combined_ref, (row.m_combined_ref, row.n_combined_ref))
 
     @property
     def product_ok(self) -> bool:

@@ -12,8 +12,7 @@ binomial expansion of ``(v_r_s + v_t_s)^levels``.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 
@@ -58,10 +57,10 @@ class LossParameters:
             object.__setattr__(self, "v_r_s", self.v_r)
         if self.v_t_s is None:
             object.__setattr__(self, "v_t_s", self.v_t)
-        for name in ("v_r", "v_t", "v_p", "v_p0_s", "v_d", "v_b", "v_r_s", "v_t_s"):
-            value = getattr(self, name)
+        for field in fields(self):
+            value = getattr(self, field.name)
             if not (0.0 <= value <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+                raise ValueError(f"{field.name} must lie in [0, 1], got {value}")
 
 
 @dataclass(frozen=True)
@@ -97,6 +96,15 @@ class RowRuns:
     starts: np.ndarray
 
 
+def _merge_equal_rows(rows: np.ndarray, starts: np.ndarray) -> RowRuns:
+    """Runs of the candidate rows ``rows[r]``, each from rank ``starts[r]``, merging equal neighbours."""
+    keep = np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1)))
+    runs = RowRuns(rows=rows[keep], starts=starts[keep])
+    for array in (runs.rows, runs.starts):
+        array.setflags(write=False)
+    return runs
+
+
 @dataclass(frozen=True)
 class TransmissionMatrix:
     """Net transmissions ``values[k, n]``, rows ordered by descending arm transmission.
@@ -126,25 +134,7 @@ class TransmissionMatrix:
     @cached_property
     def row_runs(self) -> RowRuns:
         """Runs of consecutive identical rows, computed once per matrix."""
-        values = self.values
-        differs = np.any(values[1:] != values[:-1], axis=1)
-        starts = np.flatnonzero(np.concatenate(([True], differs)))
-        runs = RowRuns(rows=values[starts], starts=starts)
-        for array in (runs.rows, runs.starts):
-            array.setflags(write=False)
-        return runs
-
-
-def _window_transmissions(params: LossParameters, big_n: int, delays: Iterable[int]) -> list[float]:
-    """``v_r^h * v_t^(levels-h) * v_p^(d/big_n) * v_b`` for each delay ``d``, ``h`` its set bits.
-
-    The splitter factor takes one of ``levels + 1`` values, computed once.
-    """
-    if not _is_power_of_two(big_n):
-        raise ValueError(f"window count must be a power of 2, got {big_n}")
-    levels = big_n.bit_length() - 1
-    splitter = [params.v_r**h * params.v_t ** (levels - h) for h in range(levels + 1)]
-    return [splitter[d.bit_count()] * params.v_p ** (d / big_n) * params.v_b for d in delays]
+        return _merge_equal_rows(self.values, np.arange(self.values.shape[0]))
 
 
 def time_window_transmission(params: LossParameters, n: int, big_n: int) -> float:
@@ -158,7 +148,7 @@ def time_window_transmission(params: LossParameters, n: int, big_n: int) -> floa
     """
     if not 1 <= n <= big_n:
         raise ValueError(f"window index must lie in 1..{big_n}, got {n}")
-    return _window_transmissions(params, big_n, [big_n - n])[0]
+    return float(_window_column(params, big_n)[n - 1])
 
 
 def _ranked_arms(params: LossParameters, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -190,28 +180,32 @@ def spatial_arm_transmissions(params: LossParameters, m: int) -> np.ndarray:
 
 
 def _window_column(params: LossParameters, n: int) -> np.ndarray:
-    """Transmissions of windows 1 .. n, which need delays n - 1 .. 0."""
-    return np.array(_window_transmissions(params, n, range(n - 1, -1, -1)))
+    """Transmissions of windows 1 .. n (delays n - 1 .. 0), each as ``time_window_transmission`` gives it.
+
+    The splitter factor takes one of ``levels + 1`` values, computed once.
+    """
+    if not _is_power_of_two(n):
+        raise ValueError(f"window count must be a power of 2, got {n}")
+    levels = n.bit_length() - 1
+    splitter = [params.v_r**h * params.v_t ** (levels - h) for h in range(levels + 1)]
+    delays = range(n - 1, -1, -1)
+    return np.array([splitter[d.bit_count()] * params.v_p ** (d / n) * params.v_b for d in delays])
 
 
-def _arm_runs(params: LossParameters, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each distinct ranked arm transmission once, and the rank at which its run starts."""
+def _arm_runs(params: LossParameters, m: int) -> RowRuns:
+    """Each distinct ranked arm transmission once, as a one-column row, from the rank its run starts at."""
     arm_values, _ = _ranked_arms(params, m)
-    starts = np.flatnonzero(np.concatenate(([True], arm_values[1:] != arm_values[:-1])))
-    return arm_values[starts], starts
+    return _merge_equal_rows(arm_values[:, None], np.arange(m))
 
 
-def _factored_runs(arm_runs: tuple[np.ndarray, np.ndarray], window_column: np.ndarray) -> RowRuns:
+def _factored_runs(arm_runs: RowRuns, window_column: np.ndarray) -> RowRuns:
     """``build_matrix(...).row_runs``, built from the factors without the full matrix.
 
     Ranks of equal arm transmission share a row.  Adjacent distinct arm
     values can still give equal rows (a zero window column, or products that
     round alike), and those merge too, so the runs equal the matrix's own.
     """
-    arm_values, starts = arm_runs
-    rows = np.outer(arm_values, window_column)
-    keep = np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1)))
-    return RowRuns(rows=rows[keep], starts=starts[keep])
+    return _merge_equal_rows(arm_runs.rows * window_column, arm_runs.starts)
 
 
 def build_matrix(params: LossParameters, layout: MultiplexerLayout) -> TransmissionMatrix:

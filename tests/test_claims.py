@@ -40,7 +40,8 @@ def test_logic_inversion_by_simulation():
             model = PairSourceModel(SourceKind.POISSONIAN, lam, 512)
             layout = MultiplexerLayout(128, 512, logic=logic)
             dist = simulate(model, DOMINANCE_LOSSES, layout, trials=1_000_000, seed=2016)
-            p1[logic], se[logic] = dist.probs[1], dist.std_err[1]
+            p1[logic] = dist.probs[1]
+            se[logic] = math.sqrt(p1[logic] * (1.0 - p1[logic]) / 1_000_000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,6 +1,7 @@
 """Config parsing, CSV emission, exit codes, and the validation harness."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -212,12 +213,23 @@ class TestRunValidate:
     def test_missing_points_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, validation={"trials": 100_000})
         assert run_validate(path) == EXIT_CONFIG
-        assert "points" in capsys.readouterr().err
+        err = capsys.readouterr().err.strip()
+        # An absent key has no line, so the message points at line 1.
+        assert err.startswith(f"{path}:1: ") and "points" in err
+
+    def test_empty_points_is_line_anchored(self, tmp_path, capsys):
+        path = write_config(tmp_path, validation={"trials": 100_000, "points": []})
+        assert run_validate(path) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert 'non-empty "points"' in err and len(err.splitlines()) == 1
+        assert_line_anchored(path, err, "points")
 
     def test_low_trials_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, validation={"trials": 1000, "points": [[1, 1, 1.0]]})
         assert run_validate(path) == EXIT_CONFIG
-        assert "trials" in capsys.readouterr().err
+        err = capsys.readouterr().err.strip()
+        assert '"trials" >= 100000' in err and len(err.splitlines()) == 1
+        assert_line_anchored(path, err, "trials")
 
     def test_untruncatable_point_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch):
         # A thermal source at 1000 pairs per window leaves an emission tail
@@ -274,6 +286,26 @@ class TestRunValidate:
         assert run_validate(path) == EXIT_DISAGREEMENT
         err = capsys.readouterr().err
         assert "bin 2" in err and "z" in err
+
+    def test_std_err_is_the_larger_binomial_error(self):
+        # Bit for bit the larger of the empirical and the analytic binomial
+        # standard error in every bin: bins where either one is larger, and
+        # bins where the sampler saw no count.
+        params = LossParameters(v_r=0.996, v_t=0.97, v_p=0.95, v_p0_s=0.99, v_d=0.9)
+        model = PairSourceModel(SourceKind.POISSONIAN, 1.0, 4)
+        trials = 200_000
+        comparisons = compare_to_oracle(model, params, MultiplexerLayout(2, 4), trials=trials, seed=21)
+        assert [c.bin for c in comparisons] == list(range(len(comparisons)))
+        spreads = [(c.empirical * (1.0 - c.empirical), c.analytic * (1.0 - c.analytic)) for c in comparisons]
+        assert any(emp > ana for emp, ana in spreads) and any(emp < ana for emp, ana in spreads)
+        assert any(c.empirical == 0.0 < c.analytic for c in comparisons)
+        for c in comparisons:
+            expected = max(
+                math.sqrt(c.empirical * (1.0 - c.empirical) / trials),
+                math.sqrt(c.analytic * (1.0 - c.analytic) / trials),
+            )
+            assert c.std_err == expected, c
+            assert c.z == abs(c.empirical - c.analytic) / expected
 
     def test_mutation_is_detected(self):
         # Perturbing one transmission entry by 0.01 must push some bin

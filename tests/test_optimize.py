@@ -218,6 +218,16 @@ class TestSweep:
             with pytest.raises(ValueError):
                 spec_for(ROW4, (1,), (1,), lambda_bounds=bounds)
 
+    def test_non_integral_grid_values_rejected(self):
+        # int() would truncate 2.7 and 4.9 into the powers of two 2 and 4.  A
+        # float is refused even when integral; numpy integers are accepted.
+        for m_values, n_values in (((2.7,), (4.9,)), ((2,), (4.9,)), ((2.0,), (4,))):
+            with pytest.raises(ValueError, match="must hold integers"):
+                spec_for(ROW4, m_values, n_values)
+        spec = spec_for(ROW4, (np.int64(2),), (np.int64(4),))
+        assert spec.m_values == (2,) and spec.n_values == (4,)
+        assert all(type(x) is int for x in spec.m_values + spec.n_values)
+
 
 def factor_loss_sets():
     """Reference and random loss sets, equal splitters, and a dead window column (``v_b = 0``)."""

@@ -93,8 +93,8 @@ class TestSpatialArmTransmissions:
             for m in (2**i for i in range(1, 9)):
                 arms = spatial_arm_transmissions(p, m)
                 assert np.all(arms == arms[0]), (v, m)
-                values, starts = _arm_runs(p, m)
-                assert values.tolist() == [arms[0]] and starts.tolist() == [0], (v, m)
+                runs = _arm_runs(p, m)
+                assert runs.rows.tolist() == [[arms[0]]] and runs.starts.tolist() == [0], (v, m)
 
     @pytest.mark.parametrize("m", [2, 8, 64])
     def test_multiset_sums_to_binomial_expansion(self, m):
