@@ -127,6 +127,11 @@ def compare_to_oracle(
 ) -> list[BinComparison]:
     """Per-bin z-scores between the analytic engine and the Monte-Carlo sampler.
 
+    Bins ``0 .. DEFAULT_I_MAX`` come first, then one closing bin,
+    ``DEFAULT_I_MAX + 1``, for every photon number above ``DEFAULT_I_MAX``:
+    empirically the fraction of such trials, analytically ``1 - sum(probs)``
+    (floored at 0, which rounding of the sum can undershoot).  So the bins
+    depend on the configuration alone, and no empirical count is dropped.
     The standard error of each bin is the larger of the empirical and the
     analytic binomial estimate, which keeps near-empty bins from producing
     spurious rejections; a zero standard error with a nonzero difference
@@ -142,15 +147,16 @@ def compare_to_oracle(
     if analytic_tm is None:
         analytic_tm = build_matrix(params, layout)
     heralded = herald_convolve(model, params.v_d)
-    empirical = simulate(model, params, layout, trials=trials, seed=seed)
-    i_max = max(empirical.i_max, DEFAULT_I_MAX)
-    if heralded.j_max < i_max:
-        heralded = herald_convolve(model, params.v_d, j_max=i_max)
-    analytic = output_distribution(heralded, analytic_tm, layout, i_max=i_max)
+    if heralded.j_max < DEFAULT_I_MAX:
+        heralded = herald_convolve(model, params.v_d, j_max=DEFAULT_I_MAX)
+    sampled = simulate(model, params, layout, trials=trials, seed=seed).probs
+    probs = output_distribution(heralded, analytic_tm, layout, i_max=DEFAULT_I_MAX).probs
+    closing = DEFAULT_I_MAX + 1
+    analytic = [*probs.tolist(), max(1.0 - math.fsum(probs), 0.0)]
+    empirical = sampled[:closing].tolist()
+    empirical += [0.0] * (closing - len(empirical)) + [math.fsum(sampled[closing:])]
     comparisons = []
-    for i in range(i_max + 1):
-        p_ana = float(analytic.probs[i])
-        p_emp = float(empirical.probs[i]) if i <= empirical.i_max else 0.0
+    for i, (p_ana, p_emp) in enumerate(zip(analytic, empirical)):
         # sqrt and the division round monotonically, so this is bit-equal to
         # the larger of the two binomial standard errors.
         se = math.sqrt(max(p_emp * (1.0 - p_emp), p_ana * (1.0 - p_ana)) / trials)
@@ -170,13 +176,14 @@ def run_validate(config_path: str | Path) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
+    path = Path(config_path)
+    text = path.read_text(encoding="utf-8")
     for key, unusable, message in (
         ("points", not config.validation_points, 'validate requires a non-empty "points" list'),
         ("trials", config.validation_trials < 100_000, 'validate requires "trials" >= 100000'),
     ):
         if unusable:
-            path = Path(config_path)
-            print(_fail(path, path.read_text(encoding="utf-8"), key, message), file=sys.stderr)
+            print(_fail(path, text, key, message), file=sys.stderr)
             return EXIT_CONFIG
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -197,7 +204,8 @@ def run_validate(config_path: str | Path) -> int:
                     seed=config.validation_seed + case,
                 )
             except TruncationError as exc:
-                print(f"{config_path}:1: cannot validate point [{m}, {n}, {lam}]: {exc}", file=sys.stderr)
+                message = f"cannot validate point [{m}, {n}, {lam}]: {exc}"
+                print(_fail(path, text, "points", message), file=sys.stderr)
                 return EXIT_CONFIG
             case += 1
             for c in comparisons:

@@ -3,29 +3,43 @@
 Each trial walks the (arm, window) cells in the order that the priority rule
 consults them: arm-major for lowest-loss (the best-ranked arm's windows,
 earliest first, then the next arm), window-major for first-detection (the
-earliest window's arms, best-ranked first, then the next window).  At each
-cell, every trial that no earlier cell heralded draws a pair count from the
-source statistics and a detector click; the first click ends the trial's walk,
-and each signal photon of that cell passes a Bernoulli loss channel.  The
-priority rule is thus the visiting order itself.  A trial no cell heralds
-emits no photon.  Nothing is shared with the series evaluation in
-:mod:`photonmux.engine`, so agreement between the two is a genuine
-cross-check.
+earliest window's arms, best-ranked first, then the next window).  The first
+cell whose detector clicks ends the trial's walk, and each signal photon of
+that cell passes a Bernoulli loss channel.  The priority rule is thus the
+visiting order itself.  A trial no cell heralds emits no photon.  Nothing is
+shared with the series evaluation in :mod:`photonmux.engine`, so agreement
+between the two is a genuine cross-check.
+
+Trials are exchangeable, so a cell does not draw per waiting trial.  Every
+cell sees the same source, so each waiting trial clicks there with the same
+probability ``h``, ``1 - exp(-mu v_d)`` (Poissonian) or
+``mu v_d / (1 + mu v_d)`` (thermal), with ``mu`` the pairs per window; one
+binomial draw gives how many of the waiting trials herald at the cell.  Only
+those draw their pair number given the click, exactly and with no
+truncation: the pairs whose idler the detector would see and the pairs it
+would miss are independent thinned sources, and the click conditions only
+the first.  Thermal: ``1 + G(q) + G(q (1 - v_d))`` with ``q = mu / (1 + mu)``
+and ``G(r)`` the failures before a success of probability ``1 - r``.
+Poissonian: ``1 + Poisson(mu v_d (1 - t)) + Poisson(mu (1 - v_d))``, where
+``t = -log1p(U expm1(-mu v_d)) / (mu v_d)``, ``U`` uniform, is the first
+detectable pair's arrival, given that one arrives.  Then the heralded
+trials' survivors are drawn.  A cell's draws, in order: the heralded count,
+the pair numbers (thermal: the two geometric draws; Poissonian: the
+uniforms, then the two Poisson draws), the survivors.
 
 Trials are partitioned into blocks of ``BLOCK_SIZE`` trials, each driven by
 its own child of ``numpy.random.SeedSequence(seed)``; results are therefore
 reproducible bit for bit and blocks may be evaluated in any order (the block
-structure is part of the random-stream definition).  Within a block, each
-cell draws, over the trials still waiting, first their pair counts, then one
-uniform per trial for the click, then the survivors of the clicked trials.
-A block holds a few arrays of one entry per waiting trial at a time: about
-34 bytes per trial, or 35 MB for a full block, whatever the geometry.  Its
-walk stops at the first cell after which no trial is waiting, so its time
-grows with the number of cells a trial visits before its first click.
+structure is part of the random-stream definition).  A block's walk stops at
+the first cell after which no trial is waiting, and it costs one scalar draw
+per visited cell plus a few array entries per heralded trial: O(cells +
+trials), with one int64 photon count per heralded trial held until the
+block's histogram, whatever the geometry.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -44,11 +58,26 @@ def _visiting_order(m: int, n: int, logic: PriorityLogic) -> Iterator[tuple[int,
     return ((k, w) for w in range(n) for k in range(m))
 
 
-def _sample_pairs(model: PairSourceModel, rng: np.random.Generator, size: int) -> np.ndarray:
+def _click_probability(model: PairSourceModel, v_d: float) -> float:
+    """Probability that one window's heralding detector clicks."""
+    x = model.mean_per_window * v_d
+    if model.kind is SourceKind.THERMAL:
+        return x / (1.0 + x)
+    return -math.expm1(-x)
+
+
+def _pairs_given_click(model: PairSourceModel, v_d: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Pair numbers of ``size`` windows whose detector clicked, drawn exactly."""
     mu = model.mean_per_window
     if model.kind is SourceKind.THERMAL:
-        return rng.geometric(1.0 / (1.0 + mu), size=size) - 1
-    return rng.poisson(mu, size=size)
+        # geometric(1 - r) counts 1 + G(r); 1 - q = 1/(1+mu), 1 - q(1-v_d) = (1+mu v_d)/(1+mu).
+        first = rng.geometric(1.0 / (1.0 + mu), size)
+        return first + rng.geometric((1.0 + mu * v_d) / (1.0 + mu), size) - 1
+    detectable = mu * v_d
+    u = rng.random(size)
+    # detectable * (1 - t); rounding can take it a hair below 0 for u within an ulp of 1.
+    after_first = np.maximum(detectable + np.log1p(u * math.expm1(-detectable)), 0.0)
+    return 1 + rng.poisson(after_first) + rng.poisson(mu * (1.0 - v_d), size)
 
 
 def _simulate_block(
@@ -60,15 +89,17 @@ def _simulate_block(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Photon-count histogram of one block of trials."""
-    emitted = []
+    h = _click_probability(model, v_d)
+    emitted = [np.zeros(0, dtype=np.int64)]
     waiting = n_trials
     for k, w in _visiting_order(*transmissions.shape, logic):
         if waiting == 0:
             break
-        pairs = _sample_pairs(model, rng, waiting)
-        clicked = rng.random(waiting) < 1.0 - (1.0 - v_d) ** pairs
-        emitted.append(rng.binomial(pairs[clicked], transmissions[k, w]))
-        waiting -= emitted[-1].size
+        heralded = int(rng.binomial(waiting, h))
+        if heralded:
+            pairs = _pairs_given_click(model, v_d, rng, heralded)
+            emitted.append(rng.binomial(pairs, transmissions[k, w]))
+            waiting -= heralded
     hist = np.bincount(np.concatenate(emitted), minlength=1)
     hist[0] += waiting
     return hist

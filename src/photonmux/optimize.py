@@ -74,10 +74,14 @@ class SweepSpec:
 
     def __post_init__(self):
         for name in ("m_values", "n_values"):
+            raw = tuple(getattr(self, name))
+            # operator.index takes True as 1, so booleans are refused first.
+            if any(isinstance(x, bool) for x in raw):
+                raise ValueError(f"{name} must hold integers, got {raw}")
             try:
-                values = tuple(operator.index(x) for x in getattr(self, name))
+                values = tuple(operator.index(x) for x in raw)
             except TypeError as exc:
-                raise ValueError(f"{name} must hold integers, got {getattr(self, name)}") from exc
+                raise ValueError(f"{name} must hold integers, got {raw}") from exc
             object.__setattr__(self, name, values)
         if not self.m_values or not self.n_values:
             raise ValueError("m_values and n_values must be non-empty")

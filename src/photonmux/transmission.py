@@ -148,7 +148,7 @@ def time_window_transmission(params: LossParameters, n: int, big_n: int) -> floa
     """
     if not 1 <= n <= big_n:
         raise ValueError(f"window index must lie in 1..{big_n}, got {n}")
-    return float(_window_column(params, big_n)[n - 1])
+    return _delay_transmission(params, _splitter_factors(params, big_n), big_n - n, big_n)
 
 
 def _ranked_arms(params: LossParameters, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -179,17 +179,26 @@ def spatial_arm_transmissions(params: LossParameters, m: int) -> np.ndarray:
     return values
 
 
+def _splitter_factors(params: LossParameters, n: int) -> list[float]:
+    """``v_r^h * v_t^(levels-h)`` for ``h = 0 .. levels`` reflections of an ``n``-window network."""
+    if not _is_power_of_two(n):
+        raise ValueError(f"window count must be a power of 2, got {n}")
+    levels = n.bit_length() - 1
+    return [params.v_r**h * params.v_t ** (levels - h) for h in range(levels + 1)]
+
+
+def _delay_transmission(params: LossParameters, splitter: list[float], d: int, n: int) -> float:
+    """Transmission of a photon delayed by ``d`` of ``n`` windows, given ``_splitter_factors(params, n)``."""
+    return splitter[d.bit_count()] * params.v_p ** (d / n) * params.v_b
+
+
 def _window_column(params: LossParameters, n: int) -> np.ndarray:
     """Transmissions of windows 1 .. n (delays n - 1 .. 0), each as ``time_window_transmission`` gives it.
 
     The splitter factor takes one of ``levels + 1`` values, computed once.
     """
-    if not _is_power_of_two(n):
-        raise ValueError(f"window count must be a power of 2, got {n}")
-    levels = n.bit_length() - 1
-    splitter = [params.v_r**h * params.v_t ** (levels - h) for h in range(levels + 1)]
-    delays = range(n - 1, -1, -1)
-    return np.array([splitter[d.bit_count()] * params.v_p ** (d / n) * params.v_b for d in delays])
+    splitter = _splitter_factors(params, n)
+    return np.array([_delay_transmission(params, splitter, d, n) for d in range(n - 1, -1, -1)])
 
 
 def _arm_runs(params: LossParameters, m: int) -> RowRuns:

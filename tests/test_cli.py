@@ -246,7 +246,8 @@ class TestRunValidate:
         monkeypatch.setattr("photonmux.cli.simulate", no_sampling)
         assert run_validate(path) == EXIT_CONFIG
         err = capsys.readouterr().err.strip()
-        assert err.startswith(f"{path}:1: ") and "[1, 1, 1000.0]" in err
+        assert "cannot validate point [1, 1, 1000.0]" in err
+        assert_line_anchored(path, err, "points")
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("point", [[3, 2, 1.0], [2, 6, 1.0], [0, 1, 1.0]])

@@ -12,9 +12,10 @@ from photonmux import (
     build_matrix,
     herald_convolve,
     output_distribution,
+    pair_pmf,
     simulate,
 )
-from photonmux.montecarlo import _visiting_order
+from photonmux.montecarlo import _click_probability, _pairs_given_click, _visiting_order
 
 LL = PriorityLogic.LOWEST_LOSS
 FD = PriorityLogic.FIRST_DETECTION
@@ -37,6 +38,67 @@ def test_zero_intensity_is_exactly_vacuum():
     model = PairSourceModel(SourceKind.POISSONIAN, 0.0, 2)
     dist = simulate(model, ROW1, MultiplexerLayout(2, 2), trials=10_000, seed=3)
     assert dist.probs.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("kind", [SourceKind.POISSONIAN, SourceKind.THERMAL])
+@pytest.mark.parametrize("mean_pairs, v_d", [(0.0, 0.9), (2.0, 0.0)])
+def test_no_click_is_exactly_vacuum(kind, mean_pairs, v_d):
+    # No pump or a blind detector: no cell ever heralds, whatever the stream.
+    model = PairSourceModel(kind, mean_pairs, 2)
+    params = LossParameters(v_r=0.996, v_t=0.97, v_p=0.95, v_p0_s=0.9922, v_d=v_d)
+    assert _click_probability(model, v_d) == 0.0
+    dist = simulate(model, params, MultiplexerLayout(2, 2), trials=100_000, seed=4)
+    assert dist.probs.tolist() == [1.0]
+
+
+DRAWS = 200_000
+PRIMITIVE_CASES = [
+    (kind, mu, v_d)
+    for kind in (SourceKind.POISSONIAN, SourceKind.THERMAL)
+    for mu in (1e-3, 0.1, 1.0, 5.0, 30.0)
+    for v_d in (0.3, 0.9, 1.0)
+]
+PRIMITIVE_IDS = [f"{kind.value}-mu{mu:g}-vd{v_d:g}" for kind, mu, v_d in PRIMITIVE_CASES]
+
+
+def source_pmf(kind, mu):
+    """Single-window pair pmf up to a tail below 1e-15, and the pair numbers it covers."""
+    j_max = 64
+    while True:
+        pmf = pair_pmf(PairSourceModel(kind, mu, 1), j_max)
+        if 1.0 - pmf.sum() < 1e-15:
+            return np.arange(j_max + 1), pmf
+        j_max *= 2
+
+
+@pytest.mark.parametrize("case", range(len(PRIMITIVE_CASES)), ids=PRIMITIVE_IDS)
+def test_click_probability_matches_direct_draws(case):
+    # Each trial draws its pair number from the pmf, then its click with
+    # probability 1 - (1 - v_d)^K; the click rate must match h within 4 sigma.
+    kind, mu, v_d = PRIMITIVE_CASES[case]
+    rng = np.random.default_rng(100 + case)
+    j, pmf = source_pmf(kind, mu)
+    pairs = rng.choice(j, size=DRAWS, p=pmf / pmf.sum())
+    rate = np.mean(rng.random(DRAWS) < 1.0 - (1.0 - v_d) ** pairs)
+    h = _click_probability(PairSourceModel(kind, mu, 1), v_d)
+    assert abs(rate - h) <= 4.0 * np.sqrt(h * (1.0 - h) / DRAWS), (rate, h)
+
+
+@pytest.mark.parametrize("case", range(len(PRIMITIVE_CASES)), ids=PRIMITIVE_IDS)
+def test_pairs_given_click_match_the_heralded_pmf(case):
+    # P(K = j | click) = P(j) (1 - (1 - v_d)^j) / h, summed directly; every
+    # bin up to the largest draw within 4 standard errors (the larger of the
+    # empirical and the exact binomial one, as validate takes it).
+    kind, mu, v_d = PRIMITIVE_CASES[case]
+    model = PairSourceModel(kind, mu, 1)
+    pairs = _pairs_given_click(model, v_d, np.random.default_rng(200 + case), DRAWS)
+    j, pmf = source_pmf(kind, mu)
+    heralded = pmf * (1.0 - (1.0 - v_d) ** j)
+    expected = heralded / heralded.sum()
+    assert pairs.min() >= 1 and pairs.max() <= j[-1]
+    freq = np.bincount(pairs, minlength=j.size) / DRAWS
+    se = np.sqrt(np.maximum(freq * (1.0 - freq), expected * (1.0 - expected)) / DRAWS)
+    assert np.all(np.abs(freq - expected) <= 4.0 * se), np.max(np.abs(freq - expected) / se)
 
 
 def test_lossless_passthrough_matches_poisson():

@@ -228,6 +228,12 @@ class TestSweep:
         assert spec.m_values == (2,) and spec.n_values == (4,)
         assert all(type(x) is int for x in spec.m_values + spec.n_values)
 
+    def test_boolean_grid_values_rejected(self):
+        # operator.index(True) == 1, a power of two, so a boolean would sweep m = 1.
+        for m_values, n_values in (((True,), (2,)), ((2,), (False,)), ((np.True_,), (2,))):
+            with pytest.raises(ValueError, match="must hold integers"):
+                spec_for(ROW4, m_values, n_values)
+
 
 def factor_loss_sets():
     """Reference and random loss sets, equal splitters, and a dead window column (``v_b = 0``)."""
