@@ -1,8 +1,9 @@
 """Cross-check of the analytic engine against the Monte-Carlo sampler.
 
 The sampler walks the (arm, window) cells in priority order and draws, at
-each cell, how many of the still unheralded trials herald there, then their
-pair numbers given the click and their per-photon losses.  It shares nothing
+each cell, how many of the still unheralded trials herald there, then splits
+them by pair number given the click in one multinomial draw, then draws
+their per-photon losses.  It shares nothing
 with the series evaluation, so per-bin z-scores near zero are genuine
 evidence that both are right.  Bin 11, when shown, holds every photon
 number above 10.

@@ -10,36 +10,43 @@ visiting order itself.  A trial no cell heralds emits no photon.  Nothing is
 shared with the series evaluation in :mod:`photonmux.engine`, so agreement
 between the two is a genuine cross-check.
 
-Trials are exchangeable, so a cell does not draw per waiting trial.  Every
-cell sees the same source, so each waiting trial clicks there with the same
-probability ``h``, ``1 - exp(-mu v_d)`` (Poissonian) or
+Trials are exchangeable, so a cell draws counts, not per waiting trial.
+Every cell sees the same source, so each waiting trial clicks there with the
+same probability ``h``, ``1 - exp(-mu v_d)`` (Poissonian) or
 ``mu v_d / (1 + mu v_d)`` (thermal), with ``mu`` the pairs per window; one
-binomial draw gives how many of the waiting trials herald at the cell.  Only
-those draw their pair number given the click, exactly and with no
-truncation: the pairs whose idler the detector would see and the pairs it
-would miss are independent thinned sources, and the click conditions only
-the first.  Thermal: ``1 + G(q) + G(q (1 - v_d))`` with ``q = mu / (1 + mu)``
-and ``G(r)`` the failures before a success of probability ``1 - r``.
-Poissonian: ``1 + Poisson(mu v_d (1 - t)) + Poisson(mu (1 - v_d))``, where
-``t = -log1p(U expm1(-mu v_d)) / (mu v_d)``, ``U`` uniform, is the first
-detectable pair's arrival, given that one arrives.  Then the heralded
-trials' survivors are drawn.  A cell's draws, in order: the heralded count,
-the pair numbers (thermal: the two geometric draws; Poissonian: the
-uniforms, then the two Poisson draws), the survivors.
+binomial draw gives how many of the waiting trials, ``c``, herald at the
+cell.  One multinomial draw splits those ``c`` trials by pair number: its
+category ``j`` has probability ``P(K = j | click) = P(j) (1 - (1 - v_d)^j) /
+h`` for ``j = 1 .. J``, with ``P(j)`` the source's own pmf (Poissonian
+``e^-mu mu^j / j!``, thermal ``mu^j / (1 + mu)^(j+1)``), computed here and
+not taken from :mod:`photonmux.statistics`.  One closing category holds
+every pair number above ``J``, the smallest pair number at which an
+analytic bound on that category's probability falls below
+``CLOSING_BOUND``; a trial drawn into it raises instead of being dropped.
+So the law is exact, and nothing is truncated silently.  Then one binomial
+call draws the survivors of the present pair numbers, in increasing order,
+each ``j`` repeated ``c_j`` times (bit for bit one ``binomial(j, V,
+size=c_j)`` per ``j``), and their histogram is added to the block's.
+
+A cell's draws, in order: the heralded count; the multinomial, which draws
+nothing for its leading ``j = 0`` category (probability 0) or after its last
+trial, so the stream depends on neither that slot nor ``J``; the survivors.
 
 Trials are partitioned into blocks of ``BLOCK_SIZE`` trials, each driven by
 its own child of ``numpy.random.SeedSequence(seed)``; results are therefore
 reproducible bit for bit and blocks may be evaluated in any order (the block
 structure is part of the random-stream definition).  A block's walk stops at
-the first cell after which no trial is waiting, and it costs one scalar draw
-per visited cell plus a few array entries per heralded trial: O(cells +
-trials), with one int64 photon count per heralded trial held until the
-block's histogram, whatever the geometry.
+the first cell after which no trial is waiting.  It costs one binomial and
+one multinomial per visited cell, the multinomial one binomial per pair
+number up to the largest one drawn, plus one survivor draw per heralded
+trial, and it holds at most two int64 arrays of one cell's heralded trials
+at once, whatever the geometry.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 
 import numpy as np
@@ -49,6 +56,7 @@ from .statistics import PairSourceModel, SourceKind
 from .transmission import LossParameters, MultiplexerLayout, PriorityLogic, build_matrix
 
 BLOCK_SIZE = 1 << 20
+CLOSING_BOUND = 1e-20
 
 
 def _visiting_order(m: int, n: int, logic: PriorityLogic) -> Iterator[tuple[int, int]]:
@@ -66,41 +74,89 @@ def _click_probability(model: PairSourceModel, v_d: float) -> float:
     return -math.expm1(-x)
 
 
-def _pairs_given_click(model: PairSourceModel, v_d: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Pair numbers of ``size`` windows whose detector clicked, drawn exactly."""
+def _heralded_pair_pmf(model: PairSourceModel, v_d: float) -> np.ndarray:
+    """Categories of the multinomial that splits a cell's heralded trials by pair number.
+
+    Entry ``j`` is ``P(K = j | click)`` for ``j = 0 .. J`` (entry 0 is 0);
+    the last entry is the closing category, every pair number above ``J``.
+    Since ``1 - (1 - v_d)^j <= j v_d`` and ``v_d / h <= (1 + mu v_d) / mu``,
+    its probability is at most ``(1 + mu v_d) U_J``, with ``U_J = sum_{j > J}
+    j P(j) / mu``: ``(J + 1 + mu) P(J)`` (thermal) and ``P(K >= J) <= P(J)
+    (J + 1) / (J + 1 - mu)`` once ``J + 1 > mu`` (Poissonian).  ``J`` is the
+    smallest pair number at which that bound, which the last entry holds,
+    is below ``CLOSING_BOUND``.  numpy's multinomial gives the last category
+    whatever the others leave, so a closing draw can also come from the
+    rounding of their sum: about 1e-15 at up to 30 pairs per window, and
+    2.5e-13 for a Poissonian source at 1000.  A thermal ``J`` grows like
+    ``mu log(1 / CLOSING_BOUND)``: 57,050 at 1000 pairs per window.  Needs a
+    click probability above 0.
+    """
     mu = model.mean_per_window
-    if model.kind is SourceKind.THERMAL:
-        # geometric(1 - r) counts 1 + G(r); 1 - q = 1/(1+mu), 1 - q(1-v_d) = (1+mu v_d)/(1+mu).
-        first = rng.geometric(1.0 / (1.0 + mu), size)
-        return first + rng.geometric((1.0 + mu * v_d) / (1.0 + mu), size) - 1
-    detectable = mu * v_d
-    u = rng.random(size)
-    # detectable * (1 - t); rounding can take it a hair below 0 for u within an ulp of 1.
-    after_first = np.maximum(detectable + np.log1p(u * math.expm1(-detectable)), 0.0)
-    return 1 + rng.poisson(after_first) + rng.poisson(mu * (1.0 - v_d), size)
+    log_slack = math.log1p(mu * v_d)
+    size = 64
+    while True:
+        j = np.arange(size)
+        if model.kind is SourceKind.THERMAL:
+            log_pmf = -j * math.log1p(1.0 / mu) - math.log1p(mu)
+            log_u = np.log(j + 1 + mu) + log_pmf
+        else:
+            log_factorials = np.array([math.lgamma(k + 1.0) for k in range(size)])
+            log_pmf = j * math.log(mu) - mu - log_factorials
+            headroom = np.maximum(j + 1 - mu, 0.0)
+            with np.errstate(divide="ignore"):
+                log_u = np.log(j + 1) - np.log(headroom) + log_pmf
+        closed = np.flatnonzero(log_u[1:] + log_slack < math.log(CLOSING_BOUND))
+        if closed.size:
+            break
+        size *= 2
+    top = int(closed[0]) + 1
+    log_miss = math.log1p(-v_d) if v_d < 1.0 else -math.inf
+    pvals = np.zeros(top + 2)
+    pvals[1 : top + 1] = np.exp(log_pmf[1 : top + 1]) * -np.expm1(j[1 : top + 1] * log_miss)
+    pvals[1 : top + 1] /= _click_probability(model, v_d)
+    pvals[-1] = math.exp(log_u[top] + log_slack)
+    return pvals
+
+
+def _add_counts(total: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Elementwise sum of two histograms, the shorter padded with zeros; reuses the longer."""
+    if counts.size > total.size:
+        total, counts = counts, total
+    total[: counts.size] += counts
+    return total
 
 
 def _simulate_block(
-    model: PairSourceModel,
-    v_d: float,
+    h: float,
+    pvals: np.ndarray,
     transmissions: np.ndarray,
     logic: PriorityLogic,
     n_trials: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Photon-count histogram of one block of trials."""
-    h = _click_probability(model, v_d)
-    emitted = [np.zeros(0, dtype=np.int64)]
+    hist = np.zeros(1, dtype=np.int64)
     waiting = n_trials
     for k, w in _visiting_order(*transmissions.shape, logic):
         if waiting == 0:
             break
         heralded = int(rng.binomial(waiting, h))
         if heralded:
-            pairs = _pairs_given_click(model, v_d, rng, heralded)
-            emitted.append(rng.binomial(pairs, transmissions[k, w]))
+            split = rng.multinomial(heralded, pvals)
+            if split[-1]:
+                raise RuntimeError(
+                    f"{split[-1]} heralded trials drew more than {pvals.size - 2} pairs, "
+                    f"a category of probability below {CLOSING_BOUND:g}"
+                )
+            present = np.flatnonzero(split)
+            if present.size == 1:
+                # The same draws through numpy's cheaper scalar-n path; most
+                # cells of a weak pump see a single pair number.
+                drawn = rng.binomial(present[0], transmissions[k, w], size=heralded)
+            else:
+                drawn = rng.binomial(np.repeat(present, split[present]), transmissions[k, w])
+            hist = _add_counts(hist, np.bincount(drawn))
             waiting -= heralded
-    hist = np.bincount(np.concatenate(emitted), minlength=1)
     hist[0] += waiting
     return hist
 
@@ -118,16 +174,28 @@ def simulate(
         model: pair-generation statistics of each source.
         params: optical and detector efficiencies.
         layout: geometry and priority logic.
-        trials: number of simulated periods (>= 1).
+        trials: number of simulated periods, an integer >= 1.
         seed: seed of the block-splitting random stream.
 
     Returns:
         Empirical distribution: the fraction of trials that emitted each
         photon number, up to the largest one observed, with a zero tail bound.
     """
+    # operator.index takes True as 1, so booleans are refused first.
+    if isinstance(trials, bool):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    try:
+        trials = operator.index(trials)
+    except TypeError as exc:
+        raise ValueError(f"trials must be an integer, got {trials!r}") from exc
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     transmissions = build_matrix(params, layout).values
+    h = _click_probability(model, params.v_d)
+    if h == 0.0:
+        # No detector ever clicks: every trial is vacuum, and nothing is drawn.
+        return PhotonNumberDistribution(probs=np.ones(1), tail_bound=0.0)
+    pvals = _heralded_pair_pmf(model, params.v_d)
     n_blocks = (trials + BLOCK_SIZE - 1) // BLOCK_SIZE
     streams = np.random.SeedSequence(seed).spawn(n_blocks)
     counts = np.zeros(1, dtype=np.int64)
@@ -135,10 +203,8 @@ def simulate(
     for stream in streams:
         block = min(BLOCK_SIZE, remaining)
         hist = _simulate_block(
-            model, params.v_d, transmissions, layout.logic, block, np.random.default_rng(stream)
+            h, pvals, transmissions, layout.logic, block, np.random.default_rng(stream)
         )
-        if hist.size > counts.size:
-            counts = np.concatenate([counts, np.zeros(hist.size - counts.size, dtype=np.int64)])
-        counts[: hist.size] += hist
+        counts = _add_counts(counts, hist)
         remaining -= block
     return PhotonNumberDistribution(probs=counts / trials, tail_bound=0.0)

@@ -15,7 +15,14 @@ from photonmux import (
     pair_pmf,
     simulate,
 )
-from photonmux.montecarlo import _click_probability, _pairs_given_click, _visiting_order
+from photonmux import montecarlo
+from photonmux.montecarlo import (
+    CLOSING_BOUND,
+    _click_probability,
+    _heralded_pair_pmf,
+    _simulate_block,
+    _visiting_order,
+)
 
 LL = PriorityLogic.LOWEST_LOSS
 FD = PriorityLogic.FIRST_DETECTION
@@ -84,21 +91,99 @@ def test_click_probability_matches_direct_draws(case):
     assert abs(rate - h) <= 4.0 * np.sqrt(h * (1.0 - h) / DRAWS), (rate, h)
 
 
+def heralded_pmf(kind, mu, v_d, k_max):
+    """P(K = j | click) = P(j) (1 - (1 - v_d)^j) / h for j = 0 .. k_max, from ``pair_pmf``."""
+    model = PairSourceModel(kind, mu, 1)
+    j = np.arange(k_max + 1)
+    return pair_pmf(model, k_max) * (1.0 - (1.0 - v_d) ** j) / _click_probability(model, v_d)
+
+
+@pytest.mark.parametrize("case", range(len(PRIMITIVE_CASES)), ids=PRIMITIVE_IDS)
+def test_heralded_pair_pmf_matches_pair_pmf(case):
+    # Entries 1 .. J to 1e-12 relative; entry 0 is 0; the closing entry
+    # bounds the mass above J, summed directly, and lies below CLOSING_BOUND.
+    kind, mu, v_d = PRIMITIVE_CASES[case]
+    pvals = _heralded_pair_pmf(PairSourceModel(kind, mu, 1), v_d)
+    top = pvals.size - 2
+    # Beyond 4 J + 64 the heralded pmf is below 1e-80 in every case.
+    expected = heralded_pmf(kind, mu, v_d, 4 * top + 64)
+    assert pvals[0] == 0.0
+    np.testing.assert_allclose(pvals[1 : top + 1], expected[1 : top + 1], rtol=1e-12, atol=0.0)
+    assert np.sum(expected[top + 1 :]) <= pvals[-1] < CLOSING_BOUND
+
+
 @pytest.mark.parametrize("case", range(len(PRIMITIVE_CASES)), ids=PRIMITIVE_IDS)
 def test_pairs_given_click_match_the_heralded_pmf(case):
-    # P(K = j | click) = P(j) (1 - (1 - v_d)^j) / h, summed directly; every
-    # bin up to the largest draw within 4 standard errors (the larger of the
-    # empirical and the exact binomial one, as validate takes it).
+    # One multinomial split of DRAWS heralded trials, the sampler's pair-number
+    # draw: every category within 4 standard errors of the heralded pmf
+    # summed from pair_pmf (the larger of the empirical and the exact binomial
+    # one, as validate takes it), and no trial in the closing category.
     kind, mu, v_d = PRIMITIVE_CASES[case]
-    model = PairSourceModel(kind, mu, 1)
-    pairs = _pairs_given_click(model, v_d, np.random.default_rng(200 + case), DRAWS)
-    j, pmf = source_pmf(kind, mu)
-    heralded = pmf * (1.0 - (1.0 - v_d) ** j)
-    expected = heralded / heralded.sum()
-    assert pairs.min() >= 1 and pairs.max() <= j[-1]
-    freq = np.bincount(pairs, minlength=j.size) / DRAWS
+    pvals = _heralded_pair_pmf(PairSourceModel(kind, mu, 1), v_d)
+    split = np.random.default_rng(200 + case).multinomial(DRAWS, pvals)
+    assert split.sum() == DRAWS and split[0] == 0 and split[-1] == 0
+    freq = split[:-1] / DRAWS
+    expected = heralded_pmf(kind, mu, v_d, freq.size - 1)
     se = np.sqrt(np.maximum(freq * (1.0 - freq), expected * (1.0 - expected)) / DRAWS)
     assert np.all(np.abs(freq - expected) <= 4.0 * se), np.max(np.abs(freq - expected) / se)
+
+
+def test_split_stream_ignores_the_zero_slot_and_j_max():
+    # The multinomial draws nothing for a leading zero-probability category
+    # or after its last trial, so neither the j = 0 slot nor J enters the stream.
+    pvals = _heralded_pair_pmf(PairSourceModel(SourceKind.THERMAL, 1.0, 1), 0.9)
+    longer = np.concatenate([pvals[:-1], np.full(5, 1e-22), [pvals[-1]]])
+    draws = []
+    for categories in (pvals, pvals[1:], longer):
+        rng = np.random.default_rng(8)
+        split = rng.multinomial(50_000, categories)
+        draws.append((split[split > 0].tolist(), rng.random()))
+    assert draws[0] == draws[1] == draws[2]
+
+
+def test_one_survivor_call_equals_one_call_per_pair_number():
+    # The survivors of all present pair numbers, in increasing order, in one
+    # call are bit for bit one binomial(j, V, size=c_j) per j; with a single
+    # present j, that one call is the shortcut _simulate_block takes.
+    pvals = _heralded_pair_pmf(PairSourceModel(SourceKind.POISSONIAN, 2.0, 1), 0.9)
+    split = np.random.default_rng(9).multinomial(100_000, pvals)
+    present = np.flatnonzero(split)
+    assert present.size > 3
+    one_call = np.random.default_rng(10).binomial(np.repeat(present, split[present]), 0.83)
+    rng = np.random.default_rng(10)
+    per_j = np.concatenate([rng.binomial(j, 0.83, size=split[j]) for j in present])
+    assert np.array_equal(one_call, per_j)
+    single = np.random.default_rng(10).binomial(np.repeat(2, 1000), 0.83)
+    assert np.array_equal(single, np.random.default_rng(10).binomial(2, 0.83, size=1000))
+
+
+@pytest.mark.parametrize("kind", [SourceKind.POISSONIAN, SourceKind.THERMAL])
+@pytest.mark.parametrize("logic", [LL, FD])
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 4), (128, 512)])
+def test_block_histogram_counts_every_trial(kind, logic, m, n):
+    model = PairSourceModel(kind, 2.0, n)
+    transmissions = build_matrix(ROW1, MultiplexerLayout(m, n, logic=logic)).values
+    h = _click_probability(model, ROW1.v_d)
+    pvals = _heralded_pair_pmf(model, ROW1.v_d)
+    hist = _simulate_block(h, pvals, transmissions, logic, 30_000, np.random.default_rng(12))
+    assert hist.sum() == 30_000 and hist[-1] > 0
+
+
+def test_blocks_together_count_every_trial(monkeypatch):
+    # Three blocks, the last one partial.
+    monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 4096)
+    model = PairSourceModel(SourceKind.THERMAL, 2.0, 4)
+    dist = simulate(model, ROW1, MultiplexerLayout(2, 4), trials=10_000, seed=13)
+    counts = dist.probs * 10_000
+    assert np.array_equal(counts, np.rint(counts)) and np.rint(counts).sum() == 10_000
+
+
+def test_a_trial_in_the_closing_category_raises(monkeypatch):
+    # Force every heralded trial above J = 1: the sampler must refuse, not drop them.
+    monkeypatch.setattr(montecarlo, "_heralded_pair_pmf", lambda model, v_d: np.array([0.0, 0.0, 1.0]))
+    model = PairSourceModel(SourceKind.POISSONIAN, 1.0, 2)
+    with pytest.raises(RuntimeError, match="drew more than 1 pairs"):
+        simulate(model, ROW1, MultiplexerLayout(2, 2), trials=1000, seed=14)
 
 
 def test_lossless_passthrough_matches_poisson():
@@ -182,3 +267,10 @@ def test_trials_validation():
     model = PairSourceModel(SourceKind.POISSONIAN, 1.0, 1)
     with pytest.raises(ValueError):
         simulate(model, ROW1, MultiplexerLayout(1, 1), trials=0, seed=1)
+
+
+@pytest.mark.parametrize("trials", [1e5, 2.5, True, "1000"])
+def test_non_integral_or_boolean_trials_rejected(trials):
+    model = PairSourceModel(SourceKind.POISSONIAN, 1.0, 1)
+    with pytest.raises(ValueError, match="trials"):
+        simulate(model, ROW1, MultiplexerLayout(1, 1), trials=trials, seed=1)
