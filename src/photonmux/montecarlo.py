@@ -23,10 +23,12 @@ not taken from :mod:`photonmux.statistics`.  One closing category holds
 every pair number above ``J``, the smallest pair number at which an
 analytic bound on that category's probability falls below
 ``CLOSING_BOUND``; a trial drawn into it raises instead of being dropped.
-So the law is exact, and nothing is truncated silently.  Then one binomial
-call draws the survivors of the present pair numbers, in increasing order,
-each ``j`` repeated ``c_j`` times (bit for bit one ``binomial(j, V,
-size=c_j)`` per ``j``), and their histogram is added to the block's.
+So the law is exact, and nothing is truncated silently.  Then one
+``binomial(j, V, size=c_j)`` call per present pair number, in increasing
+``j``, draws the survivors (bit for bit one array-``n`` binomial over each
+``j`` repeated ``c_j`` times), and each call's counts go straight into the
+block's histogram, which has ``J + 1`` bins and is trimmed to its largest
+count once.
 
 A cell's draws, in order: the heralded count; the multinomial, which draws
 nothing for its leading ``j = 0`` category (probability 0) or after its last
@@ -38,9 +40,10 @@ reproducible bit for bit and blocks may be evaluated in any order (the block
 structure is part of the random-stream definition).  A block's walk stops at
 the first cell after which no trial is waiting.  It costs one binomial and
 one multinomial per visited cell, the multinomial one binomial per pair
-number up to the largest one drawn, plus one survivor draw per heralded
-trial, and it holds at most two int64 arrays of one cell's heralded trials
-at once, whatever the geometry.
+number up to the largest one drawn, one survivor call per present pair
+number, plus one survivor draw per heralded trial.  Besides its ``J + 1``
+bins it holds the survivors of one pair number of one cell at a time, at
+most one int64 per heralded trial, whatever the geometry.
 """
 
 from __future__ import annotations
@@ -84,12 +87,14 @@ def _heralded_pair_pmf(model: PairSourceModel, v_d: float) -> np.ndarray:
     j P(j) / mu``: ``(J + 1 + mu) P(J)`` (thermal) and ``P(K >= J) <= P(J)
     (J + 1) / (J + 1 - mu)`` once ``J + 1 > mu`` (Poissonian).  ``J`` is the
     smallest pair number at which that bound, which the last entry holds,
-    is below ``CLOSING_BOUND``.  numpy's multinomial gives the last category
-    whatever the others leave, so a closing draw can also come from the
-    rounding of their sum: about 1e-15 at up to 30 pairs per window, and
-    2.5e-13 for a Poissonian source at 1000.  A thermal ``J`` grows like
-    ``mu log(1 / CLOSING_BOUND)``: 57,050 at 1000 pairs per window.  Needs a
-    click probability above 0.
+    is below ``CLOSING_BOUND``.  Entries ``1 .. J`` are divided by their
+    exact sum, which is ``h`` to within that bound: numpy's multinomial gives
+    the last category whatever the others leave and refuses them if they sum
+    past ``1 + 1e-12``, and a Poissonian log-pmf loses about 1e-12 of
+    relative precision at 1000 pairs per window.  So a closing draw can come
+    from rounding only with a probability of about 1e-16.  A thermal ``J``
+    grows like ``mu log(1 / CLOSING_BOUND)``: 57,050 at 1000 pairs per
+    window.  Needs a click probability above 0.
     """
     mu = model.mean_per_window
     log_slack = math.log1p(mu * v_d)
@@ -113,17 +118,9 @@ def _heralded_pair_pmf(model: PairSourceModel, v_d: float) -> np.ndarray:
     log_miss = math.log1p(-v_d) if v_d < 1.0 else -math.inf
     pvals = np.zeros(top + 2)
     pvals[1 : top + 1] = np.exp(log_pmf[1 : top + 1]) * -np.expm1(j[1 : top + 1] * log_miss)
-    pvals[1 : top + 1] /= _click_probability(model, v_d)
+    pvals[1 : top + 1] /= math.fsum(pvals[1 : top + 1])
     pvals[-1] = math.exp(log_u[top] + log_slack)
     return pvals
-
-
-def _add_counts(total: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Elementwise sum of two histograms, the shorter padded with zeros; reuses the longer."""
-    if counts.size > total.size:
-        total, counts = counts, total
-    total[: counts.size] += counts
-    return total
 
 
 def _simulate_block(
@@ -134,8 +131,8 @@ def _simulate_block(
     n_trials: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Photon-count histogram of one block of trials."""
-    hist = np.zeros(1, dtype=np.int64)
+    """Photon-count histogram of one block of trials, up to its largest count."""
+    hist = np.zeros(pvals.size - 1, dtype=np.int64)
     waiting = n_trials
     for k, w in _visiting_order(*transmissions.shape, logic):
         if waiting == 0:
@@ -148,17 +145,13 @@ def _simulate_block(
                     f"{split[-1]} heralded trials drew more than {pvals.size - 2} pairs, "
                     f"a category of probability below {CLOSING_BOUND:g}"
                 )
-            present = np.flatnonzero(split)
-            if present.size == 1:
-                # The same draws through numpy's cheaper scalar-n path; most
-                # cells of a weak pump see a single pair number.
-                drawn = rng.binomial(present[0], transmissions[k, w], size=heralded)
-            else:
-                drawn = rng.binomial(np.repeat(present, split[present]), transmissions[k, w])
-            hist = _add_counts(hist, np.bincount(drawn))
+            # One scalar-n call per present pair number, in increasing order.
+            v = transmissions[k, w]
+            for j in split.nonzero()[0]:
+                np.add.at(hist, rng.binomial(j, v, size=split[j]), 1)
             waiting -= heralded
     hist[0] += waiting
-    return hist
+    return np.trim_zeros(hist, "b")
 
 
 def simulate(
@@ -198,13 +191,13 @@ def simulate(
     pvals = _heralded_pair_pmf(model, params.v_d)
     n_blocks = (trials + BLOCK_SIZE - 1) // BLOCK_SIZE
     streams = np.random.SeedSequence(seed).spawn(n_blocks)
-    counts = np.zeros(1, dtype=np.int64)
+    counts = np.zeros(pvals.size - 1, dtype=np.int64)
     remaining = trials
     for stream in streams:
         block = min(BLOCK_SIZE, remaining)
         hist = _simulate_block(
             h, pvals, transmissions, layout.logic, block, np.random.default_rng(stream)
         )
-        counts = _add_counts(counts, hist)
+        counts[: hist.size] += hist
         remaining -= block
-    return PhotonNumberDistribution(probs=counts / trials, tail_bound=0.0)
+    return PhotonNumberDistribution(probs=np.trim_zeros(counts, "b") / trials, tail_bound=0.0)

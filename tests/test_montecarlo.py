@@ -1,5 +1,8 @@
 """Monte-Carlo sampler: determinism, priority rules, and agreement with the engine."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -112,6 +115,25 @@ def test_heralded_pair_pmf_matches_pair_pmf(case):
     assert np.sum(expected[top + 1 :]) <= pvals[-1] < CLOSING_BOUND
 
 
+@pytest.mark.parametrize("kind", [SourceKind.POISSONIAN, SourceKind.THERMAL])
+@pytest.mark.parametrize("mu", [1e-3, 1.0, 30.0, 1000.0, 2798.1382226597757, 5000.0])
+def test_heralded_pair_pmf_entries_sum_to_one(kind, mu):
+    # numpy's multinomial gives the closing category whatever rounding leaves
+    # of the other entries, and refuses entries that sum to more than
+    # 1 + 1e-12; the Poissonian log-pmf alone sums to 1 - 2.5e-13 at 1000
+    # pairs per window and to 1 + 3.9e-12 at 5000.
+    pvals = _heralded_pair_pmf(PairSourceModel(kind, mu, 1), 0.9)
+    assert abs(1.0 - math.fsum(pvals[:-1])) <= 1e-15
+
+
+def test_large_poissonian_mean_is_sampled():
+    # A mean where the unnormalised entries sum past numpy's 1 + 1e-12 limit.
+    model = PairSourceModel(SourceKind.POISSONIAN, 5000.0, 1)
+    dist = simulate(model, ROW1, MultiplexerLayout(1, 1), trials=1000, seed=15)
+    counts = np.rint(dist.probs * 1000)
+    assert counts.sum() == 1000 and counts[0] == 0
+
+
 @pytest.mark.parametrize("case", range(len(PRIMITIVE_CASES)), ids=PRIMITIVE_IDS)
 def test_pairs_given_click_match_the_heralded_pmf(case):
     # One multinomial split of DRAWS heralded trials, the sampler's pair-number
@@ -142,9 +164,10 @@ def test_split_stream_ignores_the_zero_slot_and_j_max():
 
 
 def test_one_survivor_call_equals_one_call_per_pair_number():
-    # The survivors of all present pair numbers, in increasing order, in one
-    # call are bit for bit one binomial(j, V, size=c_j) per j; with a single
-    # present j, that one call is the shortcut _simulate_block takes.
+    # One binomial(j, V, size=c_j) per present pair number, in increasing
+    # order, as _simulate_block draws the survivors, is bit for bit one
+    # array-n call over the pair numbers each repeated c_j times; for a
+    # single present j, too.
     pvals = _heralded_pair_pmf(PairSourceModel(SourceKind.POISSONIAN, 2.0, 1), 0.9)
     split = np.random.default_rng(9).multinomial(100_000, pvals)
     present = np.flatnonzero(split)
@@ -202,6 +225,66 @@ def test_identical_seed_reproduces_counts():
     assert np.array_equal(a.probs, b.probs)
     c = simulate(model, ROW1, layout, trials=300_000, seed=78)
     assert not np.array_equal(a.probs, c.probs)
+
+
+# Exact counts of seeded runs of 2^16 trials, recorded once: a change that
+# alters any draw of the random stream fails here.  Never re-record them to
+# make a change pass; a new stream must say so and re-run every seeded check.
+PINNED_TRIALS = 1 << 16
+PINNED_COUNTS = [
+    (SourceKind.POISSONIAN, 1, 1, 1.0, LL, 30, [26708, 21619, 11956, 4009, 1014, 197, 27, 6]),
+    (SourceKind.POISSONIAN, 2, 4, 4.0, LL, 31, [2396, 36617, 18960, 5873, 1370, 267, 46, 5, 2]),
+    (SourceKind.POISSONIAN, 2, 4, 4.0, FD, 32, [2497, 36692, 18763, 5917, 1332, 285, 41, 7, 2]),
+    (SourceKind.POISSONIAN, 4, 8, 8.0, FD, 33, [3369, 36572, 18356, 5652, 1299, 243, 40, 5]),
+    (SourceKind.POISSONIAN, 128, 512, 0.5, LL, 34, [16150, 49367, 19]),
+    (SourceKind.POISSONIAN, 128, 512, 0.5, FD, 35, [17394, 48124, 18]),
+    (
+        SourceKind.THERMAL, 1, 1, 1.0, LL, 36,
+        [34505, 14665, 8182, 4018, 2062, 1020, 512, 294, 136, 72, 39, 14, 11, 1, 3, 1, 1],
+    ),
+    (
+        SourceKind.THERMAL, 2, 4, 4.0, LL, 37,
+        [2506, 31074, 16431, 8001, 3953, 1851, 893, 435, 205, 87, 59, 16, 13, 3, 4, 4, 0, 1],
+    ),
+    (
+        SourceKind.THERMAL, 2, 4, 4.0, FD, 38,
+        [2609, 31123, 16233, 8036, 3956, 1845, 916, 424, 199, 100, 49, 21, 13, 7, 3]
+        + [0, 0, 0, 0, 1, 0, 0, 1],
+    ),
+    (
+        SourceKind.THERMAL, 4, 8, 8.0, FD, 39,
+        [2947, 31368, 16257, 7756, 3828, 1705, 873, 418, 189, 109, 47, 17, 13, 3, 2, 2, 0, 1, 1],
+    ),
+    (SourceKind.THERMAL, 128, 512, 0.5, LL, 40, [16047, 49448, 41]),
+    (SourceKind.THERMAL, 128, 512, 0.5, FD, 41, [17314, 48184, 38]),
+]
+# Thermal at 1000 pairs per window, where thousands of pair numbers are
+# present per cell: 12,415 bins, pinned by the sha256 of their int64 bytes.
+PINNED_MANY_PAIRS = (12415, "7c83555e54049d0b43f6b71876f9e9739de0028ac3d1ed0cf71eca534e7c630d")
+
+
+def pinned_run(kind, m, n, mean_pairs, logic, seed):
+    """Integer counts of one seeded run of PINNED_TRIALS trials."""
+    model = PairSourceModel(kind, mean_pairs, n)
+    dist = simulate(model, ROW1, MultiplexerLayout(m, n, logic=logic), PINNED_TRIALS, seed)
+    counts = np.rint(dist.probs * PINNED_TRIALS).astype(np.int64)
+    assert counts.sum() == PINNED_TRIALS
+    return counts
+
+
+@pytest.mark.parametrize(
+    "case", PINNED_COUNTS, ids=[f"{c[0].value}-{c[1]}x{c[2]}-{c[4].value}" for c in PINNED_COUNTS]
+)
+def test_random_stream_is_pinned(case):
+    *inputs, expected = case
+    assert pinned_run(*inputs).tolist() == expected
+
+
+def test_random_stream_is_pinned_with_many_pair_numbers():
+    counts = pinned_run(SourceKind.THERMAL, 1, 2, 2000.0, LL, 42)
+    size, digest = PINNED_MANY_PAIRS
+    assert counts.size == size
+    assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == digest
 
 
 def first_heralded(clicked, logic):
