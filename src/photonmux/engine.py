@@ -50,7 +50,11 @@ most ``2^15`` cells (row runs x windows x means, or one mean if that has
 more).  A chunk stacks the thinned means ``mu v`` and ``mu' v`` and takes
 ``T`` of both in one in-place pass, inside two work arrays that the
 evaluator allocates once, so no call allocates or frees an array of chunk
-size at any geometry.  A batch of one chunk returns that chunk's result.
+size at any geometry.  The means arrive negated, as ``exp`` takes them,
+from one product of the means with ``-1`` and ``-(1 - v_d)``: IEEE
+negation is exact, so ``-T`` comes out bit for bit, and the subtraction
+``-p0 T(mu' v) - (-T(mu v))`` gives ``F_1`` with no pass of its own to
+restore the sign.  A batch of one chunk returns that chunk's result.
 
 The two evaluators differ only in how they build cell terms: the ``j``-series
 stacks ``F_i`` over ``i``, the closed form stacks ``F_1`` over the means.  Both
@@ -223,19 +227,19 @@ def single_photon_probability(
     return float(output_distribution(heralded, tm, layout, i_max=1).probs[1])
 
 
-def _one_photon(kind: SourceKind, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``T(1; x)``, the probability that a source of mean ``x`` delivers exactly one photon.
+def _one_photon(kind: SourceKind, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``-T(1; x)`` at ``y = -x``: minus the probability that a source of mean ``x`` gives 1 photon.
 
-    Computed in ``out``, of the shape of ``x``: ``x / (1 + x)^2`` (thermal)
-    or ``x e^-x`` (Poissonian).
+    Computed in ``out``, of the shape of ``y``: ``y / (1 - y)^2`` (thermal)
+    or ``y e^y`` (Poissonian).  IEEE negation is exact, so each entry is
+    ``-(x / (1 + x)^2)`` or ``-(x e^-x)`` bit for bit.
     """
     if kind is SourceKind.THERMAL:
-        np.add(x, 1.0, out=out)
+        np.subtract(1.0, y, out=out)
         np.square(out, out=out)
-        return np.divide(x, out, out=out)
-    np.negative(x, out=out)
-    np.exp(out, out=out)
-    return np.multiply(x, out, out=out)
+        return np.divide(y, out, out=out)
+    np.exp(y, out=out)
+    return np.multiply(y, out, out=out)
 
 
 def p1_evaluator(
@@ -262,28 +266,34 @@ def p1_evaluator(
             raise ValueError(f"row runs {runs.rows.shape} do not fit layout {layout.m}x{layout.n}")
     rows = runs.rows
     exponents = _weight_exponents(layout)
+    thermal = kind is SourceKind.THERMAL
+    # One product of these columns with the means gives -mu, -mu (1 - v_d)
+    # and mu v_d (thermal) or log p0 = -mu v_d (Poissonian), each bit for bit
+    # the negated product.
+    coeffs = np.array([-1.0, -(1.0 - v_d), v_d if thermal else -v_d])[:, None]
     per_chunk = max(1, _CHUNK_CELLS // rows.size)
     # Every chunk works in these two arrays, so no call allocates one of chunk
-    # size: the thinned means of both sources and T at them, each stacked as
-    # (2 x means, runs, windows), the source's own means first.
+    # size: the negated thinned means of both sources and -T at them, each
+    # stacked as (2 x means, runs, windows), the source's own means first.
     means, cells = np.empty((2, 2 * per_chunk) + rows.shape)
 
     def chunk(mu: np.ndarray) -> np.ndarray:
         size = mu.size
-        x = mu * v_d
-        if kind is SourceKind.THERMAL:
-            log_p0 = -np.log1p(x)
-            p0 = 1.0 / (1.0 + x)
-            mu_miss = mu * (1.0 - v_d) * p0
+        scaled = coeffs * mu
+        neg_missed_means, detected = scaled[1], scaled[2]
+        if thermal:
+            log_p0 = -np.log1p(detected)
+            p0 = 1.0 / (1.0 + detected)
+            neg_missed_means *= p0
         else:
-            log_p0 = -x
+            log_p0 = detected
             p0 = np.exp(log_p0)
-            mu_miss = mu * (1.0 - v_d)
-        thinned = np.multiply.outer(np.concatenate((mu, mu_miss)), rows, out=means[: 2 * size])
+        thinned = means[: 2 * size]
+        np.multiply(scaled[:2, :, None, None], rows, out=thinned.reshape((2, size) + rows.shape))
         terms = _one_photon(kind, thinned, cells[: 2 * size])
         f1, missed = terms[:size], terms[size:]
         missed *= p0[:, None, None]
-        f1 -= missed
+        np.subtract(missed, f1, out=f1)  # -p0 T(mu' v) + T(mu v) = F_1
         return _contract(f1, *_priority_weights(log_p0[:, None], exponents, runs.starts, layout.m))
 
     def p1(mu: np.ndarray) -> np.ndarray:

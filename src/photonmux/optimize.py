@@ -21,7 +21,20 @@ arm transmissions and the window column, and the router tree gives only
 ``log2 m + 1`` distinct arm values.  A ``SweepSpec`` therefore keeps the
 distinct arm values with their run starts per m and the window column per
 n, and each grid point's evaluator gets its (row runs x n) rows from them;
-no m x n matrix is built.
+no m x n matrix is built.  The scan's pump strengths depend on the bounds
+only, so a sweep builds them once per n too.
+
+Cost per grid point: one objective call of 34 pump strengths (the four
+bracket-check points and the 30 inner scan points), then one single-mean
+call per Brent step, about 9 (10.1 calls per point in all over the
+reference tables).  A single-mean call touches at most a few hundred cells
+at the design grids, so its cost is numpy dispatch, not arithmetic: about
+14 us at (2, 64) and 34 us at (256, 512) on a 2-core host, best of ten
+rounds, against 16 and 36 us before the evaluator took its means negated
+(``BENCH_18.json``).  Evaluating all of a sweep's grid points in lock-step
+would pay that dispatch once per step for all points, but it waits on
+ROADMAP item 1: the benchmark keeps about 2 KB per ``design-sweep`` call,
+so a speed-up there past about 1.5x reads as a ``peak_rss_mb`` regression.
 """
 
 from __future__ import annotations
@@ -107,18 +120,27 @@ class SweepSpec:
         return 1e-4, 10.0 * n
 
     @cached_property
-    def _factors(self) -> tuple[dict, dict]:
-        """Ranked arm runs per m and window column per n, each built on first use."""
-        return {}, {}
+    def _factors(self) -> tuple[dict, dict, dict]:
+        """Ranked arm runs per m, window column per n and scan per n, each built on first use."""
+        return {}, {}, {}
 
     def _row_runs(self, m: int, n: int) -> RowRuns:
         """Row runs of the (m, n) transmission matrix, without building the matrix."""
-        arms, columns = self._factors
+        arms, columns, _ = self._factors
         if m not in arms:
             arms[m] = _arm_runs(self.params, m)
         if n not in columns:
             columns[n] = _window_column(self.params, n)
         return _factored_runs(arms[m], columns[n])
+
+    def _scan(self, n: int) -> tuple[np.ndarray, tuple[float, ...]]:
+        """``_scan_grid`` of an n-window point's bounds, its batch read-only."""
+        scans = self._factors[2]
+        if n not in scans:
+            batch, xs = _scan_grid(*self.bounds_for(n))
+            batch.setflags(write=False)
+            scans[n] = batch, xs
+        return scans[n]
 
 
 @dataclass(frozen=True)
@@ -144,6 +166,21 @@ class OptimizationResult:
 
         (m, n), (lam, p1) = max(self.surface.items(), key=rank)
         return m, n, lam, p1
+
+
+def _scan_grid(lo: float, hi: float) -> tuple[np.ndarray, tuple[float, ...]]:
+    """The scan's batch (the sign checks at both bounds, then the inner points) and its grid.
+
+    The grid is ``lo``, the inner points and ``hi``, in increasing order.  It
+    depends on the bounds only, so a sweep builds it once per n.
+    """
+    step = (hi - lo) * 1e-6
+    grid_lo = lo if lo > 0.0 else hi * 1e-12
+    inner = [
+        grid_lo * (hi / grid_lo) ** (i / (COARSE_POINTS - 1)) for i in range(1, COARSE_POINTS - 1)
+    ]
+    # The scan's end points are lo and hi themselves, which the sign checks evaluate.
+    return np.array([lo, lo + step, hi, hi - step, *inner]), (lo, *inner, hi)
 
 
 def maximize_unimodal(
@@ -173,20 +210,19 @@ def maximize_unimodal(
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got ({lo}, {hi})")
-    step = (hi - lo) * 1e-6
-    grid_lo = lo if lo > 0.0 else hi * 1e-12
-    inner = [
-        grid_lo * (hi / grid_lo) ** (i / (COARSE_POINTS - 1)) for i in range(1, COARSE_POINTS - 1)
-    ]
-    # The scan's end points are lo and hi themselves, which the sign checks evaluate.
-    f_lo, f_lo_step, f_hi, f_hi_step, *f_inner = f(
-        np.array([lo, lo + step, hi, hi - step, *inner])
-    ).tolist()
+    return _maximize(f, *_scan_grid(lo, hi))
+
+
+def _maximize(
+    f: Callable[[np.ndarray], np.ndarray], batch: np.ndarray, xs: tuple[float, ...]
+) -> tuple[float, float]:
+    """``maximize_unimodal`` on the batch and grid of ``_scan_grid``."""
+    lo, hi = xs[0], xs[-1]
+    f_lo, f_lo_step, f_hi, f_hi_step, *f_inner = f(batch).tolist()
     if not f_lo_step > f_lo:
         raise BracketError(f"objective not increasing at lower bound {lo}")
     if not f_hi_step > f_hi:
         raise BracketError(f"objective not decreasing at upper bound {hi}")
-    xs = [lo, *inner, hi]
     ys = [f_lo, *f_inner, f_hi]
     n_local_max = sum(
         1
@@ -196,7 +232,7 @@ def maximize_unimodal(
     if n_local_max > 1:
         warnings.warn(
             f"coarse scan found {n_local_max} local maxima; refining around the best grid point",
-            stacklevel=2,
+            stacklevel=3,
         )
     best = max(range(COARSE_POINTS), key=ys.__getitem__)
     a = xs[best - 1] if best > 0 else lo
@@ -279,8 +315,7 @@ def optimize_lambda(point: tuple[int, int], spec: SweepSpec) -> tuple[float, flo
     Returns:
         ``(lambda_opt, p1)`` with ``lambda_opt`` resolved to absolute 1e-5.
     """
-    lo, hi = spec.bounds_for(point[1])
-    return maximize_unimodal(_objective(spec, point), lo, hi)
+    return _maximize(_objective(spec, point), *spec._scan(point[1]))
 
 
 def sweep(spec: SweepSpec) -> OptimizationResult:

@@ -97,9 +97,18 @@ class RowRuns:
 
 
 def _merge_equal_rows(rows: np.ndarray, starts: np.ndarray) -> RowRuns:
-    """Runs of the candidate rows ``rows[r]``, each from rank ``starts[r]``, merging equal neighbours."""
-    keep = np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1)))
-    runs = RowRuns(rows=rows[keep], starts=starts[keep])
+    """Runs of the candidate rows ``rows[r]``, each from rank ``starts[r]``, merging equal neighbours.
+
+    With no equal neighbours, the common case (a sweep point's arm values
+    are distinct, and only a zero window column or products that round
+    alike make equal rows), the runs are the candidates themselves, uncopied.
+    """
+    differs = (rows[1:] != rows[:-1]).any(axis=1)
+    if differs.all():
+        runs = RowRuns(rows=rows, starts=starts)
+    else:
+        keep = np.concatenate(([True], differs))
+        runs = RowRuns(rows=rows[keep], starts=starts[keep])
     for array in (runs.rows, runs.starts):
         array.setflags(write=False)
     return runs

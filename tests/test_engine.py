@@ -408,20 +408,28 @@ class TestClosedFormP1:
 
     @pytest.mark.parametrize("kind", list(SourceKind))
     @pytest.mark.parametrize("logic", [LL, FD])
-    def test_batch_equals_element_wise_calls(self, kind, logic):
+    @pytest.mark.parametrize("m, n", [(1, 1), (256, 512)])
+    def test_batch_equals_element_wise_calls(self, kind, logic, m, n):
         # At (256, 512) a chunk holds 7 means (9 row runs x 512 windows per
-        # mean), so 20 means span two chunk boundaries.
+        # mean), so 20 means span two chunk boundaries.  Batches of 20 and of
+        # one alternate here, and one input array, rewritten in place, serves
+        # as well as a fresh array for every batch of one.
         params = LossParameters(v_r=0.996, v_t=0.97, v_p=0.95, v_p0_s=0.99, v_d=0.9)
-        layout = MultiplexerLayout(256, 512, logic=logic)
+        layout = MultiplexerLayout(m, n, logic=logic)
         tm = build_matrix(params, layout)
-        assert tm.row_runs.rows.shape == (9, 512)
+        if (m, n) == (256, 512):
+            assert tm.row_runs.rows.shape == (9, 512)
         p1 = p1_evaluator(kind, params.v_d, tm, layout)
         mu = np.geomspace(1e-6, 10.0, 20)
         batch = p1(mu)
         assert batch.shape == (20,)
+        one = np.empty(1)
         for value, mean in zip(batch, mu):
+            one[0] = mean
+            assert value == p1(one)[0]
             assert value == p1(np.array([mean]))[0]
-            assert value == closed_p1(PairSourceModel(kind, mean * 512, 512), 0.9, tm, layout)
+            assert value == closed_p1(PairSourceModel(kind, mean * n, n), 0.9, tm, layout)
+        assert np.array_equal(p1(mu), batch)
 
     def test_stacked_chunks_equal_the_two_pass_formula_bit_for_bit(self):
         # Random geometries up to (256, 512), both sources and logics, and

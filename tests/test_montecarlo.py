@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -124,6 +125,32 @@ def test_heralded_pair_pmf_entries_sum_to_one(kind, mu):
     # pairs per window and to 1 + 3.9e-12 at 5000.
     pvals = _heralded_pair_pmf(PairSourceModel(kind, mu, 1), 0.9)
     assert abs(1.0 - math.fsum(pvals[:-1])) <= 1e-15
+
+
+def fifty_digit_heralded_pmf(mu, v_d, top):
+    """``P(j) (1 - (1 - v_d)^j)`` for ``j = 1 .. top``, normalised over them, from ``P(j) = P(j - 1) mu / j``."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        mean, miss = Decimal(mu), 1 - Decimal(v_d)
+        p, entries = (-mean).exp(), []
+        for j in range(1, top + 1):
+            p = p * mean / j
+            entries.append(p * (1 - miss**j))
+        total = sum(entries)
+        return [entry / total for entry in entries]
+
+
+@pytest.mark.parametrize("mu", [1.0, 30.0, 1000.0, 5000.0])
+def test_poissonian_heralded_pmf_entries_match_fifty_digits(mu):
+    # Every entry of at least 1e-9 to 1e-14 relative.  From j log mu - mu -
+    # lgamma(j + 1), which cancels terms near mu log mu, they were off by up
+    # to 5.5e-14 at 30 pairs per window, 1.6e-12 at 1000 and 1.3e-11 at 5000.
+    pvals = _heralded_pair_pmf(PairSourceModel(SourceKind.POISSONIAN, mu, 1), 0.9)
+    expected = fifty_digit_heralded_pmf(mu, 0.9, pvals.size - 2)
+    checked = [(float(entry), want) for entry, want in zip(pvals[1:-1], expected) if want >= Decimal("1e-9")]
+    assert len(checked) >= 10
+    for entry, want in checked:
+        assert abs(Decimal(entry) - want) <= Decimal("1e-14") * want
 
 
 def test_large_poissonian_mean_is_sampled():

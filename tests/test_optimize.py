@@ -10,6 +10,7 @@ from photonmux import (
     BracketError,
     LossParameters,
     MultiplexerLayout,
+    PriorityLogic,
     SourceKind,
     SweepSpec,
     build_matrix,
@@ -30,6 +31,8 @@ from photonmux.tables import (
 
 LOSSLESS = LossParameters(v_r=1, v_t=1, v_p=1, v_p0_s=1, v_d=1, v_b=1)
 ROW4 = LossParameters(v_r=0.996, v_t=0.97, v_p=0.95, v_p0_s=0.99, v_d=0.9)
+P, T = SourceKind.POISSONIAN, SourceKind.THERMAL
+LL, FD = PriorityLogic.LOWEST_LOSS, PriorityLogic.FIRST_DETECTION
 
 
 def spec_for(params, m_values, n_values, **kwargs):
@@ -143,6 +146,37 @@ class TestOptimizeLambda:
         for key, lams in calls.items():
             assert len(set(lams)) == len(lams), key
 
+    def test_brent_steps_equal_batch_entries(self, monkeypatch):
+        # Each Brent step sends one point; the objective's value there is the
+        # entry a batch of all the steps gives.
+        steps = []
+        objective = optimize._objective
+
+        def recorded(spec, point):
+            f = objective(spec, point)
+            lams, values = [], []
+            steps.append((f, lams, values))
+
+            def g(batch):
+                out = f(batch)
+                if batch.size == 1:
+                    lams.append(batch.item())
+                    values.append(out.item())
+                return out
+
+            return g
+
+        monkeypatch.setattr(optimize, "_objective", recorded)
+        for kind in SourceKind:
+            for logic in (LL, FD):
+                for point in ((1, 1), (256, 512)):
+                    spec = spec_for(ROW4, (point[0],), (point[1],), source_kind=kind, logic=logic)
+                    optimize_lambda(point, spec)
+        assert len(steps) == 8
+        for f, lams, values in steps:
+            assert len(lams) >= 5
+            assert f(np.array(lams)).tolist() == values
+
     def test_table2_row_averages_few_objective_calls(self, monkeypatch):
         # One batched call for the bracket checks and the scan, then the Brent
         # step's single-point calls, at each of the row's 92 grid points.
@@ -175,6 +209,34 @@ class TestOptimizeLambda:
         spec = spec_for(LOSSLESS, (1,), (1,), lambda_bounds=(3.0, 10.0))
         with pytest.raises(BracketError):
             optimize_lambda((1, 1), spec)
+
+
+# Exact optima of table-2 row 1's losses, recorded once: a change that moves
+# any bit of a lambda_opt or its p1 fails here.  A change that moves them on
+# purpose replaces these values and says so.
+PINNED_OPTIMA = [
+    ((1, 1), P, LL, (1.0000004252923946, 0.3310914970542682)),
+    ((1, 1), T, FD, (1.0000012037774906, 0.22499999999991846)),
+    ((1, 512), P, FD, (19.697357157037796, 0.8455086768375244)),
+    ((1, 512), T, LL, (9.510493318176682, 0.8371771281656313)),
+    ((512, 1), P, LL, (0.04107737574229215, 0.8425472876946436)),
+    ((512, 1), T, FD, (0.02486741204725226, 0.8324276524074306)),
+    ((2, 64), P, FD, (3.4762707565523776, 0.8483250936070834)),
+    ((2, 64), T, LL, (2.960466337437281, 0.8361352344915075)),
+    ((16, 64), P, LL, (1.9561201881639774, 0.8288324085758889)),
+    ((16, 64), T, FD, (1.4616682197854363, 0.807651406332241)),
+    ((256, 512), P, FD, (26.79716817656242, 0.7816311598657153)),
+    ((256, 512), T, LL, (11.266350032976442, 0.7641340180211462)),
+]
+
+
+@pytest.mark.parametrize(
+    "case", PINNED_OPTIMA, ids=[f"{c[1].value}-{c[0][0]}x{c[0][1]}-{c[2].value}" for c in PINNED_OPTIMA]
+)
+def test_optima_are_pinned(case):
+    point, kind, logic, expected = case
+    spec = spec_for(TABLE2_ROWS[0].losses(), (point[0],), (point[1],), source_kind=kind, logic=logic)
+    assert repr(optimize_lambda(point, spec)) == repr(expected)
 
 
 class TestSweep:

@@ -202,6 +202,15 @@ class TestBuildMatrix:
         assert runs.starts.tolist() == [0, 2, 3]
         assert tm.row_runs is runs
 
+    def test_row_runs_are_read_only_whether_or_not_rows_merge(self):
+        # With no equal neighbours the runs are the matrix rows themselves.
+        a, b = [0.9, 0.8], [0.7, 0.6]
+        for values, n_runs in (([a, b, a], 3), ([a, a, b], 2)):
+            runs = TransmissionMatrix(values=np.array(values), arm_order=(0, 1, 2)).row_runs
+            assert len(runs.starts) == n_runs
+            assert not runs.rows.flags.writeable
+            assert not runs.starts.flags.writeable
+
     def test_layout_validation(self):
         with pytest.raises(ValueError):
             MultiplexerLayout(0, 4)
