@@ -9,7 +9,7 @@ optimizes the single-photon probability over the pump strength and geometry.
 
 from .engine import output_distribution, single_photon_probability
 from .montecarlo import simulate
-from .optimize import BracketError, SweepSpec, maximize_unimodal, optimize_lambda, sweep
+from .optimize import BracketError, SweepSpec, optimize_lambda, sweep
 from .statistics import PairSourceModel, SourceKind, TruncationError, herald_convolve, pair_pmf
 from .transmission import (
     LossParameters,
@@ -35,7 +35,6 @@ __all__ = [
     "TruncationError",
     "build_matrix",
     "herald_convolve",
-    "maximize_unimodal",
     "optimize_lambda",
     "output_distribution",
     "pair_pmf",

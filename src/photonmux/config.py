@@ -92,9 +92,11 @@ def _int_grid(raw: dict, path: Path, text: str, key: str) -> tuple[int, ...]:
     values = _require(raw, path, text, key, list, "a non-empty list of integers")
     if not values or not all(_is_a(v, int) for v in values):
         raise _fail(path, text, key, f"\"{key}\" must be a non-empty list of integers")
-    for v in values:
+    for i, v in enumerate(values):
         if not _is_power_of_two(v):
             raise _fail(path, text, key, f"\"{key}\" entries must be powers of 2, got {v}")
+        if v in values[:i]:
+            raise _fail(path, text, key, f"duplicate \"{key}\" entry {v}")
     return tuple(values)
 
 

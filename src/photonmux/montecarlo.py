@@ -49,14 +49,13 @@ most one int64 per heralded trial, whatever the geometry.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Iterator
 
 import numpy as np
 
 from .engine import PhotonNumberDistribution
 from .statistics import PairSourceModel, SourceKind
-from .transmission import LossParameters, MultiplexerLayout, PriorityLogic, build_matrix
+from .transmission import LossParameters, MultiplexerLayout, PriorityLogic, _count, build_matrix
 
 BLOCK_SIZE = 1 << 20
 CLOSING_BOUND = 1e-20
@@ -214,15 +213,7 @@ def simulate(
         Empirical distribution: the fraction of trials that emitted each
         photon number, up to the largest one observed, with a zero tail bound.
     """
-    # operator.index takes True as 1, so booleans are refused first.
-    if isinstance(trials, bool):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    try:
-        trials = operator.index(trials)
-    except TypeError as exc:
-        raise ValueError(f"trials must be an integer, got {trials!r}") from exc
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _count("trials", trials)
     transmissions = build_matrix(params, layout).values
     h = _click_probability(model, params.v_d)
     if h == 0.0:

@@ -30,17 +30,15 @@ call per Brent step, about 9 (10.1 calls per point in all over the
 reference tables).  A single-mean call touches at most a few hundred cells
 at the design grids, so its cost is numpy dispatch, not arithmetic: about
 14 us at (2, 64) and 34 us at (256, 512) on a 2-core host, best of ten
-rounds, against 16 and 36 us before the evaluator took its means negated
-(``BENCH_18.json``).  Evaluating all of a sweep's grid points in lock-step
-would pay that dispatch once per step for all points, but it waits on
-ROADMAP item 1: the benchmark keeps about 2 KB per ``design-sweep`` call,
-so a speed-up there past about 1.5x reads as a ``peak_rss_mb`` regression.
+rounds.  Evaluating all of a sweep's grid points in lock-step would pay
+that dispatch once per step for all points, but it waits on ROADMAP item
+1: the benchmark keeps about 2 KB per ``design-sweep`` call, so a speed-up
+there past about 1.5x reads as a ``peak_rss_mb`` regression.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -59,6 +57,7 @@ from .transmission import (  # noqa: F401
     PriorityLogic,
     RowRuns,
     _arm_runs,
+    _count,
     _factored_runs,
     _is_power_of_two,
     _window_column,
@@ -93,19 +92,14 @@ class SweepSpec:
     def __post_init__(self):
         for name in ("m_values", "n_values"):
             raw = tuple(getattr(self, name))
-            # operator.index takes True as 1, so booleans are refused first.
-            if any(isinstance(x, bool) for x in raw):
-                raise ValueError(f"{name} must hold integers, got {raw}")
             try:
-                values = tuple(operator.index(x) for x in raw)
-            except TypeError as exc:
-                raise ValueError(f"{name} must hold integers, got {raw}") from exc
+                values = tuple(_count(name, x) for x in raw)
+            except ValueError as exc:
+                raise ValueError(f"{name} must hold integers >= 1, got {raw}") from exc
+            distinct = len(set(values)) == len(values)
+            if not (values and distinct and all(map(_is_power_of_two, values))):
+                raise ValueError(f"{name} must hold distinct powers of 2, at least one, got {raw}")
             object.__setattr__(self, name, values)
-        if not self.m_values or not self.n_values:
-            raise ValueError("m_values and n_values must be non-empty")
-        for x in self.m_values + self.n_values:
-            if not _is_power_of_two(x):
-                raise ValueError(f"grid values must be powers of 2, got {x}")
         if self.lambda_bounds is not None:
             lo, hi = self.lambda_bounds
             if not (0.0 <= lo < hi < math.inf):
@@ -183,23 +177,23 @@ def _scan_grid(lo: float, hi: float) -> tuple[np.ndarray, tuple[float, ...]]:
     return np.array([lo, lo + step, hi, hi - step, *inner]), (lo, *inner, hi)
 
 
-def maximize_unimodal(
-    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
+def _maximize(
+    f: Callable[[np.ndarray], np.ndarray], batch: np.ndarray, xs: tuple[float, ...]
 ) -> tuple[float, float]:
     """Locate a maximum of ``f`` on [lo, hi], near its best coarse point, to ``LAMBDA_TOL`` in x.
 
-    The name states the premise that ``f`` is unimodal; the single-photon
-    probability is not always (two local maxima in x at 908 of 5,520 random
-    grid points), and then the result can be the lower peak.  ``f`` maps a
-    1-D array of points to the array of their values.  A coarse logarithmic
-    grid of ``COARSE_POINTS`` brackets a peak between the neighbours of its
-    best point, and only there does a Brent step refine it, until the
+    ``batch`` and ``xs`` are ``_scan_grid(lo, hi)``, and ``f`` maps a 1-D
+    array of points to the array of their values.  The coarse logarithmic
+    grid ``xs`` of ``COARSE_POINTS`` brackets a peak between the neighbours
+    of its best point, and only there does a Brent step refine it, until the
     bracket is at most ``LAMBDA_TOL`` wide.  The bounds are validated by a
-    finite-difference sign check at both endpoints.  A coarse profile with
-    more than one local maximum triggers a warning; a second peak that the
-    grid's points do not resolve raises none, and no fixed grid rules one
-    out.  The sign checks and the grid take one call of ``f``; each Brent
-    step calls it on one point.
+    finite-difference sign check at both endpoints.  ``f`` need not be
+    unimodal, and the single-photon probability is not always (two local
+    maxima in x at 908 of 5,520 random grid points); then the result can be
+    the lower peak.  A coarse profile with more than one local maximum
+    triggers a warning; a second peak that the grid's points do not resolve
+    raises none, and no fixed grid rules one out.  The sign checks and the
+    grid take one call of ``f``; each Brent step calls it on one point.
 
     Returns:
         ``(x, f(x))`` as Python floats, ``x`` the best point evaluated.
@@ -208,15 +202,6 @@ def maximize_unimodal(
         BracketError: ``f`` does not increase away from ``lo`` or does not
             decrease toward ``hi``.
     """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got ({lo}, {hi})")
-    return _maximize(f, *_scan_grid(lo, hi))
-
-
-def _maximize(
-    f: Callable[[np.ndarray], np.ndarray], batch: np.ndarray, xs: tuple[float, ...]
-) -> tuple[float, float]:
-    """``maximize_unimodal`` on the batch and grid of ``_scan_grid``."""
     lo, hi = xs[0], xs[-1]
     f_lo, f_lo_step, f_hi, f_hi_step, *f_inner = f(batch).tolist()
     if not f_lo_step > f_lo:

@@ -18,6 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .transmission import _count
+
 # Hard cap on the adaptive truncation order.
 _J_CAP = 512
 
@@ -60,8 +62,7 @@ class PairSourceModel:
             raise ValueError(f"kind must be a SourceKind, got {self.kind!r}")
         if not (math.isfinite(self.mean_pairs) and self.mean_pairs >= 0.0):
             raise ValueError(f"mean_pairs must be finite and >= 0, got {self.mean_pairs}")
-        if self.n_windows < 1:
-            raise ValueError(f"n_windows must be >= 1, got {self.n_windows}")
+        object.__setattr__(self, "n_windows", _count("n_windows", self.n_windows))
 
     @property
     def mean_per_window(self) -> float:

@@ -12,6 +12,7 @@ binomial expansion of ``(v_r_s + v_t_s)^levels``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
@@ -28,6 +29,22 @@ class PriorityLogic(Enum):
 
 def _is_power_of_two(x: int) -> bool:
     return x >= 1 and (x & (x - 1)) == 0
+
+
+def _count(name: str, value) -> int:
+    """``value`` as a Python int >= 1; a float, even integral, a string or a bool is refused.
+
+    ``operator.index`` takes ``True`` as 1, so booleans are refused first.
+    """
+    if not isinstance(value, bool):
+        try:
+            count = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if count >= 1:
+                return count
+    raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -77,8 +94,8 @@ class MultiplexerLayout:
     logic: PriorityLogic = PriorityLogic.LOWEST_LOSS
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError(f"m and n must be >= 1, got m={self.m}, n={self.n}")
+        for name in ("m", "n"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         if not isinstance(self.logic, PriorityLogic):
             raise ValueError(f"logic must be a PriorityLogic, got {self.logic!r}")
 

@@ -163,6 +163,16 @@ class TestRunSweep:
         assert run_sweep(path) == EXIT_CONFIG
         assert "m_values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["m_values", "n_values"])
+    def test_repeated_grid_value_exits_2(self, tmp_path, capsys, key):
+        # A repeat would solve its grid points twice and write a curve row twice.
+        path = write_config(tmp_path, **{key: [1, 2, 1]})
+        assert run_sweep(path) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert f'duplicate "{key}" entry 1' in err and len(err.splitlines()) == 1
+        assert_line_anchored(path, err, key)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("literal", ["1e999", "NaN"])
     def test_non_finite_bounds_exit_2(self, tmp_path, capsys, literal):
         path = write_raw_lambda(tmp_path, literal, lambda_bounds=[0, "LAMBDA"])

@@ -4,7 +4,7 @@ and every exported name is documented, demonstrated or an exception class.
 The package imports no third-party module but numpy, as ``pyproject.toml`` declares,
 the Monte-Carlo sampler takes nothing from the engine or the heralding layer but types,
 every module-level private name is used somewhere in the package,
-and every attribute the benchmark's traced mode rebinds exists.
+and every attribute the benchmark's traced mode rebinds exists and is called through.
 """
 
 import ast
@@ -159,13 +159,32 @@ def test_import_and_heralding_load_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def bench_module(name: str):
+    """A module of ``bench/``, loaded from its file without editing anything there."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_rebinding_targets_exist():
     # The benchmark's traced mode (bench/run.py --trace 1) swaps each target
     # for a traced wrapper through a bare getattr, so a missing one breaks it.
-    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    targets = workloads.rebinding_targets()
+    targets = bench_module("workloads").rebinding_targets()
     assert targets
     for module, attribute, *_ in targets:
         assert hasattr(module, attribute), f"{module.__name__}.{attribute} does not exist"
+
+
+def test_bench_traces_the_optimizer_seams():
+    # Rebinding swaps module globals, so a sweep that stopped calling
+    # optimize_lambda through its module global would silently trace nothing.
+    from photonmux.tables import TABLE1_ROWS, reproduce_table1_row
+
+    spans, workloads = bench_module("spans"), bench_module("workloads")
+    tracer = spans.Tracer()
+    with spans.Rebinding(tracer, workloads.rebinding_targets()):
+        reproduce_table1_row(TABLE1_ROWS[0])
+    calls = {name: agg["calls"] for name, agg in tracer.summary().items()}
+    assert calls.get("optimize.sweep") == 2
+    assert calls.get("optimize.optimize_lambda") == 20

@@ -14,7 +14,6 @@ from photonmux import (
     SourceKind,
     SweepSpec,
     build_matrix,
-    maximize_unimodal,
     optimize_lambda,
     sweep,
 )
@@ -39,9 +38,14 @@ def spec_for(params, m_values, n_values, **kwargs):
     return SweepSpec(m_values=m_values, n_values=n_values, params=params, **kwargs)
 
 
+def maximize(f, lo, hi):
+    """The pump-strength search of ``f`` on the scan grid of [lo, hi]."""
+    return optimize._maximize(f, *optimize._scan_grid(lo, hi))
+
+
 class TestMaximizeUnimodal:
     def test_quadratic_peak(self):
-        x, fx = maximize_unimodal(lambda x: 1.0 - (x - 2.0) ** 2, 0.5, 10.0)
+        x, fx = maximize(lambda x: 1.0 - (x - 2.0) ** 2, 0.5, 10.0)
         assert x == pytest.approx(2.0, abs=1e-5)
         assert fx == pytest.approx(1.0, abs=1e-9)
 
@@ -50,17 +54,17 @@ class TestMaximizeUnimodal:
         def f(x):
             return np.where(x < math.pi, 3.0 * (x - math.pi), math.pi - x)
 
-        x, fx = maximize_unimodal(f, 0.5, 10.0)
+        x, fx = maximize(f, 0.5, 10.0)
         assert abs(x - math.pi) <= 1e-5
         assert fx == f(np.array([x]))[0]
 
     def test_monotone_increasing_fails_bracket(self):
         with pytest.raises(BracketError):
-            maximize_unimodal(lambda x: x, 0.0, 5.0)
+            maximize(lambda x: x, 0.0, 5.0)
 
     def test_monotone_decreasing_fails_bracket(self):
         with pytest.raises(BracketError):
-            maximize_unimodal(lambda x: -x, 0.1, 5.0)
+            maximize(lambda x: -x, 0.1, 5.0)
 
     def test_bimodal_profile_warns_and_refines_best_peak(self):
         # Peaks at 0.1 (height 1.0) and 8 (height 0.8) with a dip between.
@@ -68,12 +72,12 @@ class TestMaximizeUnimodal:
             return np.exp(-((np.log(x / 0.1)) ** 2)) + 0.8 * np.exp(-((x - 8.0) ** 2))
 
         with pytest.warns(UserWarning, match="local maxima"):
-            x, fx = maximize_unimodal(f, 0.01, 20.0)
+            x, fx = maximize(f, 0.01, 20.0)
         assert x == pytest.approx(0.1, abs=1e-3)
         assert fx == pytest.approx(1.0, abs=1e-6)
 
     def test_returns_python_floats(self):
-        x, fx = maximize_unimodal(lambda x: 1.0 - (x - 2.0) ** 2, 0.5, 10.0)
+        x, fx = maximize(lambda x: 1.0 - (x - 2.0) ** 2, 0.5, 10.0)
         assert type(x) is float and type(fx) is float
 
 
@@ -289,6 +293,12 @@ class TestSweep:
         spec = spec_for(ROW4, (np.int64(2),), (np.int64(4),))
         assert spec.m_values == (2,) and spec.n_values == (4,)
         assert all(type(x) is int for x in spec.m_values + spec.n_values)
+
+    def test_repeated_grid_values_rejected(self):
+        # A repeat would solve its grid points twice.
+        for m_values, n_values in (((2, 4, 2), (1,)), ((1,), (4, 8, 4)), ((2, np.int64(2)), (1,))):
+            with pytest.raises(ValueError, match="distinct"):
+                spec_for(ROW4, m_values, n_values)
 
     def test_boolean_grid_values_rejected(self):
         # operator.index(True) == 1, a power of two, so a boolean would sweep m = 1.

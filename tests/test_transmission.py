@@ -8,8 +8,12 @@ import pytest
 from photonmux import (
     LossParameters,
     MultiplexerLayout,
+    PairSourceModel,
+    SourceKind,
+    SweepSpec,
     TransmissionMatrix,
     build_matrix,
+    simulate,
     spatial_arm_transmissions,
     time_window_transmission,
 )
@@ -225,3 +229,36 @@ class TestBuildMatrix:
             LossParameters(v_r=1.1, v_t=0.9, v_p=0.9, v_p0_s=0.9, v_d=0.9)
         p = LossParameters(v_r=0.99, v_t=0.9, v_p=0.9, v_p0_s=0.9, v_d=0.9)
         assert p.v_r_s == 0.99 and p.v_t_s == 0.9
+
+
+# Every size the package takes is a count, an integer >= 1, checked by one rule.
+COUNT_SITES = {
+    "MultiplexerLayout.m": lambda v: MultiplexerLayout(v, 4),
+    "MultiplexerLayout.n": lambda v: MultiplexerLayout(4, v),
+    "PairSourceModel.n_windows": lambda v: PairSourceModel(SourceKind.POISSONIAN, 1.0, v),
+    "SweepSpec.m_values": lambda v: SweepSpec(m_values=(v,), n_values=(4,), params=params()),
+    "SweepSpec.n_values": lambda v: SweepSpec(m_values=(4,), n_values=(v,), params=params()),
+    "simulate.trials": lambda v: simulate(
+        PairSourceModel(SourceKind.POISSONIAN, 1.0, 1), params(), MultiplexerLayout(1, 1), v, seed=1
+    ),
+}
+
+
+@pytest.mark.parametrize("site", COUNT_SITES)
+@pytest.mark.parametrize("value", [2.0, True, 2.5, "2", 0], ids=repr)
+def test_count_refuses_non_counts(site, value):
+    # A float is refused even when integral, and True would otherwise mean 1.
+    with pytest.raises(ValueError):
+        COUNT_SITES[site](value)
+
+
+@pytest.mark.parametrize("site", COUNT_SITES)
+def test_count_takes_numpy_integers(site):
+    COUNT_SITES[site](np.int64(4))
+
+
+def test_records_store_counts_as_python_ints():
+    layout = MultiplexerLayout(np.int64(4), np.int64(8))
+    model = PairSourceModel(SourceKind.THERMAL, 1.0, np.int64(8))
+    assert (layout.m, layout.n, model.n_windows) == (4, 8, 8)
+    assert all(type(x) is int for x in (layout.m, layout.n, model.n_windows))
