@@ -201,7 +201,10 @@ def parse_config(path: str | Path) -> RunConfig:
                 if not ok:
                     rule = "m and n powers of 2, lambda finite and >= 0"
                     raise _fail(path, text, "points", f"invalid validation point {triple!r}: want {rule}")
-                parsed.append((triple[0], triple[1], float(triple[2])))
+                point = (triple[0], triple[1], float(triple[2]))
+                if point in parsed:
+                    raise _fail(path, text, "points", f"duplicate validation point {list(point)}")
+                parsed.append(point)
             points = tuple(parsed)
 
     return RunConfig(

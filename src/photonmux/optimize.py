@@ -8,13 +8,13 @@ sets it has two local maxima at 908 of 5,520 grid points of the table grids
 (none at the points of the reference tables and the dominance grid).  Each
 grid point is solved by a coarse logarithmic scan followed by a bracketed
 Brent step (parabolic interpolation, safeguarded by golden-section steps)
-around the best scan point only, so the result is a local maximum, the
-global one only when the best scan point lies on its peak; the sweep then
-ranks all grid points.  The objective is the engine's closed-form
-single-photon probability, which has no input truncation.  It maps an array
-of pump strengths to an array of probabilities, so the bracket checks at
-both bounds and the whole scan take one call; each Brent step is a batch of
-one.
+at each peak the scan resolves, and the result is the best of them: the
+global maximum unless a higher peak lies between two scan points, where
+the scan does not see it; the sweep then ranks all grid points.  The
+objective is the engine's closed-form single-photon probability, which has
+no input truncation.  It maps an array of pump strengths to an array of
+probabilities, so the bracket checks at both bounds and the whole scan
+take one call; each Brent step is a batch of one.
 
 The transmission matrix of a grid point is the outer product of the ranked
 arm transmissions and the window column, and the router tree gives only
@@ -30,10 +30,7 @@ call per Brent step, about 9 (10.1 calls per point in all over the
 reference tables).  A single-mean call touches at most a few hundred cells
 at the design grids, so its cost is numpy dispatch, not arithmetic: about
 14 us at (2, 64) and 34 us at (256, 512) on a 2-core host, best of ten
-rounds.  Evaluating all of a sweep's grid points in lock-step would pay
-that dispatch once per step for all points, but it waits on ROADMAP item
-1: the benchmark keeps about 2 KB per ``design-sweep`` call, so a speed-up
-there past about 1.5x reads as a ``peak_rss_mb`` regression.
+rounds.  A second peak that the scan resolves costs a second Brent step.
 """
 
 from __future__ import annotations
@@ -107,12 +104,6 @@ class SweepSpec:
                     f"lambda bounds must be finite and satisfy 0 <= lo < hi, got ({lo}, {hi})"
                 )
 
-    def bounds_for(self, n: int) -> tuple[float, float]:
-        """Pump-strength bounds for an n-window point; default (1e-4, 10 n)."""
-        if self.lambda_bounds is not None:
-            return self.lambda_bounds
-        return 1e-4, 10.0 * n
-
     @cached_property
     def _factors(self) -> tuple[dict, dict, dict]:
         """Ranked arm runs per m, window column per n and scan per n, each built on first use."""
@@ -127,13 +118,11 @@ class SweepSpec:
             columns[n] = _window_column(self.params, n)
         return _factored_runs(arms[m], columns[n])
 
-    def _scan(self, n: int) -> tuple[np.ndarray, tuple[float, ...]]:
-        """``_scan_grid`` of an n-window point's bounds, its batch read-only."""
+    def _scan(self, n: int) -> np.ndarray:
+        """``_scan_grid`` of an n-window point's pump-strength bounds; default (1e-4, 10 n)."""
         scans = self._factors[2]
         if n not in scans:
-            batch, xs = _scan_grid(*self.bounds_for(n))
-            batch.setflags(write=False)
-            scans[n] = batch, xs
+            scans[n] = _scan_grid(*(self.lambda_bounds or (1e-4, 10.0 * n)))
         return scans[n]
 
 
@@ -162,38 +151,39 @@ class OptimizationResult:
         return m, n, lam, p1
 
 
-def _scan_grid(lo: float, hi: float) -> tuple[np.ndarray, tuple[float, ...]]:
-    """The scan's batch (the sign checks at both bounds, then the inner points) and its grid.
+def _scan_grid(lo: float, hi: float) -> np.ndarray:
+    """The scan's pump strengths, read-only: the grid in increasing order, then the sign checks.
 
-    The grid is ``lo``, the inner points and ``hi``, in increasing order.  It
-    depends on the bounds only, so a sweep builds it once per n.
+    The grid is ``lo``, ``COARSE_POINTS - 2`` logarithmically spaced inner
+    points and ``hi``; the sign checks are ``lo + step`` and ``hi - step``.
+    The array depends on the bounds only, so a sweep builds it once per n.
     """
     step = (hi - lo) * 1e-6
     grid_lo = lo if lo > 0.0 else hi * 1e-12
     inner = [
         grid_lo * (hi / grid_lo) ** (i / (COARSE_POINTS - 1)) for i in range(1, COARSE_POINTS - 1)
     ]
-    # The scan's end points are lo and hi themselves, which the sign checks evaluate.
-    return np.array([lo, lo + step, hi, hi - step, *inner]), (lo, *inner, hi)
+    scan = np.array([lo, *inner, hi, lo + step, hi - step])
+    scan.setflags(write=False)
+    return scan
 
 
-def _maximize(
-    f: Callable[[np.ndarray], np.ndarray], batch: np.ndarray, xs: tuple[float, ...]
-) -> tuple[float, float]:
-    """Locate a maximum of ``f`` on [lo, hi], near its best coarse point, to ``LAMBDA_TOL`` in x.
+def _maximize(f: Callable[[np.ndarray], np.ndarray], scan: np.ndarray) -> tuple[float, float]:
+    """Locate the best peak of ``f`` that the scan resolves, to ``LAMBDA_TOL`` in x.
 
-    ``batch`` and ``xs`` are ``_scan_grid(lo, hi)``, and ``f`` maps a 1-D
-    array of points to the array of their values.  The coarse logarithmic
-    grid ``xs`` of ``COARSE_POINTS`` brackets a peak between the neighbours
-    of its best point, and only there does a Brent step refine it, until the
-    bracket is at most ``LAMBDA_TOL`` wide.  The bounds are validated by a
-    finite-difference sign check at both endpoints.  ``f`` need not be
+    ``scan`` is ``_scan_grid(lo, hi)``, and ``f`` maps a 1-D array of points
+    to the array of their values.  The bounds are validated by a
+    finite-difference sign check at both endpoints.  Each strict local
+    maximum of the coarse logarithmic grid of ``COARSE_POINTS`` brackets a
+    peak between its two neighbours, and a Brent step refines each one, the
+    best grid point first, until the bracket is at most ``LAMBDA_TOL`` wide;
+    the best refined value wins, the first on a tie.  ``f`` need not be
     unimodal, and the single-photon probability is not always (two local
-    maxima in x at 908 of 5,520 random grid points); then the result can be
-    the lower peak.  A coarse profile with more than one local maximum
-    triggers a warning; a second peak that the grid's points do not resolve
-    raises none, and no fixed grid rules one out.  The sign checks and the
-    grid take one call of ``f``; each Brent step calls it on one point.
+    maxima in x at 908 of 5,520 random grid points).  A coarse profile with
+    more than one local maximum triggers a warning; a second peak that the
+    grid's points do not resolve raises none and is not refined, and no
+    fixed grid rules one out.  The sign checks and the grid take one call of
+    ``f``; each Brent step calls it on one point.
 
     Returns:
         ``(x, f(x))`` as Python floats, ``x`` the best point evaluated.
@@ -202,28 +192,24 @@ def _maximize(
         BracketError: ``f`` does not increase away from ``lo`` or does not
             decrease toward ``hi``.
     """
-    lo, hi = xs[0], xs[-1]
-    f_lo, f_lo_step, f_hi, f_hi_step, *f_inner = f(batch).tolist()
-    if not f_lo_step > f_lo:
-        raise BracketError(f"objective not increasing at lower bound {lo}")
-    if not f_hi_step > f_hi:
-        raise BracketError(f"objective not decreasing at upper bound {hi}")
-    ys = [f_lo, *f_inner, f_hi]
-    n_local_max = sum(
-        1
-        for i in range(COARSE_POINTS)
-        if (i == 0 or ys[i] > ys[i - 1]) and (i == COARSE_POINTS - 1 or ys[i] > ys[i + 1])
-    )
-    if n_local_max > 1:
-        warnings.warn(
-            f"coarse scan found {n_local_max} local maxima; refining around the best grid point",
-            stacklevel=3,
-        )
+    *ys, f_lo_step, f_hi_step = f(scan).tolist()
+    xs = scan.tolist()[:COARSE_POINTS]
+    if not f_lo_step > ys[0]:
+        raise BracketError(f"objective not increasing at lower bound {xs[0]}")
+    if not f_hi_step > ys[-1]:
+        raise BracketError(f"objective not decreasing at upper bound {xs[-1]}")
+    # Padded so that a bracket stops at the bound and a bound's outer neighbour is lower.
+    x_pad, y_pad = [xs[0], *xs, xs[-1]], [-math.inf, *ys, -math.inf]
     best = max(range(COARSE_POINTS), key=ys.__getitem__)
-    a = xs[best - 1] if best > 0 else lo
-    b = xs[best + 1] if best < COARSE_POINTS - 1 else hi
-    x, fx = _brent(lambda u: float(f(np.array([u]))[0]), a, b, xs[best], ys[best])
-    return float(x), float(fx)
+    others = [i for i in range(COARSE_POINTS) if i != best and y_pad[i] < ys[i] > y_pad[i + 2]]
+    peaks = [best, *others]
+    if len(peaks) > 1:
+        warnings.warn(f"coarse scan found {len(peaks)} local maxima; refining each", stacklevel=3)
+    refined = [
+        _brent(lambda u: float(f(np.array([u]))[0]), x_pad[i], x_pad[i + 2], xs[i], ys[i])
+        for i in peaks
+    ]
+    return max(refined, key=lambda peak: peak[1])
 
 
 def _brent(
@@ -300,7 +286,7 @@ def optimize_lambda(point: tuple[int, int], spec: SweepSpec) -> tuple[float, flo
     Returns:
         ``(lambda_opt, p1)`` with ``lambda_opt`` resolved to absolute 1e-5.
     """
-    return _maximize(_objective(spec, point), *spec._scan(point[1]))
+    return _maximize(_objective(spec, point), spec._scan(point[1]))
 
 
 def sweep(spec: SweepSpec) -> OptimizationResult:

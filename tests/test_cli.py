@@ -105,6 +105,16 @@ class TestParseConfig:
             with pytest.raises(ConfigError):
                 parse_config(write_config(tmp_path, **overrides))
 
+    def test_repeated_validation_point_rejected(self, tmp_path):
+        # 1 and 1.0 are one pump strength; a point that differs in any entry is kept.
+        points = [[1, 1, 1.0], [2, 1, 1.0], [1, 1, 2.0], [1, 1, 1]]
+        path = write_config(tmp_path, validation={"points": points})
+        with pytest.raises(ConfigError, match=r"duplicate validation point \[1, 1, 1\.0\]") as err:
+            parse_config(path)
+        assert_line_anchored(path, str(err.value), "points")
+        config = parse_config(write_config(tmp_path, validation={"points": points[:3]}))
+        assert config.validation_points == ((1, 1, 1.0), (2, 1, 1.0), (1, 1, 2.0))
+
     @pytest.mark.parametrize(
         "literal", ["1e999", "-1e999", "NaN", "1" + "0" * 400], ids=["inf", "-inf", "nan", "1e400"]
     )
@@ -259,6 +269,22 @@ class TestRunValidate:
         assert "cannot validate point [1, 1, 1000.0]" in err
         assert_line_anchored(path, err, "points")
         assert len(err.splitlines()) == 1
+
+    def test_repeated_point_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch):
+        # A repeat would sample the point twice and write each of its rows twice.
+        path = write_config(
+            tmp_path, validation={"trials": 100_000, "points": [[1, 1, 1.0], [1, 1, 1]]}
+        )
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a configuration that repeats a point")
+
+        monkeypatch.setattr("photonmux.cli.simulate", no_sampling)
+        assert run_validate(path) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert "duplicate validation point [1, 1, 1.0]" in err and len(err.splitlines()) == 1
+        assert_line_anchored(path, err, "points")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("point", [[3, 2, 1.0], [2, 6, 1.0], [0, 1, 1.0]])
     def test_non_power_of_two_point_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch, point):

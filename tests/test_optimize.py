@@ -10,11 +10,15 @@ from photonmux import (
     BracketError,
     LossParameters,
     MultiplexerLayout,
+    PairSourceModel,
     PriorityLogic,
     SourceKind,
     SweepSpec,
     build_matrix,
+    herald_convolve,
     optimize_lambda,
+    output_distribution,
+    single_photon_probability,
     sweep,
 )
 from photonmux import optimize
@@ -34,13 +38,56 @@ P, T = SourceKind.POISSONIAN, SourceKind.THERMAL
 LL, FD = PriorityLogic.LOWEST_LOSS, PriorityLogic.FIRST_DETECTION
 
 
+# Grid points where P(1) has two peaks in the pump strength and the best
+# point of the 32-point scan lies on the lower one: (source, (m, n), losses,
+# (lambda, p1) of the higher peak).  The scan resolves both peaks.
+BIMODAL_CASES = [
+    (
+        T,
+        (4, 256),
+        LossParameters(
+            v_r=0.9959353696644891,
+            v_t=0.9133605071186001,
+            v_p=0.6866641096646888,
+            v_p0_s=0.9975388294090044,
+            v_d=0.5566779464607883,
+        ),
+        (4.4657, 0.546201),  # the best scan point leads to 0.545700 at 33.217
+    ),
+    (
+        P,
+        (256, 32),
+        LossParameters(
+            v_r=0.951006130895628,
+            v_t=0.9556883810698336,
+            v_p=0.7453185521742411,
+            v_p0_s=0.9798998568775329,
+            v_d=0.8647893120638623,
+        ),
+        (59.91, 0.403288),  # the best scan point leads to 0.402110 at 0.137
+    ),
+    (
+        T,
+        (2, 256),
+        LossParameters(
+            v_r=0.9530213754224339,
+            v_t=0.9214651458203167,
+            v_p=0.7088268262707471,
+            v_p0_s=0.9800785115619809,
+            v_d=0.9905153086955223,
+        ),
+        (2.589, 0.444557),  # the best scan point leads to 0.443498 at 99.08
+    ),
+]
+
+
 def spec_for(params, m_values, n_values, **kwargs):
     return SweepSpec(m_values=m_values, n_values=n_values, params=params, **kwargs)
 
 
 def maximize(f, lo, hi):
     """The pump-strength search of ``f`` on the scan grid of [lo, hi]."""
-    return optimize._maximize(f, *optimize._scan_grid(lo, hi))
+    return optimize._maximize(f, optimize._scan_grid(lo, hi))
 
 
 class TestMaximizeUnimodal:
@@ -75,6 +122,24 @@ class TestMaximizeUnimodal:
             x, fx = maximize(f, 0.01, 20.0)
         assert x == pytest.approx(0.1, abs=1e-3)
         assert fx == pytest.approx(1.0, abs=1e-6)
+
+    def test_higher_peak_off_the_best_scan_point_wins(self):
+        # A broad peak at 0.1 (height 1.0) holds the best scan point.  A narrow
+        # peak of height 1.2 lies between two scan points, 40% of the way in
+        # log x, and the scan sees it as a lower local maximum.
+        xs = optimize._scan_grid(0.01, 20.0)[: optimize.COARSE_POINTS]
+        k = int(np.searchsorted(xs, 8.0))
+        peak = xs[k - 1] ** 0.6 * xs[k] ** 0.4
+
+        def f(x):
+            broad = np.exp(-((np.log(x / 0.1)) ** 2))
+            return broad + 1.2 * np.exp(-((np.log(x / peak) / 0.15) ** 2))
+
+        assert int(np.argmax(f(xs))) != k - 1
+        with pytest.warns(UserWarning, match="local maxima"):
+            x, fx = maximize(f, 0.01, 20.0)
+        assert x == pytest.approx(peak, abs=1e-5)
+        assert fx == pytest.approx(1.2, abs=1e-6)
 
     def test_returns_python_floats(self):
         x, fx = maximize(lambda x: 1.0 - (x - 2.0) ** 2, 0.5, 10.0)
@@ -146,7 +211,10 @@ class TestOptimizeLambda:
         monkeypatch.setattr(optimize, "_objective", recorded)
         sweep(spec_for(TABLE2_ROWS[0].losses(), (1, 2, 4), (1, 16, 64)))
         optimize_lambda((1, 1), spec_for(LOSSLESS, (1,), (1,), lambda_bounds=(0.0, 5.0)))
-        assert len(calls) == 10
+        kind, point, params, _ = BIMODAL_CASES[0]  # two peaks, each refined
+        with pytest.warns(UserWarning, match="local maxima"):
+            optimize_lambda(point, spec_for(params, (point[0],), (point[1],), source_kind=kind))
+        assert len(calls) == 11
         for key, lams in calls.items():
             assert len(set(lams)) == len(lams), key
 
@@ -241,6 +309,27 @@ def test_optima_are_pinned(case):
     point, kind, logic, expected = case
     spec = spec_for(TABLE2_ROWS[0].losses(), (point[0],), (point[1],), source_kind=kind, logic=logic)
     assert repr(optimize_lambda(point, spec)) == repr(expected)
+
+
+@pytest.mark.parametrize(
+    "case", BIMODAL_CASES, ids=[f"{c[0].value}-{c[1][0]}x{c[1][1]}" for c in BIMODAL_CASES]
+)
+def test_higher_of_two_scan_peaks_is_found(case):
+    kind, (m, n), params, (lam_expected, p1_expected) = case
+    spec = spec_for(params, (m,), (n,), source_kind=kind)
+    with pytest.warns(UserWarning, match="local maxima"):
+        lam, p1 = optimize_lambda((m, n), spec)
+    assert lam == pytest.approx(lam_expected, rel=1e-3)
+    assert p1 == pytest.approx(p1_expected, abs=1e-6)
+    # The series engine gives the same P(1) at the returned pump strength.
+    layout = MultiplexerLayout(m, n)
+    tm = build_matrix(params, layout)
+    heralded = herald_convolve(PairSourceModel(kind, lam, n), params.v_d)
+    bound = output_distribution(heralded, tm, layout).tail_bound
+    assert abs(single_photon_probability(heralded, tm, layout) - p1) <= bound
+    # No point of a dense scan over the default bounds lies higher.
+    dense = optimize._objective(spec, (m, n))(np.geomspace(1e-4, 10.0 * n, 4000))
+    assert dense.max() <= p1 + 1e-9
 
 
 class TestSweep:
