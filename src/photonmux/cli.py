@@ -143,6 +143,8 @@ def compare_to_oracle(
     Raises:
         TruncationError: the heralded input cannot be truncated within
             tolerance; raised before any sampling.
+        ValueError: the source's window count is not the layout's; raised
+            before any sampling.
     """
     if analytic_tm is None:
         analytic_tm = build_matrix(params, layout)

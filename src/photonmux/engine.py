@@ -43,7 +43,8 @@ So the ``j``-series of a cell sums in closed form.  For one output photon,
 with ``T(1; x) = x e^-x`` (Poissonian) or ``x / (1 + x)^2`` (thermal), the
 probability that the thinned source delivers exactly one photon.
 ``p1_evaluator`` evaluates P(1) this way, with no input truncation, for a
-whole array of per-window means at once; the optimizer uses it as its
+whole array of per-window means at once.  It takes only the row runs, which
+state the geometry, and the priority logic.  The optimizer uses it as its
 objective, on row runs that a sweep builds from the per-arm and per-window
 factors without the full matrix.  The batch is evaluated in chunks of at
 most ``2^15`` cells (row runs x windows x means, or one mean if that has
@@ -76,7 +77,7 @@ from typing import Callable
 import numpy as np
 
 from .statistics import HeraldedInputDistribution, SourceKind
-from .transmission import MultiplexerLayout, PriorityLogic, RowRuns, TransmissionMatrix
+from .transmission import MultiplexerLayout, PriorityLogic, RowRuns, TransmissionMatrix, _count
 
 DEFAULT_I_MAX = 10
 
@@ -118,12 +119,12 @@ class PhotonNumberDistribution:
         return self.probs.size - 1
 
 
-def _weight_exponents(layout: MultiplexerLayout) -> np.ndarray:
+def _weight_exponents(m: int, n: int, logic: PriorityLogic) -> np.ndarray:
     """Exponents of ``p0`` in the rank factors ``a[k]``, then in the window factors ``b[n]``."""
-    ranks, windows = np.arange(layout.m, dtype=float), np.arange(layout.n, dtype=float)
-    if layout.logic is PriorityLogic.FIRST_DETECTION:
-        return np.concatenate((ranks, layout.m * windows))
-    return np.concatenate((layout.n * ranks, windows))
+    ranks, windows = np.arange(m, dtype=float), np.arange(n, dtype=float)
+    if logic is PriorityLogic.FIRST_DETECTION:
+        return np.concatenate((ranks, m * windows))
+    return np.concatenate((n * ranks, windows))
 
 
 def _priority_weights(
@@ -153,13 +154,6 @@ def _horner(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_dimensions(tm: TransmissionMatrix, layout: MultiplexerLayout) -> None:
-    if tm.shape != (layout.m, layout.n):
-        raise ValueError(
-            f"transmission matrix of shape {tm.shape} does not match layout ({layout.m}, {layout.n})"
-        )
-
-
 def output_distribution(
     heralded: HeraldedInputDistribution,
     tm: TransmissionMatrix,
@@ -180,16 +174,17 @@ def output_distribution(
     ``i_max`` and the propagated input truncation at ``j_max``, which holds
     the mass of any bin above ``j_max``.
     """
-    _check_dimensions(tm, layout)
-    if i_max < 1:
-        raise ValueError(f"i_max must be >= 1, got {i_max}")
+    m, n = layout.m, layout.n
+    if tm.shape != (m, n):
+        raise ValueError(f"transmission matrix of shape {tm.shape} does not match layout ({m}, {n})")
+    i_max = _count("i_max", i_max)
     p0 = heralded.p0
     runs = tm.row_runs
     # At p0 = 0, log p0 = -inf would make the weight at exponent 0 NaN; any
     # log below -745 keeps that weight 1 and underflows every other to 0.
     log_p0 = math.log(p0) if p0 > 0.0 else -1e3
     run_weights, window_weights = _priority_weights(
-        log_p0, _weight_exponents(layout), runs.starts, layout.m
+        log_p0, _weight_exponents(m, n, layout.logic), runs.starts, m
     )
     v = runs.rows
     x = 1.0 - v
@@ -206,7 +201,7 @@ def output_distribution(
     # Bins above j_max stay 0: their mass is part of the input tail bound.
     probs = np.zeros(i_max + 1)
     probs[: len(terms)] = _contract(np.stack(terms), run_weights, window_weights)
-    p0_all = p0 ** (layout.m * layout.n)
+    p0_all = p0 ** (m * n)
     probs[0] += p0_all
     # Mass accounting: everything the truncated sums can reach, minus what
     # landed in probs, is output-truncation mass; the input truncation adds
@@ -245,27 +240,21 @@ def _one_photon(kind: SourceKind, y: np.ndarray, out: np.ndarray) -> np.ndarray:
 def p1_evaluator(
     kind: SourceKind,
     v_d: float,
-    tm: TransmissionMatrix | RowRuns,
-    layout: MultiplexerLayout,
+    runs: RowRuns,
+    logic: PriorityLogic,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """P(exactly one output photon) as a function of the per-window mean pair number.
 
     The returned function maps a 1-D array of per-window means ``mu`` to the
     array of P(1), each by the thinning identity, with the heralding
     detector efficiency ``v_d``.  Each entry is the value a batch of one
-    gives for that mean, whatever else the array holds.  ``tm`` is the
-    transmission matrix or its row runs.  The function reuses its own work
-    arrays, so it serves one thread at a time.
+    gives for that mean, whatever else the array holds.  The row runs state
+    the geometry: ``runs.ranks`` arms by ``runs.rows.shape[1]`` windows.
+    The function reuses its own work arrays, so it serves one thread at a
+    time.
     """
-    if isinstance(tm, TransmissionMatrix):
-        _check_dimensions(tm, layout)
-        runs = tm.row_runs
-    else:
-        runs = tm
-        if runs.rows.shape[1] != layout.n or runs.starts[-1] >= layout.m:
-            raise ValueError(f"row runs {runs.rows.shape} do not fit layout {layout.m}x{layout.n}")
-    rows = runs.rows
-    exponents = _weight_exponents(layout)
+    rows, m = runs.rows, runs.ranks
+    exponents = _weight_exponents(m, rows.shape[1], logic)
     thermal = kind is SourceKind.THERMAL
     # One product of these columns with the means gives -mu, -mu (1 - v_d)
     # and mu v_d (thermal) or log p0 = -mu v_d (Poissonian), each bit for bit
@@ -294,7 +283,7 @@ def p1_evaluator(
         f1, missed = terms[:size], terms[size:]
         missed *= p0[:, None, None]
         np.subtract(missed, f1, out=f1)  # -p0 T(mu' v) + T(mu v) = F_1
-        return _contract(f1, *_priority_weights(log_p0[:, None], exponents, runs.starts, layout.m))
+        return _contract(f1, *_priority_weights(log_p0[:, None], exponents, runs.starts, m))
 
     def p1(mu: np.ndarray) -> np.ndarray:
         mu = np.asarray(mu, dtype=float)

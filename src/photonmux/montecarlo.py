@@ -203,7 +203,8 @@ def simulate(
     """Empirical output photon-number distribution over ``trials`` periods.
 
     Args:
-        model: pair-generation statistics of each source.
+        model: pair-generation statistics of each source, over the
+            layout's ``n`` windows.
         params: optical and detector efficiencies.
         layout: geometry and priority logic.
         trials: number of simulated periods, an integer >= 1.
@@ -212,8 +213,14 @@ def simulate(
     Returns:
         Empirical distribution: the fraction of trials that emitted each
         photon number, up to the largest one observed, with a zero tail bound.
+
+    Raises:
+        ValueError: the source's window count is not the layout's; raised
+            before anything is built or sampled.
     """
     trials = _count("trials", trials)
+    if model.n_windows != layout.n:
+        raise ValueError(f"source spans {model.n_windows} windows, but the layout has {layout.n}")
     transmissions = build_matrix(params, layout).values
     h = _click_probability(model, params.v_d)
     if h == 0.0:

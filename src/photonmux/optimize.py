@@ -4,8 +4,9 @@ For fixed losses and geometry (m, n), the single-photon probability rises
 from 0 with the mean pair number and falls again at a strong pump: too weak
 a pump rarely heralds, too strong a pump floods the output with
 multi-photon events.  In between it need not be unimodal: on 60 random loss
-sets it has two local maxima at 908 of 5,520 grid points of the table grids
-(none at the points of the reference tables and the dominance grid).  Each
+sets, for both sources, the scan sees two local maxima at 1,729 of 10,920
+grid points of the table grids (none at the points of the reference tables
+and the dominance grid), and each such point warns.  Each
 grid point is solved by a coarse logarithmic scan followed by a bracketed
 Brent step (parabolic interpolation, safeguarded by golden-section steps)
 at each peak the scan resolves, and the result is the best of them: the
@@ -50,7 +51,6 @@ from .engine import p1_evaluator, single_photon_probability  # noqa: F401
 from .statistics import SourceKind, herald_convolve  # noqa: F401
 from .transmission import (  # noqa: F401
     LossParameters,
-    MultiplexerLayout,
     PriorityLogic,
     RowRuns,
     _arm_runs,
@@ -168,25 +168,24 @@ def _scan_grid(lo: float, hi: float) -> np.ndarray:
     return scan
 
 
-def _maximize(f: Callable[[np.ndarray], np.ndarray], scan: np.ndarray) -> tuple[float, float]:
-    """Locate the best peak of ``f`` that the scan resolves, to ``LAMBDA_TOL`` in x.
+def _maximize(f: Callable[[np.ndarray], np.ndarray], scan: np.ndarray) -> list[tuple[float, float]]:
+    """Locate every peak of ``f`` that the scan resolves, each to ``LAMBDA_TOL`` in x.
 
     ``scan`` is ``_scan_grid(lo, hi)``, and ``f`` maps a 1-D array of points
     to the array of their values.  The bounds are validated by a
     finite-difference sign check at both endpoints.  Each strict local
     maximum of the coarse logarithmic grid of ``COARSE_POINTS`` brackets a
     peak between its two neighbours, and a Brent step refines each one, the
-    best grid point first, until the bracket is at most ``LAMBDA_TOL`` wide;
-    the best refined value wins, the first on a tie.  ``f`` need not be
-    unimodal, and the single-photon probability is not always (two local
-    maxima in x at 908 of 5,520 random grid points).  A coarse profile with
-    more than one local maximum triggers a warning; a second peak that the
-    grid's points do not resolve raises none and is not refined, and no
+    best grid point first, until the bracket is at most ``LAMBDA_TOL`` wide.
+    ``f`` need not be unimodal, and the single-photon probability is not
+    always (two local maxima in x at 1,729 of 10,920 random grid points).  A
+    second peak that the grid's points do not resolve is not refined, and no
     fixed grid rules one out.  The sign checks and the grid take one call of
     ``f``; each Brent step calls it on one point.
 
     Returns:
-        ``(x, f(x))`` as Python floats, ``x`` the best point evaluated.
+        One ``(x, f(x))`` per refined peak, as Python floats, ``x`` the best
+        point evaluated in its bracket; the best grid point's peak first.
 
     Raises:
         BracketError: ``f`` does not increase away from ``lo`` or does not
@@ -202,14 +201,10 @@ def _maximize(f: Callable[[np.ndarray], np.ndarray], scan: np.ndarray) -> tuple[
     x_pad, y_pad = [xs[0], *xs, xs[-1]], [-math.inf, *ys, -math.inf]
     best = max(range(COARSE_POINTS), key=ys.__getitem__)
     others = [i for i in range(COARSE_POINTS) if i != best and y_pad[i] < ys[i] > y_pad[i + 2]]
-    peaks = [best, *others]
-    if len(peaks) > 1:
-        warnings.warn(f"coarse scan found {len(peaks)} local maxima; refining each", stacklevel=3)
-    refined = [
+    return [
         _brent(lambda u: float(f(np.array([u]))[0]), x_pad[i], x_pad[i + 2], xs[i], ys[i])
-        for i in peaks
+        for i in (best, *others)
     ]
-    return max(refined, key=lambda peak: peak[1])
 
 
 def _brent(
@@ -271,8 +266,7 @@ def _brent(
 def _objective(spec: SweepSpec, point: tuple[int, int]) -> Callable[[np.ndarray], np.ndarray]:
     """P(1) at one grid point as a function of an array of pump strengths."""
     m, n = point
-    layout = MultiplexerLayout(m=m, n=n, logic=spec.logic)
-    p1 = p1_evaluator(spec.source_kind, spec.params.v_d, spec._row_runs(m, n), layout)
+    p1 = p1_evaluator(spec.source_kind, spec.params.v_d, spec._row_runs(m, n), spec.logic)
 
     def p1_of_lambda(lams: np.ndarray) -> np.ndarray:
         return p1(np.asarray(lams, dtype=float) / n)
@@ -283,10 +277,23 @@ def _objective(spec: SweepSpec, point: tuple[int, int]) -> Callable[[np.ndarray]
 def optimize_lambda(point: tuple[int, int], spec: SweepSpec) -> tuple[float, float]:
     """Pump strength maximizing the single-photon probability at one (m, n) point.
 
+    The best of the peaks that ``_maximize`` refines wins, the first on a
+    tie.  A scan that sees more than one peak raises a warning that names
+    the grid point, the logic and each refined peak's pump strength and
+    P(1), so Python's default filter shows it once per grid point.
+
     Returns:
         ``(lambda_opt, p1)`` with ``lambda_opt`` resolved to absolute 1e-5.
     """
-    return _maximize(_objective(spec, point), spec._scan(point[1]))
+    peaks = _maximize(_objective(spec, point), spec._scan(point[1]))
+    if len(peaks) > 1:
+        refined = ", ".join(f"({lam:.6g}, {p1:.6g})" for lam, p1 in peaks)
+        warnings.warn(
+            f"coarse scan found {len(peaks)} local maxima at (m, n) = ({point[0]}, {point[1]}), "
+            f"{spec.logic.value}; refined to (lambda, p1) = {refined}",
+            stacklevel=2,
+        )
+    return max(peaks, key=lambda peak: peak[1])
 
 
 def sweep(spec: SweepSpec) -> OptimizationResult:

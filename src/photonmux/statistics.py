@@ -165,9 +165,7 @@ def _truncation(model: PairSourceModel, j_max: int | None) -> tuple[int, float]:
     Raises:
         TruncationError: the given or capped order leaves a tail above ``TAIL_TOL``.
     """
-    if j_max is not None and j_max < 1:
-        raise ValueError(f"j_max must be >= 1, got {j_max}")
-    js = np.arange(1, _J_CAP + 1) if j_max is None else np.array([j_max])
+    js = np.arange(1, _J_CAP + 1) if j_max is None else np.array([_count("j_max", j_max)])
     tails = _emission_tails(model, js)
     below = np.nonzero(tails < TAIL_TOL)[0]
     if below.size == 0:

@@ -105,27 +105,30 @@ class RowRuns:
     """A transmission matrix with each run of consecutive identical rows kept once.
 
     ``rows[r]`` is the row shared by the ranks from ``starts[r]`` up to the
-    next run's start.  Equal rows that are not adjacent stay separate runs,
-    so the runs depend on the row values alone.
+    next run's start, the last run's up to ``ranks``, the matrix's row count.
+    Equal rows that are not adjacent stay separate runs, so the runs depend
+    on the row values alone.
     """
 
     rows: np.ndarray
     starts: np.ndarray
+    ranks: int
 
 
-def _merge_equal_rows(rows: np.ndarray, starts: np.ndarray) -> RowRuns:
+def _merge_equal_rows(rows: np.ndarray, starts: np.ndarray, ranks: int) -> RowRuns:
     """Runs of the candidate rows ``rows[r]``, each from rank ``starts[r]``, merging equal neighbours.
 
-    With no equal neighbours, the common case (a sweep point's arm values
-    are distinct, and only a zero window column or products that round
-    alike make equal rows), the runs are the candidates themselves, uncopied.
+    The runs span ``ranks`` ranks.  With no equal neighbours, the common case
+    (a sweep point's arm values are distinct, and only a zero window column
+    or products that round alike make equal rows), the runs are the
+    candidates themselves, uncopied.
     """
     differs = (rows[1:] != rows[:-1]).any(axis=1)
     if differs.all():
-        runs = RowRuns(rows=rows, starts=starts)
+        runs = RowRuns(rows=rows, starts=starts, ranks=ranks)
     else:
         keep = np.concatenate(([True], differs))
-        runs = RowRuns(rows=rows[keep], starts=starts[keep])
+        runs = RowRuns(rows=rows[keep], starts=starts[keep], ranks=ranks)
     for array in (runs.rows, runs.starts):
         array.setflags(write=False)
     return runs
@@ -160,7 +163,7 @@ class TransmissionMatrix:
     @cached_property
     def row_runs(self) -> RowRuns:
         """Runs of consecutive identical rows, computed once per matrix."""
-        return _merge_equal_rows(self.values, np.arange(self.values.shape[0]))
+        return _merge_equal_rows(self.values, np.arange(self.values.shape[0]), self.values.shape[0])
 
 
 def time_window_transmission(params: LossParameters, n: int, big_n: int) -> float:
@@ -230,7 +233,7 @@ def _window_column(params: LossParameters, n: int) -> np.ndarray:
 def _arm_runs(params: LossParameters, m: int) -> RowRuns:
     """Each distinct ranked arm transmission once, as a one-column row, from the rank its run starts at."""
     arm_values, _ = _ranked_arms(params, m)
-    return _merge_equal_rows(arm_values[:, None], np.arange(m))
+    return _merge_equal_rows(arm_values[:, None], np.arange(m), m)
 
 
 def _factored_runs(arm_runs: RowRuns, window_column: np.ndarray) -> RowRuns:
@@ -240,7 +243,7 @@ def _factored_runs(arm_runs: RowRuns, window_column: np.ndarray) -> RowRuns:
     values can still give equal rows (a zero window column, or products that
     round alike), and those merge too, so the runs equal the matrix's own.
     """
-    return _merge_equal_rows(arm_runs.rows * window_column, arm_runs.starts)
+    return _merge_equal_rows(arm_runs.rows * window_column, arm_runs.starts, arm_runs.ranks)
 
 
 def build_matrix(params: LossParameters, layout: MultiplexerLayout) -> TransmissionMatrix:

@@ -212,7 +212,7 @@ class TestRunSweep:
             model = PairSourceModel(SourceKind.THERMAL, float(lam), int(n))
             tm = build_matrix(config.losses, layout)
             assert 1e-4 < float(lam) < 1000
-            closed = p1_evaluator(model.kind, config.losses.v_d, tm, layout)
+            closed = p1_evaluator(model.kind, config.losses.v_d, tm.row_runs, layout.logic)
             assert float(p1) == pytest.approx(closed(np.array([model.mean_per_window]))[0], abs=1e-10)
 
 
@@ -285,6 +285,18 @@ class TestRunValidate:
         assert "duplicate validation point [1, 1, 1.0]" in err and len(err.splitlines()) == 1
         assert_line_anchored(path, err, "points")
         assert not (tmp_path / "out").exists()
+
+    def test_oracle_refuses_a_source_over_other_windows_before_sampling(self, monkeypatch):
+        # Both sides would use the source's per-window mean over 8 windows at
+        # a 4-window layout, and agree on the wrong device.
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a source whose windows are not the layout's")
+
+        monkeypatch.setattr("photonmux.montecarlo._simulate_block", no_sampling)
+        model = PairSourceModel(SourceKind.POISSONIAN, 1.0, 8)
+        params = TABLE1_ROWS[0].losses()
+        with pytest.raises(ValueError, match="8 windows, but the layout has 4"):
+            compare_to_oracle(model, params, MultiplexerLayout(2, 4), trials=100_000, seed=1)
 
     @pytest.mark.parametrize("point", [[3, 2, 1.0], [2, 6, 1.0], [0, 1, 1.0]])
     def test_non_power_of_two_point_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch, point):

@@ -297,7 +297,7 @@ def draw_closed_form_case(rng, m_exp_max, n_exp_max, lam_lo, lam_hi_per_window):
 
 def closed_p1(model, v_d, tm, layout):
     """``p1_evaluator``'s P(1), a batch of one, at the source model's per-window mean."""
-    return p1_evaluator(model.kind, v_d, tm, layout)(np.array([model.mean_per_window]))[0]
+    return p1_evaluator(model.kind, v_d, tm.row_runs, layout.logic)(np.array([model.mean_per_window]))[0]
 
 
 def two_pass_one_photon(kind, x):
@@ -394,17 +394,22 @@ class TestClosedFormP1:
         assert poisson == pytest.approx(1.7 * math.exp(-1.7), rel=1e-15)
         assert thermal == pytest.approx(1.7 / 2.7**2, rel=1e-15)
 
-    def test_dimension_mismatch_rejected(self):
-        tm = build_matrix(LOSSLESS, MultiplexerLayout(2, 2))
-        with pytest.raises(ValueError):
-            p1_evaluator(SourceKind.POISSONIAN, 0.9, tm, MultiplexerLayout(2, 4))
-        with pytest.raises(ValueError):
-            p1_evaluator(SourceKind.POISSONIAN, 0.9, tm.row_runs, MultiplexerLayout(2, 4))
+    def test_row_runs_state_the_geometry(self):
+        # The runs of a 2-arm and a 4-arm matrix share their first two rows;
+        # only their rank count tells the evaluator how far the last run
+        # reaches, and each gives its own device's P(1).
         params = LossParameters(v_r=0.996, v_t=0.97, v_p=0.95, v_p0_s=0.99, v_d=0.9)
-        runs = build_matrix(params, MultiplexerLayout(4, 2)).row_runs
-        assert runs.starts.tolist() == [0, 1, 3]
-        with pytest.raises(ValueError):
-            p1_evaluator(SourceKind.POISSONIAN, 0.9, runs, MultiplexerLayout(2, 2))
+        model = PairSourceModel(SourceKind.POISSONIAN, 2.0, 2)
+        values = {}
+        for m, starts in ((2, [0, 1]), (4, [0, 1, 3])):
+            layout = MultiplexerLayout(m, 2)
+            tm = build_matrix(params, layout)
+            runs = tm.row_runs
+            assert (runs.ranks, runs.rows.shape[1], runs.starts.tolist()) == (m, 2, starts)
+            values[m] = closed_p1(model, params.v_d, tm, layout)
+            series, bound, _ = series_p1(model, params.v_d, tm, layout)
+            assert abs(values[m] - series) <= bound + 1e-15
+        assert values[2] != values[4]
 
     @pytest.mark.parametrize("kind", list(SourceKind))
     @pytest.mark.parametrize("logic", [LL, FD])
@@ -419,7 +424,7 @@ class TestClosedFormP1:
         tm = build_matrix(params, layout)
         if (m, n) == (256, 512):
             assert tm.row_runs.rows.shape == (9, 512)
-        p1 = p1_evaluator(kind, params.v_d, tm, layout)
+        p1 = p1_evaluator(kind, params.v_d, tm.row_runs, layout.logic)
         mu = np.geomspace(1e-6, 10.0, 20)
         batch = p1(mu)
         assert batch.shape == (20,)
@@ -442,7 +447,7 @@ class TestClosedFormP1:
             tm = build_matrix(params, layout)
             mu = np.exp(rng.uniform(np.log(1e-6), np.log(10.0), int(rng.integers(1, 38))))
             expected = two_pass_p1(model.kind, params.v_d, tm, layout, mu)
-            actual = p1_evaluator(model.kind, params.v_d, tm, layout)(mu)
+            actual = p1_evaluator(model.kind, params.v_d, tm.row_runs, layout.logic)(mu)
             assert np.array_equal(actual, expected), (case, model, layout)
             crossed += mu.size * tm.row_runs.rows.size > 1 << 15
         assert crossed >= 100, crossed

@@ -236,6 +236,19 @@ def test_a_trial_in_the_closing_category_raises(monkeypatch):
         simulate(model, ROW1, MultiplexerLayout(2, 2), trials=1000, seed=14)
 
 
+def test_source_windows_must_match_the_layout(monkeypatch):
+    # A source over 8 windows feeding a 4-window layout would be sampled at
+    # the wrong per-window mean.  Nothing is built or sampled before the refusal.
+    def fail(*args, **kwargs):
+        raise AssertionError("built or sampled a mismatched source")
+
+    monkeypatch.setattr(montecarlo, "build_matrix", fail)
+    monkeypatch.setattr(montecarlo, "_simulate_block", fail)
+    model = PairSourceModel(SourceKind.POISSONIAN, 1.0, 8)
+    with pytest.raises(ValueError, match="8 windows, but the layout has 4"):
+        simulate(model, ROW1, MultiplexerLayout(2, 4), trials=1000, seed=1)
+
+
 def test_lossless_passthrough_matches_poisson():
     model = PairSourceModel(SourceKind.POISSONIAN, 1.0, 1)
     dist = simulate(model, LOSSLESS, MultiplexerLayout(1, 1), trials=1_000_000, seed=11)

@@ -13,6 +13,8 @@ from photonmux import (
     SweepSpec,
     TransmissionMatrix,
     build_matrix,
+    herald_convolve,
+    output_distribution,
     simulate,
     spatial_arm_transmissions,
     time_window_transmission,
@@ -240,6 +242,17 @@ COUNT_SITES = {
     "SweepSpec.n_values": lambda v: SweepSpec(m_values=(4,), n_values=(v,), params=params()),
     "simulate.trials": lambda v: simulate(
         PairSourceModel(SourceKind.POISSONIAN, 1.0, 1), params(), MultiplexerLayout(1, 1), v, seed=1
+    ),
+    "output_distribution.i_max": lambda v: output_distribution(
+        herald_convolve(PairSourceModel(SourceKind.POISSONIAN, 1.0, 1), 0.9),
+        build_matrix(params(), MultiplexerLayout(1, 1)),
+        MultiplexerLayout(1, 1),
+        i_max=v,
+    ),
+    # At 1e-7 pairs per window, orders 1 and 4 both leave a tail below
+    # tolerance, so True and np.int64(4) meet the count rule, not the tail.
+    "herald_convolve.j_max": lambda v: herald_convolve(
+        PairSourceModel(SourceKind.POISSONIAN, 1e-7, 1), 0.9, j_max=v
     ),
 }
 
