@@ -143,16 +143,16 @@ def compare_to_oracle(
     Raises:
         TruncationError: the heralded input cannot be truncated within
             tolerance; raised before any sampling.
-        ValueError: the source's window count is not the layout's; raised
-            before any sampling.
+        ValueError: the source's window count or the shape of
+            ``analytic_tm`` is not the layout's; raised before any sampling.
     """
     if analytic_tm is None:
         analytic_tm = build_matrix(params, layout)
     heralded = herald_convolve(model, params.v_d)
     if heralded.j_max < DEFAULT_I_MAX:
         heralded = herald_convolve(model, params.v_d, j_max=DEFAULT_I_MAX)
-    sampled = simulate(model, params, layout, trials=trials, seed=seed).probs
     probs = output_distribution(heralded, analytic_tm, layout, i_max=DEFAULT_I_MAX).probs
+    sampled = simulate(model, params, layout, trials=trials, seed=seed).probs
     closing = DEFAULT_I_MAX + 1
     analytic = [*probs.tolist(), max(1.0 - math.fsum(probs), 0.0)]
     empirical = sampled[:closing].tolist()

@@ -119,8 +119,9 @@ class PhotonNumberDistribution:
         return self.probs.size - 1
 
 
-def _weight_exponents(m: int, n: int, logic: PriorityLogic) -> np.ndarray:
+def _weight_exponents(runs: RowRuns, logic: PriorityLogic) -> np.ndarray:
     """Exponents of ``p0`` in the rank factors ``a[k]``, then in the window factors ``b[n]``."""
+    m, n = runs.ranks, runs.rows.shape[1]
     ranks, windows = np.arange(m, dtype=float), np.arange(n, dtype=float)
     if logic is PriorityLogic.FIRST_DETECTION:
         return np.concatenate((ranks, m * windows))
@@ -128,16 +129,16 @@ def _weight_exponents(m: int, n: int, logic: PriorityLogic) -> np.ndarray:
 
 
 def _priority_weights(
-    log_p0: float | np.ndarray, exponents: np.ndarray, starts: np.ndarray, m: int
+    log_p0: float | np.ndarray, exponents: np.ndarray, runs: RowRuns
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weight ``exp(e log p0)`` of each row run (summed over its ranks) and of each window.
 
-    ``exponents`` holds the ``m`` rank exponents followed by the window
+    ``exponents`` holds the ``runs.ranks`` rank exponents followed by the window
     exponents, so one ``exp`` gives both.  ``log_p0`` is a scalar or has
     shape ``(..., 1)``; the weights gain a trailing axis of row runs or windows.
     """
     weights = np.exp(log_p0 * exponents)
-    return np.add.reduceat(weights[..., :m], starts, axis=-1), weights[..., m:]
+    return np.add.reduceat(weights[..., : runs.ranks], runs.starts, axis=-1), weights[..., runs.ranks :]
 
 
 def _contract(cells: np.ndarray, run_weights: np.ndarray, window_weights: np.ndarray) -> np.ndarray:
@@ -183,9 +184,7 @@ def output_distribution(
     # At p0 = 0, log p0 = -inf would make the weight at exponent 0 NaN; any
     # log below -745 keeps that weight 1 and underflows every other to 0.
     log_p0 = math.log(p0) if p0 > 0.0 else -1e3
-    run_weights, window_weights = _priority_weights(
-        log_p0, _weight_exponents(m, n, layout.logic), runs.starts, m
-    )
+    run_weights, window_weights = _priority_weights(log_p0, _weight_exponents(runs, layout.logic), runs)
     v = runs.rows
     x = 1.0 - v
     j_max = heralded.j_max
@@ -253,8 +252,8 @@ def p1_evaluator(
     The function reuses its own work arrays, so it serves one thread at a
     time.
     """
-    rows, m = runs.rows, runs.ranks
-    exponents = _weight_exponents(m, rows.shape[1], logic)
+    rows = runs.rows
+    exponents = _weight_exponents(runs, logic)
     thermal = kind is SourceKind.THERMAL
     # One product of these columns with the means gives -mu, -mu (1 - v_d)
     # and mu v_d (thermal) or log p0 = -mu v_d (Poissonian), each bit for bit
@@ -283,7 +282,7 @@ def p1_evaluator(
         f1, missed = terms[:size], terms[size:]
         missed *= p0[:, None, None]
         np.subtract(missed, f1, out=f1)  # -p0 T(mu' v) + T(mu v) = F_1
-        return _contract(f1, *_priority_weights(log_p0[:, None], exponents, runs.starts, m))
+        return _contract(f1, *_priority_weights(log_p0[:, None], exponents, runs))
 
     def p1(mu: np.ndarray) -> np.ndarray:
         mu = np.asarray(mu, dtype=float)

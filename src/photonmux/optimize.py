@@ -21,7 +21,8 @@ The transmission matrix of a grid point is the outer product of the ranked
 arm transmissions and the window column, and the router tree gives only
 ``log2 m + 1`` distinct arm values.  A ``SweepSpec`` therefore keeps the
 distinct arm values with their run starts per m and the window column per
-n, and each grid point's evaluator gets its (row runs x n) rows from them;
+n, and each grid point's evaluator gets its ``RowRuns`` from them, the arm
+rows times the window column (``RowRuns`` merges rows that come out equal);
 no m x n matrix is built.  The scan's pump strengths depend on the bounds
 only, so a sweep builds them once per n too.
 
@@ -55,7 +56,6 @@ from .transmission import (  # noqa: F401
     RowRuns,
     _arm_runs,
     _count,
-    _factored_runs,
     _is_power_of_two,
     _window_column,
     build_matrix,
@@ -110,13 +110,18 @@ class SweepSpec:
         return {}, {}, {}
 
     def _row_runs(self, m: int, n: int) -> RowRuns:
-        """Row runs of the (m, n) transmission matrix, without building the matrix."""
+        """``build_matrix(...).row_runs`` at (m, n), from the arm runs and the window column.
+
+        Distinct arm values can still give equal rows (a zero window column, or
+        products that round alike); ``RowRuns`` merges those as the matrix's own.
+        """
         arms, columns, _ = self._factors
         if m not in arms:
             arms[m] = _arm_runs(self.params, m)
         if n not in columns:
             columns[n] = _window_column(self.params, n)
-        return _factored_runs(arms[m], columns[n])
+        arm_runs = arms[m]
+        return RowRuns(rows=arm_runs.rows * columns[n], starts=arm_runs.starts, ranks=arm_runs.ranks)
 
     def _scan(self, n: int) -> np.ndarray:
         """``_scan_grid`` of an n-window point's pump-strength bounds; default (1e-4, 10 n)."""

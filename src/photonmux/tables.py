@@ -14,7 +14,7 @@ agreement at the reference precision: probabilities within 5e-4 and optimal
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .optimize import SweepSpec, sweep
 from .transmission import LossParameters
@@ -32,8 +32,17 @@ COMBINED_M_GRID = tuple(2**i for i in range(1, 9))
 COMBINED_N_GRID = tuple(2**i for i in range(1, 10))
 
 
+class _ReferenceRow:
+    """A reference row whose ``v_*`` fields are efficiencies of its loss set."""
+
+    def losses(self) -> LossParameters:
+        """The row's loss set, at the reference detector efficiency and basic transmission."""
+        given = {f.name: getattr(self, f.name) for f in fields(self) if f.name.startswith("v_")}
+        return LossParameters(v_d=REFERENCE_V_D, v_b=REFERENCE_V_B, **given)
+
+
 @dataclass(frozen=True)
-class Table1Row:
+class Table1Row(_ReferenceRow):
     """Loss set and reference standalone optima (time and spatial)."""
 
     no: int
@@ -46,19 +55,9 @@ class Table1Row:
     p_spatial_ref: float
     m_spatial_ref: int
 
-    def losses(self) -> LossParameters:
-        return LossParameters(
-            v_r=self.v_r,
-            v_t=self.v_t,
-            v_p=self.v_p,
-            v_p0_s=self.v_p0_s,
-            v_d=REFERENCE_V_D,
-            v_b=REFERENCE_V_B,
-        )
-
 
 @dataclass(frozen=True)
-class Table2Row:
+class Table2Row(_ReferenceRow):
     """Loss set with equal standalone maxima, plus the combined reference optimum."""
 
     no: int
@@ -74,18 +73,6 @@ class Table2Row:
     p_combined_ref: float
     m_combined_ref: int
     n_combined_ref: int
-
-    def losses(self) -> LossParameters:
-        return LossParameters(
-            v_r=self.v_r,
-            v_t=self.v_t,
-            v_p=self.v_p,
-            v_p0_s=self.v_p0_s,
-            v_d=REFERENCE_V_D,
-            v_b=REFERENCE_V_B,
-            v_r_s=self.v_r_s,
-            v_t_s=self.v_t_s,
-        )
 
 
 TABLE1_ROWS: tuple[Table1Row, ...] = (

@@ -106,32 +106,35 @@ class RowRuns:
 
     ``rows[r]`` is the row shared by the ranks from ``starts[r]`` up to the
     next run's start, the last run's up to ``ranks``, the matrix's row count.
-    Equal rows that are not adjacent stay separate runs, so the runs depend
-    on the row values alone.
+    Construction merges equal neighbouring rows, keeps the arrays uncopied
+    when none merge, and makes both read-only.  Equal rows that are not
+    adjacent stay separate runs, so the runs depend on the row values alone.
+    It raises ``ValueError`` unless ``rows`` is 2-D with one integer start
+    per row, the starts increasing strictly from 0 and the last below ``ranks``.
     """
 
     rows: np.ndarray
     starts: np.ndarray
     ranks: int
 
-
-def _merge_equal_rows(rows: np.ndarray, starts: np.ndarray, ranks: int) -> RowRuns:
-    """Runs of the candidate rows ``rows[r]``, each from rank ``starts[r]``, merging equal neighbours.
-
-    The runs span ``ranks`` ranks.  With no equal neighbours, the common case
-    (a sweep point's arm values are distinct, and only a zero window column
-    or products that round alike make equal rows), the runs are the
-    candidates themselves, uncopied.
-    """
-    differs = (rows[1:] != rows[:-1]).any(axis=1)
-    if differs.all():
-        runs = RowRuns(rows=rows, starts=starts, ranks=ranks)
-    else:
-        keep = np.concatenate(([True], differs))
-        runs = RowRuns(rows=rows[keep], starts=starts[keep], ranks=ranks)
-    for array in (runs.rows, runs.starts):
-        array.setflags(write=False)
-    return runs
+    def __post_init__(self):
+        ranks = _count("ranks", self.ranks)
+        rows, starts = np.asarray(self.rows, dtype=float), np.asarray(self.starts)
+        if rows.ndim != 2 or starts.shape != rows.shape[:1]:
+            raise ValueError(f"rows must be 2-D with one start each, got shapes {rows.shape}, {starts.shape}")
+        bounds = starts.tolist()
+        valid = starts.dtype.kind in "iu" and bounds[:1] == [0] and bounds[-1] < ranks
+        if not (valid and all(map(operator.lt, bounds, bounds[1:]))):
+            raise ValueError(f"starts {bounds} do not split {ranks} ranks into one run per row")
+        differs = (rows[1:] != rows[:-1]).any(axis=1)
+        if not differs.all():
+            keep = np.concatenate(([True], differs))
+            rows, starts = rows[keep], starts[keep]
+        for array in (rows, starts):
+            array.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "ranks", ranks)
 
 
 @dataclass(frozen=True)
@@ -163,7 +166,7 @@ class TransmissionMatrix:
     @cached_property
     def row_runs(self) -> RowRuns:
         """Runs of consecutive identical rows, computed once per matrix."""
-        return _merge_equal_rows(self.values, np.arange(self.values.shape[0]), self.values.shape[0])
+        return RowRuns(rows=self.values, starts=np.arange(len(self.values)), ranks=len(self.values))
 
 
 def time_window_transmission(params: LossParameters, n: int, big_n: int) -> float:
@@ -231,19 +234,9 @@ def _window_column(params: LossParameters, n: int) -> np.ndarray:
 
 
 def _arm_runs(params: LossParameters, m: int) -> RowRuns:
-    """Each distinct ranked arm transmission once, as a one-column row, from the rank its run starts at."""
+    """Runs of the ``m`` ranked arm transmissions as one-column rows: each distinct value once."""
     arm_values, _ = _ranked_arms(params, m)
-    return _merge_equal_rows(arm_values[:, None], np.arange(m), m)
-
-
-def _factored_runs(arm_runs: RowRuns, window_column: np.ndarray) -> RowRuns:
-    """``build_matrix(...).row_runs``, built from the factors without the full matrix.
-
-    Ranks of equal arm transmission share a row.  Adjacent distinct arm
-    values can still give equal rows (a zero window column, or products that
-    round alike), and those merge too, so the runs equal the matrix's own.
-    """
-    return _merge_equal_rows(arm_runs.rows * window_column, arm_runs.starts, arm_runs.ranks)
+    return RowRuns(rows=arm_values[:, None], starts=np.arange(m), ranks=m)
 
 
 def build_matrix(params: LossParameters, layout: MultiplexerLayout) -> TransmissionMatrix:

@@ -298,6 +298,17 @@ class TestRunValidate:
         with pytest.raises(ValueError, match="8 windows, but the layout has 4"):
             compare_to_oracle(model, params, MultiplexerLayout(2, 4), trials=100_000, seed=1)
 
+    def test_oracle_refuses_a_mismatched_analytic_matrix_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before checking the analytic matrix's shape")
+
+        monkeypatch.setattr("photonmux.cli.simulate", no_sampling)
+        model = PairSourceModel(SourceKind.POISSONIAN, 1.0, 1)
+        params = TABLE1_ROWS[0].losses()
+        wrong = build_matrix(params, MultiplexerLayout(2, 2))
+        with pytest.raises(ValueError, match=r"shape \(2, 2\) does not match layout \(1, 1\)"):
+            compare_to_oracle(model, params, MultiplexerLayout(1, 1), trials=100_000, seed=1, analytic_tm=wrong)
+
     @pytest.mark.parametrize("point", [[3, 2, 1.0], [2, 6, 1.0], [0, 1, 1.0]])
     def test_non_power_of_two_point_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch, point):
         # The transmission builders need power-of-two m and n, so such a

@@ -20,7 +20,7 @@ from photonmux import (
     time_window_transmission,
 )
 from photonmux.tables import TABLE1_ROWS, TABLE2_ROWS
-from photonmux.transmission import _arm_runs
+from photonmux.transmission import RowRuns, _arm_runs
 
 
 def params(**kwargs):
@@ -217,6 +217,32 @@ class TestBuildMatrix:
             assert not runs.rows.flags.writeable
             assert not runs.starts.flags.writeable
 
+    def test_runs_built_directly_merge_and_keep_unmerged_arrays(self):
+        a, b = [0.9, 0.8], [0.7, 0.6]
+        rows, starts = np.array([a, b, a]), np.array([0, 1, 3])
+        runs = RowRuns(rows=rows, starts=starts, ranks=4)
+        assert runs.rows is rows and runs.starts is starts
+        assert not (rows.flags.writeable or starts.flags.writeable)
+        merged = RowRuns(rows=np.array([a, a, b]), starts=np.array([0, 1, 3]), ranks=4)
+        assert merged.rows.tolist() == [a, b] and merged.starts.tolist() == [0, 3]
+        assert not (merged.rows.flags.writeable or merged.starts.flags.writeable)
+
+    # Starts over 4 ranks for three distinct rows.  Unchecked, the P(1) kernel
+    # takes the first three and gives P(1) of no device at 1 Poissonian pair
+    # per window (0.9996, 0.091 and 0.632, against 0.554 for the valid
+    # [0, 1, 3]); [0, 1, 9] fails inside reduceat, the rest at evaluation.
+    @pytest.mark.parametrize(
+        "starts", [[0, 0, 3], [1, 2, 3], [0, 2, 1], [0, 1, 9], [0, 1, 2, 3], [], [0.0, 1.0, 2.0]], ids=str
+    )
+    def test_runs_refuse_starts_that_do_not_split_the_ranks(self, starts):
+        rows = np.array([[0.9, 0.8], [0.7, 0.6], [0.5, 0.4]])
+        with pytest.raises(ValueError):
+            RowRuns(rows=rows, starts=np.array(starts), ranks=4)
+
+    def test_runs_refuse_rows_that_are_not_a_matrix(self):
+        with pytest.raises(ValueError):
+            RowRuns(rows=np.array([0.9, 0.8]), starts=np.array([0, 1]), ranks=2)
+
     def test_layout_validation(self):
         with pytest.raises(ValueError):
             MultiplexerLayout(0, 4)
@@ -254,6 +280,7 @@ COUNT_SITES = {
     "herald_convolve.j_max": lambda v: herald_convolve(
         PairSourceModel(SourceKind.POISSONIAN, 1e-7, 1), 0.9, j_max=v
     ),
+    "RowRuns.ranks": lambda v: RowRuns(rows=np.ones((1, 2)), starts=np.array([0]), ranks=v),
 }
 
 
