@@ -1,19 +1,20 @@
 """Run configuration: a versioned JSON file parsed into a validated RunConfig.
 
-Unknown keys are rejected, and every error message carries the config path
-and a best-effort line number so it can be jumped to from a terminal.
+The parser checks JSON syntax, shapes, keys, names and repeats, and builds
+every value through its record's rule.  Every error message carries the config
+path and a best-effort line number, the offending key's, for a terminal to jump to.
 """
 
 from __future__ import annotations
 
 import json
 import re
-import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .statistics import SourceKind
-from .transmission import LossParameters, PriorityLogic, _is_power_of_two
+from .optimize import SweepSpec
+from .statistics import PairSourceModel, SourceKind
+from .transmission import LossParameters, PriorityLogic, _count, _is_power_of_two
 
 CONFIG_VERSION = 1
 
@@ -30,10 +31,6 @@ _TOP_KEYS = {
 }
 _LOSS_KEYS = {field.name for field in fields(LossParameters)}
 _VALIDATION_KEYS = {"trials", "seed", "points"}
-
-# Largest finite float, the bound on a configured pump strength: JSON's 1e999
-# parses as inf, NaN as nan, and an integer above this overflows float().
-_FLOAT_MAX = sys.float_info.max
 
 
 class ConfigError(ValueError):
@@ -88,16 +85,12 @@ def _require(raw: dict, path: Path, text: str, key: str, kind, what: str):
     return value
 
 
-def _int_grid(raw: dict, path: Path, text: str, key: str) -> tuple[int, ...]:
-    values = _require(raw, path, text, key, list, "a non-empty list of integers")
-    if not values or not all(_is_a(v, int) for v in values):
-        raise _fail(path, text, key, f"\"{key}\" must be a non-empty list of integers")
-    for i, v in enumerate(values):
-        if not _is_power_of_two(v):
-            raise _fail(path, text, key, f"\"{key}\" entries must be powers of 2, got {v}")
-        if v in values[:i]:
-            raise _fail(path, text, key, f"duplicate \"{key}\" entry {v}")
-    return tuple(values)
+def _built(path: Path, text: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, a ``ValueError`` anchored at the field its message begins with, its key."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise _fail(path, text, re.match(r"\w*", str(exc)).group(), str(exc)) from exc
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -126,11 +119,11 @@ def parse_config(path: str | Path) -> RunConfig:
     losses_raw = _require(raw, path, text, "losses", dict, "an object of efficiencies")
     _reject_unknown(path, text, losses_raw, _LOSS_KEYS, "unknown loss key")
     for key, value in losses_raw.items():
-        if not _is_a(value, (int, float)):
-            raise _fail(path, text, key, f"loss \"{key}\" must be a number")
+        if value is None:  # LossParameters reads None as its default, but null is no efficiency
+            raise _fail(path, text, key, f"loss \"{key}\" must be a number, got null")
     try:
-        losses = LossParameters(**{k: float(v) for k, v in losses_raw.items()})
-    except (TypeError, ValueError) as exc:
+        losses = _built(path, text, LossParameters, **losses_raw)
+    except TypeError as exc:
         raise _fail(path, text, "losses", str(exc)) from exc
 
     source_raw = _require(raw, path, text, "source", str, "a string")
@@ -154,22 +147,11 @@ def parse_config(path: str | Path) -> RunConfig:
             raise _fail(path, text, "logics", f"duplicate logic \"{name}\"")
         logics.append(logic)
 
-    m_values = _int_grid(raw, path, text, "m_values")
-    n_values = _int_grid(raw, path, text, "n_values")
-
-    lambda_bounds = None
-    if raw.get("lambda_bounds") is not None:
-        bounds = raw["lambda_bounds"]
-        ok = (
-            isinstance(bounds, list)
-            and len(bounds) == 2
-            and all(_is_a(b, (int, float)) for b in bounds)
-        )
-        if not ok or not 0.0 <= bounds[0] < bounds[1] <= _FLOAT_MAX:
-            raise _fail(
-                path, text, "lambda_bounds", "\"lambda_bounds\" must be finite [lo, hi] with 0 <= lo < hi"
-            )
-        lambda_bounds = (float(bounds[0]), float(bounds[1]))
+    grids = [_require(raw, path, text, key, list, "a list of sizes") for key in ("m_values", "n_values")]
+    bounds = raw.get("lambda_bounds")
+    if not (bounds is None or isinstance(bounds, list) and len(bounds) == 2):
+        raise _fail(path, text, "lambda_bounds", "\"lambda_bounds\" must be a [lo, hi] pair or null")
+    spec = _built(path, text, SweepSpec, *grids, losses, source, lambda_bounds=bounds)
 
     output_dir = Path(_require(raw, path, text, "output_dir", str, "a directory path"))
 
@@ -178,30 +160,23 @@ def parse_config(path: str | Path) -> RunConfig:
         validation = _require(raw, path, text, "validation", dict, "an object")
         _reject_unknown(path, text, validation, _VALIDATION_KEYS, "unknown validation key")
         if "trials" in validation:
-            trials = validation["trials"]
-            if not _is_a(trials, int) or trials < 1:
-                raise _fail(path, text, "trials", "\"trials\" must be a positive integer")
+            trials = _built(path, text, _count, "trials", validation["trials"])
         if "seed" in validation:
-            seed = validation["seed"]
-            if not _is_a(seed, int) or seed < 0:
-                raise _fail(path, text, "seed", "\"seed\" must be a non-negative integer")
+            seed = _built(path, text, _count, "seed", validation["seed"], 0)
         if "points" in validation:
             points_raw = validation["points"]
             if not isinstance(points_raw, list):
                 raise _fail(path, text, "points", "\"points\" must be a list of [m, n, lambda] triples")
             parsed = []
             for triple in points_raw:
-                ok = (
-                    isinstance(triple, list)
-                    and len(triple) == 3
-                    and all(_is_a(size, int) and _is_power_of_two(size) for size in triple[:2])
-                    and _is_a(triple[2], (int, float))
-                    and 0 <= triple[2] <= _FLOAT_MAX
-                )
-                if not ok:
-                    rule = "m and n powers of 2, lambda finite and >= 0"
-                    raise _fail(path, text, "points", f"invalid validation point {triple!r}: want {rule}")
-                point = (triple[0], triple[1], float(triple[2]))
+                invalid = f"invalid validation point {triple!r}"
+                shape = isinstance(triple, list) and len(triple) == 3
+                if not (shape and all(_is_a(k, int) and _is_power_of_two(k) for k in triple[:2])):
+                    raise _fail(path, text, "points", f"{invalid}: want [m, n, lambda], m and n powers of 2")
+                try:
+                    point = (*triple[:2], PairSourceModel(source, triple[2], triple[1]).mean_pairs)
+                except ValueError as exc:
+                    raise _fail(path, text, "points", f"{invalid}: {exc}") from exc
                 if point in parsed:
                     raise _fail(path, text, "points", f"duplicate validation point {list(point)}")
                 parsed.append(point)
@@ -211,9 +186,9 @@ def parse_config(path: str | Path) -> RunConfig:
         losses=losses,
         source=source,
         logics=tuple(logics),
-        m_values=m_values,
-        n_values=n_values,
-        lambda_bounds=lambda_bounds,
+        m_values=spec.m_values,
+        n_values=spec.n_values,
+        lambda_bounds=spec.lambda_bounds,
         output_dir=output_dir,
         validation_trials=trials,
         validation_seed=seed,

@@ -104,7 +104,8 @@ def _poisson_log_pmf(mu: float, size: int) -> np.ndarray:
     small = min(size - 1, len(_STIRLING_REMAINDERS))
     stirling[:small] = _STIRLING_REMAINDERS[:small]
     diff = j - mu
-    deviance = j * np.log(j / mu) - diff
+    with np.errstate(over="ignore"):  # j / mu overflows only where P(j) underflows to 0 anyway
+        deviance = j * np.log(j / mu) - diff
     near = np.abs(diff) < 0.5 * (j + mu)
     v = diff[near] / (j[near] + mu)
     # d = (j - mu) v + 2 j (v^3 / 3 + v^5 / 5 + ...), since log(j / mu) = 2 atanh(v);
@@ -208,17 +209,18 @@ def simulate(
         params: optical and detector efficiencies.
         layout: geometry and priority logic.
         trials: number of simulated periods, an integer >= 1.
-        seed: seed of the block-splitting random stream.
+        seed: seed of the block-splitting random stream, an integer >= 0.
 
     Returns:
         Empirical distribution: the fraction of trials that emitted each
         photon number, up to the largest one observed, with a zero tail bound.
 
     Raises:
-        ValueError: the source's window count is not the layout's; raised
-            before anything is built or sampled.
+        ValueError: ``trials`` or ``seed`` is not such an integer, or the
+            source's window count is not the layout's; raised before
+            anything is built or sampled.
     """
-    trials = _count("trials", trials)
+    trials, seed = _count("trials", trials), _count("seed", seed, least=0)
     if model.n_windows != layout.n:
         raise ValueError(f"source spans {model.n_windows} windows, but the layout has {layout.n}")
     transmissions = build_matrix(params, layout).values

@@ -57,6 +57,7 @@ from .transmission import (  # noqa: F401
     _arm_runs,
     _count,
     _is_power_of_two,
+    _number,
     _window_column,
     build_matrix,
 )
@@ -98,11 +99,10 @@ class SweepSpec:
                 raise ValueError(f"{name} must hold distinct powers of 2, at least one, got {raw}")
             object.__setattr__(self, name, values)
         if self.lambda_bounds is not None:
-            lo, hi = self.lambda_bounds
-            if not (0.0 <= lo < hi < math.inf):
-                raise ValueError(
-                    f"lambda bounds must be finite and satisfy 0 <= lo < hi, got ({lo}, {hi})"
-                )
+            lo, hi = (_number(f"lambda_bounds[{i}]", x, math.inf) for i, x in enumerate(self.lambda_bounds))
+            if not lo < hi:
+                raise ValueError(f"lambda_bounds must satisfy lo < hi, got ({lo!r}, {hi!r})")
+            object.__setattr__(self, "lambda_bounds", (lo, hi))
 
     @cached_property
     def _factors(self) -> tuple[dict, dict, dict]:

@@ -12,13 +12,14 @@ multiplexer together with a click.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from .transmission import _count
+from .transmission import _count, _number
 
 # Hard cap on the adaptive truncation order.
 _J_CAP = 512
@@ -49,7 +50,8 @@ class PairSourceModel:
 
     Args:
         kind: thermal (single-mode emission) or Poissonian (multimode emission).
-        mean_pairs: mean number of photon pairs summed over all time windows.
+        mean_pairs: mean number of photon pairs summed over all time windows,
+            a finite float >= 0 whose mean per window is 0 or not subnormal.
         n_windows: number of time windows the period is divided into.
     """
 
@@ -60,9 +62,10 @@ class PairSourceModel:
     def __post_init__(self):
         if not isinstance(self.kind, SourceKind):
             raise ValueError(f"kind must be a SourceKind, got {self.kind!r}")
-        if not (math.isfinite(self.mean_pairs) and self.mean_pairs >= 0.0):
-            raise ValueError(f"mean_pairs must be finite and >= 0, got {self.mean_pairs}")
+        object.__setattr__(self, "mean_pairs", _number("mean_pairs", self.mean_pairs, math.inf))
         object.__setattr__(self, "n_windows", _count("n_windows", self.n_windows))
+        if 0.0 < self.mean_per_window < sys.float_info.min:  # 1 / mu would overflow
+            raise ValueError(f"mean_pairs per window {self.mean_per_window!r} is positive but subnormal")
 
     @property
     def mean_per_window(self) -> float:
@@ -188,15 +191,14 @@ def herald_convolve(
 
     Args:
         model: pair-generation statistics.
-        v_d: detector efficiency in [0, 1].
+        v_d: detector efficiency, a finite number in [0, 1].
         j_max: truncation order; adaptively chosen when omitted.
 
     Raises:
         TruncationError: the (given or capped) truncation order leaves an
             emission tail above ``TAIL_TOL``.
     """
-    if not (0.0 <= v_d <= 1.0):
-        raise ValueError(f"v_d must lie in [0, 1], got {v_d}")
+    v_d = _number("v_d", v_d)
     j_max, tail = _truncation(model, j_max)
     if v_d == 0.0:
         # A blind detector never heralds: all mass sits at "no click".

@@ -7,12 +7,19 @@ division delay network whose PBS reflection/transmission count follows the
 binary representation of the required delay, and the spatial multiplexer is
 a binary tree of polarizing-beam-splitter routers whose arm losses follow the
 binomial expansion of ``(v_r_s + v_t_s)^levels``.
+
+The input rules of every record live here: ``_count`` (an integer, no bool)
+and ``_number`` (a finite float in range, no bool or string); the config
+parser builds its values through them too.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
+import reprlib
+import sys
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
@@ -31,8 +38,8 @@ def _is_power_of_two(x: int) -> bool:
     return x >= 1 and (x & (x - 1)) == 0
 
 
-def _count(name: str, value) -> int:
-    """``value`` as a Python int >= 1; a float, even integral, a string or a bool is refused.
+def _count(name: str, value, least: int = 1) -> int:
+    """``value`` as a Python int >= ``least``; a float, even integral, a string or a bool is refused.
 
     ``operator.index`` takes ``True`` as 1, so booleans are refused first.
     """
@@ -42,9 +49,22 @@ def _count(name: str, value) -> int:
         except TypeError:
             pass
         else:
-            if count >= 1:
+            if count >= least:
                 return count
-    raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _number(name: str, value, hi: float = 1.0) -> float:
+    """``value`` as a finite Python float in [0, ``hi``]; a bool, a string or NaN is refused.
+
+    Compared before it is converted, so an int too large for a float is
+    refused, not overflowed.  Like ``_count``'s, the message begins with ``name``.
+    """
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if real and 0 <= value <= min(hi, sys.float_info.max):
+        return float(value)
+    rule = ">= 0" if hi == math.inf else f"in [0, {hi:g}]"
+    raise ValueError(f"{name} must be a finite number {rule}, got {reprlib.repr(value)}")
 
 
 @dataclass(frozen=True)
@@ -58,6 +78,7 @@ class LossParameters:
     ``v_p0_s``: propagation per router level of the spatial multiplexer.
     ``v_b``: basic generic transmission (optical switches etc.).
     ``v_d``: heralding detector efficiency.
+    Each is stored as a Python float through ``_number``.
     """
 
     v_r: float
@@ -70,14 +91,12 @@ class LossParameters:
     v_t_s: float | None = None
 
     def __post_init__(self):
-        if self.v_r_s is None:
-            object.__setattr__(self, "v_r_s", self.v_r)
-        if self.v_t_s is None:
-            object.__setattr__(self, "v_t_s", self.v_t)
         for field in fields(self):
             value = getattr(self, field.name)
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"{field.name} must lie in [0, 1], got {value}")
+            if value is None and field.default is None:
+                # v_r_s or v_t_s: the time multiplexer's value, already checked.
+                value = getattr(self, field.name.removesuffix("_s"))
+            object.__setattr__(self, field.name, _number(field.name, value))
 
 
 @dataclass(frozen=True)

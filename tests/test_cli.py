@@ -179,7 +179,7 @@ class TestRunSweep:
         path = write_config(tmp_path, **{key: [1, 2, 1]})
         assert run_sweep(path) == EXIT_CONFIG
         err = capsys.readouterr().err.strip()
-        assert f'duplicate "{key}" entry 1' in err and len(err.splitlines()) == 1
+        assert f"{key} must hold distinct powers of 2" in err and len(err.splitlines()) == 1
         assert_line_anchored(path, err, key)
         assert not (tmp_path / "out").exists()
 
@@ -323,6 +323,24 @@ class TestRunValidate:
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1
         assert f"invalid validation point {point!r}" in err and "powers of 2" in err
+        assert_line_anchored(path, err, "points")
+
+    @pytest.mark.parametrize("source", ["thermal", "poissonian"])
+    def test_subnormal_point_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch, source):
+        # At 1e-310 pairs per window 1 / mu overflows, and the sampler's pmf
+        # would turn NaN under numpy warnings.
+        path = write_config(
+            tmp_path, source=source, validation={"trials": 100_000, "points": [[1, 1, 1e-310]]}
+        )
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a point with a subnormal mean per window")
+
+        monkeypatch.setattr("photonmux.cli.simulate", no_sampling)
+        assert run_validate(path) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert "invalid validation point [1, 1, 1e-310]" in err and "subnormal" in err
+        assert len(err.splitlines()) == 1
         assert_line_anchored(path, err, "points")
 
     @pytest.mark.parametrize("literal", ["1e999", "NaN"])

@@ -1,4 +1,5 @@
-"""The README quick start and every demo script run; the README names only code that exists,
+"""The README quick start and every demo script run, and its configuration example parses;
+the README names only code that exists,
 and every exported name is documented, demonstrated or an exception class.
 
 The package imports no third-party module but numpy, as ``pyproject.toml`` declares,
@@ -37,6 +38,19 @@ def test_readme_quick_start_runs():
     assert block is not None, "README has no python block"
     result = run_python(["-c", block.group(1)])
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_configuration_parses(tmp_path):
+    # The documented example must meet the rules that parse_config applies.
+    from photonmux.config import parse_config
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    assert block is not None, "README has no JSON configuration block"
+    path = tmp_path / "config.json"
+    path.write_text(block.group(1), encoding="utf-8")
+    config = parse_config(path)
+    assert config.validation_points and config.m_values and config.n_values
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -117,12 +118,13 @@ def test_heralded_pair_pmf_matches_pair_pmf(case):
 
 
 @pytest.mark.parametrize("kind", [SourceKind.POISSONIAN, SourceKind.THERMAL])
-@pytest.mark.parametrize("mu", [1e-3, 1.0, 30.0, 1000.0, 2798.1382226597757, 5000.0])
+@pytest.mark.parametrize("mu", [sys.float_info.min, 1e-3, 1.0, 30.0, 1000.0, 2798.1382226597757, 5000.0])
 def test_heralded_pair_pmf_entries_sum_to_one(kind, mu):
     # numpy's multinomial gives the closing category whatever rounding leaves
     # of the other entries, and refuses entries that sum to more than
     # 1 + 1e-12; the Poissonian log-pmf alone sums to 1 - 2.5e-13 at 1000
-    # pairs per window and to 1 + 3.9e-12 at 5000.
+    # pairs per window and to 1 + 3.9e-12 at 5000.  At the smallest normal
+    # mean, j / mu overflows from j = 4 on, where P(j) is 0.
     pvals = _heralded_pair_pmf(PairSourceModel(kind, mu, 1), 0.9)
     assert abs(1.0 - math.fsum(pvals[:-1])) <= 1e-15
 

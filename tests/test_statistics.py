@@ -1,6 +1,7 @@
 """Pair-generation statistics and the threshold-detector heralding step."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -70,6 +71,17 @@ class TestPairDistribution:
             PairSourceModel(POISSONIAN, -0.5, 1)
         with pytest.raises(ValueError):
             PairSourceModel(POISSONIAN, 1.0, 0)
+
+    @pytest.mark.parametrize("kind", [THERMAL, POISSONIAN])
+    def test_subnormal_mean_per_window_rejected(self, kind):
+        # Below the smallest normal float, 1 / mu overflows and the sampler's
+        # pmf turns NaN; 0 pairs and the smallest normal mean are kept.
+        tiny = sys.float_info.min
+        for mean_pairs, n_windows in ((1e-310, 1), (tiny, 2), (1e-300, 2**30)):
+            with pytest.raises(ValueError, match="mean_pairs per window .* subnormal"):
+                PairSourceModel(kind, mean_pairs, n_windows)
+        for mean_pairs, n_windows in ((0.0, 1), (tiny, 1), (1e-300, 2**20)):
+            assert PairSourceModel(kind, mean_pairs, n_windows).mean_pairs == mean_pairs
 
     @pytest.mark.parametrize("kind", [THERMAL, POISSONIAN])
     @pytest.mark.parametrize("lam,n", [(0.3, 1), (2.0, 4), (40.0, 8), (9.0, 1)])

@@ -1,5 +1,6 @@
-"""Time-window and spatial-arm transmissions and the assembled matrix."""
+"""Time-window and spatial-arm transmissions, the assembled matrix, and the count and number rules."""
 
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from photonmux import (
     spatial_arm_transmissions,
     time_window_transmission,
 )
+from photonmux.cli import EXIT_CONFIG, run_sweep
 from photonmux.tables import TABLE1_ROWS, TABLE2_ROWS
 from photonmux.transmission import RowRuns, _arm_runs
 
@@ -302,3 +304,90 @@ def test_records_store_counts_as_python_ints():
     model = PairSourceModel(SourceKind.THERMAL, 1.0, np.int64(8))
     assert (layout.m, layout.n, model.n_windows) == (4, 8, 8)
     assert all(type(x) is int for x in (layout.m, layout.n, model.n_windows))
+
+
+LOSS_FIELDS = ("v_r", "v_t", "v_p", "v_p0_s", "v_d", "v_b", "v_r_s", "v_t_s")
+
+
+def test_records_store_numbers_as_python_floats():
+    losses = params(v_r=np.float64(0.5), v_b=1, v_t_s=np.float32(0.5))
+    model = PairSourceModel(SourceKind.THERMAL, np.float64(2.0), 4)
+    spec = SweepSpec((4,), (4,), losses, lambda_bounds=[0, np.int64(10)])
+    assert (losses.v_r, losses.v_b, losses.v_r_s, losses.v_t_s) == (0.5, 1.0, 0.5, 0.5)
+    assert (model.mean_pairs, spec.lambda_bounds) == (2.0, (0.0, 10.0))
+    numbers = [getattr(losses, name) for name in LOSS_FIELDS] + [model.mean_pairs, *spec.lambda_bounds]
+    assert all(type(x) is float for x in numbers)
+
+
+# Values that no number site takes: a bool, a numeric string, NaN, inf and an
+# int beyond the float range.  A seed is an integer of any size, so it takes 10**400.
+NOT_NUMBERS = {"True": True, "'0.5'": "0.5", "nan": math.nan, "inf": math.inf, "10**400": 10**400}
+
+ONE_PAIR = PairSourceModel(SourceKind.POISSONIAN, 1.0, 1)
+
+# site: (call with the value, a value out of the site's range)
+NUMBER_SITES = {
+    **{f"LossParameters.{name}": (lambda v, name=name: params(**{name: v}), 1.5) for name in LOSS_FIELDS},
+    "herald_convolve.v_d": (lambda v: herald_convolve(ONE_PAIR, v), -0.5),
+    "PairSourceModel.mean_pairs": (lambda v: PairSourceModel(SourceKind.POISSONIAN, v, 1), -1.0),
+    "SweepSpec.lambda_bounds[0]": (lambda v: SweepSpec((4,), (4,), params(), lambda_bounds=(v, 10.0)), -1.0),
+    "SweepSpec.lambda_bounds[1]": (lambda v: SweepSpec((4,), (4,), params(), lambda_bounds=(0.0, v)), -1.0),
+    "simulate.seed": (lambda v: simulate(ONE_PAIR, params(), MultiplexerLayout(1, 1), 1, v), -1),
+}
+
+NUMBER_CASES = [
+    (site, label)
+    for site in NUMBER_SITES
+    for label in ("out_of_range", *NOT_NUMBERS)
+    if not (site == "simulate.seed" and label == "10**400")
+]
+
+
+def refused_value(site, label):
+    return NUMBER_SITES[site][1] if label == "out_of_range" else NOT_NUMBERS[label]
+
+
+@pytest.mark.parametrize("site,label", NUMBER_CASES)
+def test_number_refuses_non_numbers(site, label):
+    field = site.split(".", 1)[1]
+    with pytest.raises(ValueError) as err:
+        NUMBER_SITES[site][0](refused_value(site, label))
+    assert str(err.value).startswith(f"{field} "), str(err.value)
+
+
+def test_seed_takes_any_integer_from_zero():
+    for seed in (0, np.int64(3), 10**400):
+        simulate(ONE_PAIR, params(), MultiplexerLayout(1, 1), 1, seed)
+
+
+# site: (the config key its value is read from, the config entries that carry the value)
+CONFIG_NUMBER_KEYS = {
+    **{f"LossParameters.{name}": (name, lambda v, name=name: {"losses": {name: v}}) for name in LOSS_FIELDS},
+    "PairSourceModel.mean_pairs": ("points", lambda v: {"validation": {"points": [[1, 1, v]]}}),
+    "SweepSpec.lambda_bounds[0]": ("lambda_bounds", lambda v: {"lambda_bounds": [v, 10.0]}),
+    "SweepSpec.lambda_bounds[1]": ("lambda_bounds", lambda v: {"lambda_bounds": [0.0, v]}),
+    "simulate.seed": ("seed", lambda v: {"validation": {"seed": v}}),
+}
+
+
+@pytest.mark.parametrize("site,label", [case for case in NUMBER_CASES if case[0] in CONFIG_NUMBER_KEYS])
+def test_config_refuses_non_numbers_at_their_key(tmp_path, capsys, site, label):
+    key, entries = CONFIG_NUMBER_KEYS[site]
+    config = {
+        "version": 1,
+        "losses": {"v_r": 0.996, "v_t": 0.97, "v_p": 0.95, "v_p0_s": 0.99, "v_d": 0.9},
+        "source": "poissonian",
+        "logics": ["lowest_loss"],
+        "m_values": [1],
+        "n_values": [1],
+        "output_dir": str(tmp_path / "out"),
+    }
+    for name, value in entries(refused_value(site, label)).items():
+        config[name] = {**config[name], **value} if name == "losses" else value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config, indent=2), encoding="utf-8")
+    assert run_sweep(path) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    line = int(err.removeprefix(f"{path}:").split(":")[0])
+    assert path.read_text().splitlines()[line - 1].strip().startswith(f'"{key}"'), err
+    assert not (tmp_path / "out").exists()
