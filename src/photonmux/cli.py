@@ -12,15 +12,19 @@ Subcommands
     Recompute the built-in reference configurations and write
     ``table1_repro.csv`` / ``table2_repro.csv`` with pass/fail flags.
 
-Exit codes: 0 success, 2 invalid configuration (including a validation point
-whose heralded input cannot be truncated within tolerance), 3 pump-strength
-bracketing failure, 4 analytic/Monte-Carlo disagreement beyond 4 standard
-errors.
+Exit codes: 0 success; 2 invalid configuration, including a config file that
+is not UTF-8, an output directory that cannot be made (such as an existing
+file; ``tables --out`` too) and a validation point whose heralded input cannot
+be truncated within tolerance; 3 pump-strength bracketing failure; 4
+analytic/Monte-Carlo disagreement beyond 4 standard errors.  Each failure is
+one line on stderr, and the output directory is checked before any sweep,
+sampling or table run starts.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -28,10 +32,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, _fail, parse_config
+from .config import ConfigError, _fail, _unmakeable, parse_config
 from .engine import DEFAULT_I_MAX, output_distribution
 from .montecarlo import simulate
-from .optimize import BracketError, SweepSpec, sweep
+from .optimize import BracketError, sweep
 from .statistics import PairSourceModel, TruncationError, herald_convolve
 from .tables import TABLE1_ROWS, TABLE2_ROWS, reproduce_table1, reproduce_table2
 from .transmission import LossParameters, MultiplexerLayout, TransmissionMatrix, build_matrix
@@ -66,42 +70,23 @@ def run_sweep(config_path: str | Path) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
-    results = {}
     try:
-        for logic in config.logics:
-            spec = SweepSpec(
-                m_values=config.m_values,
-                n_values=config.n_values,
-                params=config.losses,
-                source_kind=config.source,
-                logic=logic,
-                lambda_bounds=config.lambda_bounds,
-            )
-            results[logic] = sweep(spec)
+        results = [(spec.logic.value, sweep(spec)) for spec in config.sweeps]
     except BracketError as exc:
         print(f"bracket failure: {exc}", file=sys.stderr)
         return EXIT_BRACKET
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    surface_rows = []
-    for logic in config.logics:
-        for (m, n), (lam, p1) in results[logic].surface.items():
-            surface_rows.append([m, n, lam, p1, logic.value])
+    surface_rows = [
+        [m, n, lam, p1, logic] for logic, result in results for (m, n), (lam, p1) in result.surface.items()
+    ]
     _write_csv(out / "surface.csv", ["M", "N", "lambda_opt", "p1", "logic"], surface_rows)
-
-    global_rows = []
-    for logic in config.logics:
-        m, n, lam, p1 = results[logic].best
-        global_rows.append([logic.value, m, n, lam, p1])
+    global_rows = [[logic, *result.best] for logic, result in results]
     _write_csv(out / "global.csv", ["logic", "m_opt", "n_opt", "lambda_opt", "p1_max"], global_rows)
-
-    for m in config.m_values:
-        curve_rows = []
-        for n in config.n_values:
-            for logic in config.logics:
-                lam, p1 = results[logic].surface[(m, n)]
-                curve_rows.append([n, logic.value, lam, p1])
+    grid = config.sweeps[0]  # every sweep has the same grid
+    for m in grid.m_values:
+        curve_rows = [[n, logic, *result.surface[(m, n)]] for n in grid.n_values for logic, result in results]
         _write_csv(out / f"p1_vs_N_M{m}.csv", ["N", "logic", "lambda_opt", "p1"], curve_rows)
     return EXIT_OK
 
@@ -191,29 +176,23 @@ def run_validate(config_path: str | Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     worst = None
-    case = 0
-    for logic in config.logics:
-        for m, n, lam in config.validation_points:
-            layout = MultiplexerLayout(m=m, n=n, logic=logic)
-            model = PairSourceModel(kind=config.source, mean_pairs=lam, n_windows=n)
-            # Stable per-case seed offset keeps the points statistically independent.
-            try:
-                comparisons = compare_to_oracle(
-                    model,
-                    config.losses,
-                    layout,
-                    trials=config.validation_trials,
-                    seed=config.validation_seed + case,
-                )
-            except TruncationError as exc:
-                message = f"cannot validate point [{m}, {n}, {lam}]: {exc}"
-                print(_fail(path, text, "points", message), file=sys.stderr)
-                return EXIT_CONFIG
-            case += 1
-            for c in comparisons:
-                rows.append([m, n, lam, logic.value, c.bin, c.analytic, c.empirical, c.std_err, c.z])
-                if c.z > Z_LIMIT and (worst is None or c.z > worst[4].z):
-                    worst = (m, n, lam, logic, c)
+    cases = itertools.product(config.sweeps, config.validation_points)  # logic-major
+    for case, (spec, (m, n, lam)) in enumerate(cases):
+        logic = spec.logic
+        layout = MultiplexerLayout(m=m, n=n, logic=logic)
+        model = PairSourceModel(kind=spec.source_kind, mean_pairs=lam, n_windows=n)
+        # Stable per-case seed offset keeps the points statistically independent.
+        seed = config.validation_seed + case
+        try:
+            comparisons = compare_to_oracle(model, spec.params, layout, trials=config.validation_trials, seed=seed)
+        except TruncationError as exc:
+            message = f"cannot validate point [{m}, {n}, {lam}]: {exc}"
+            print(_fail(path, text, "points", message), file=sys.stderr)
+            return EXIT_CONFIG
+        for c in comparisons:
+            rows.append([m, n, lam, logic.value, c.bin, c.analytic, c.empirical, c.std_err, c.z])
+            if c.z > Z_LIMIT and (worst is None or c.z > worst[4].z):
+                worst = (m, n, lam, logic, c)
     _write_csv(
         out / "validate.csv",
         ["m", "n", "lambda", "logic", "bin", "analytic", "empirical", "std_err", "z"],
@@ -282,6 +261,10 @@ _TABLE2_COLUMNS = (
 def run_tables(out_dir: str | Path = ".", rows1=TABLE1_ROWS, rows2=TABLE2_ROWS) -> int:
     """Recompute the built-in reference configurations and write comparison CSVs."""
     out = Path(out_dir)
+    unmakeable = _unmakeable("output directory", out)
+    if unmakeable:
+        print(unmakeable, file=sys.stderr)
+        return EXIT_CONFIG
     out.mkdir(parents=True, exist_ok=True)
     for name, reproduce, rows, columns in (
         ("table1", reproduce_table1, rows1, _TABLE1_COLUMNS),

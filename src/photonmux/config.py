@@ -1,13 +1,17 @@
 """Run configuration: a versioned JSON file parsed into a validated RunConfig.
 
 The parser checks JSON syntax, shapes, keys, names and repeats, and builds
-every value through its record's rule.  Every error message carries the config
-path and a best-effort line number, the offending key's, for a terminal to jump to.
+every value through its record's rule: one ``SweepSpec`` per configured
+logic, which holds the losses, the source, the grid and the pump-strength
+bounds.  It also refuses a file that is not UTF-8 and an output directory
+that cannot be made.  Every error message carries the config path and a
+best-effort line number, the offending key's, for a terminal to jump to.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -39,14 +43,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated contents of a run configuration file."""
+    """Validated contents of a run configuration file.
 
-    losses: LossParameters
-    source: SourceKind
-    logics: tuple[PriorityLogic, ...]
-    m_values: tuple[int, ...]
-    n_values: tuple[int, ...]
-    lambda_bounds: tuple[float, float] | None
+    ``sweeps`` holds one sweep per configured logic, in config order; the
+    sweeps differ in their logic only.
+    """
+
+    sweeps: tuple[SweepSpec, ...]
     output_dir: Path
     validation_trials: int
     validation_seed: int
@@ -93,6 +96,23 @@ def _built(path: Path, text: str, build, *args, **kwargs):
         raise _fail(path, text, re.match(r"\w*", str(exc)).group(), str(exc)) from exc
 
 
+def _unmakeable(label: str, directory: Path) -> str | None:
+    """Why ``directory.mkdir(parents=True, exist_ok=True)`` would fail, or None if it would not.
+
+    Told from the name, which must encode without a NUL byte, and from the
+    nearest of the directory and its parents that exists, which must be a
+    directory; so nothing is made to find out.
+    """
+    try:
+        encoded = os.fsencode(directory)
+    except UnicodeEncodeError:  # a lone surrogate
+        encoded = b"\0"
+    if b"\0" in encoded:
+        return f"{label} {str(directory)!r} is not a file-system path"
+    existing = next(p for p in (directory, *directory.parents) if p.exists())
+    return None if existing.is_dir() else f"cannot make {label} {directory}: {existing} is not a directory"
+
+
 def parse_config(path: str | Path) -> RunConfig:
     """Read and validate a JSON run configuration.
 
@@ -103,7 +123,10 @@ def parse_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"{path}:1: config file not found")
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}:1: config file is not UTF-8 text: {exc.reason}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -151,9 +174,12 @@ def parse_config(path: str | Path) -> RunConfig:
     bounds = raw.get("lambda_bounds")
     if not (bounds is None or isinstance(bounds, list) and len(bounds) == 2):
         raise _fail(path, text, "lambda_bounds", "\"lambda_bounds\" must be a [lo, hi] pair or null")
-    spec = _built(path, text, SweepSpec, *grids, losses, source, lambda_bounds=bounds)
+    sweeps = tuple(_built(path, text, SweepSpec, *grids, losses, source, logic, bounds) for logic in logics)
 
     output_dir = Path(_require(raw, path, text, "output_dir", str, "a directory path"))
+    unmakeable = _unmakeable("output_dir", output_dir)
+    if unmakeable:
+        raise _fail(path, text, "output_dir", unmakeable)
 
     trials, seed, points = 1_000_000, 0, ()
     if "validation" in raw:
@@ -183,12 +209,7 @@ def parse_config(path: str | Path) -> RunConfig:
             points = tuple(parsed)
 
     return RunConfig(
-        losses=losses,
-        source=source,
-        logics=tuple(logics),
-        m_values=spec.m_values,
-        n_values=spec.n_values,
-        lambda_bounds=spec.lambda_bounds,
+        sweeps=sweeps,
         output_dir=output_dir,
         validation_trials=trials,
         validation_seed=seed,

@@ -102,6 +102,7 @@ class SweepSpec:
             lo, hi = (_number(f"lambda_bounds[{i}]", x, math.inf) for i, x in enumerate(self.lambda_bounds))
             if not lo < hi:
                 raise ValueError(f"lambda_bounds must satisfy lo < hi, got ({lo!r}, {hi!r})")
+            _scan_grid(lo, hi)  # refuses bounds whose scan is not finite
             object.__setattr__(self, "lambda_bounds", (lo, hi))
 
     @cached_property
@@ -162,13 +163,20 @@ def _scan_grid(lo: float, hi: float) -> np.ndarray:
     The grid is ``lo``, ``COARSE_POINTS - 2`` logarithmically spaced inner
     points and ``hi``; the sign checks are ``lo + step`` and ``hi - step``.
     The array depends on the bounds only, so a sweep builds it once per n.
+
+    Raises:
+        ValueError: a point is not finite, as when ``hi * 1e-12`` underflows
+            to 0 at ``lo = 0`` or ``hi / lo`` overflows.
     """
     step = (hi - lo) * 1e-6
     grid_lo = lo if lo > 0.0 else hi * 1e-12
-    inner = [
-        grid_lo * (hi / grid_lo) ** (i / (COARSE_POINTS - 1)) for i in range(1, COARSE_POINTS - 1)
-    ]
+    ratio = hi / grid_lo if grid_lo > 0.0 else math.inf
+    inner = [grid_lo * ratio ** (i / (COARSE_POINTS - 1)) for i in range(1, COARSE_POINTS - 1)]
     scan = np.array([lo, *inner, hi, lo + step, hi - step])
+    if not np.isfinite(scan).all():
+        raise ValueError(
+            f"lambda_bounds must give a pump-strength scan of finite points, got ({lo!r}, {hi!r})"
+        )
     scan.setflags(write=False)
     return scan
 

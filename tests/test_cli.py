@@ -1,7 +1,10 @@
 """Config parsing, CSV emission, exit codes, and the validation harness."""
 
+import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from photonmux import (
     PairSourceModel,
     PriorityLogic,
     SourceKind,
+    SweepSpec,
     TransmissionMatrix,
     build_matrix,
 )
@@ -65,9 +69,41 @@ def assert_line_anchored(path, message, key):
 class TestParseConfig:
     def test_round_trip(self, tmp_path):
         config = parse_config(write_config(tmp_path))
-        assert config.source is SourceKind.POISSONIAN
-        assert config.m_values == (1, 2)
-        assert config.losses.v_r_s == 0.996
+        assert [spec.logic for spec in config.sweeps] == [PriorityLogic.LOWEST_LOSS, PriorityLogic.FIRST_DETECTION]
+        for spec in config.sweeps:
+            assert spec.source_kind is SourceKind.POISSONIAN
+            assert spec.m_values == (1, 2)
+            assert spec.params.v_r_s == 0.996
+
+    def test_sweeps_follow_the_config_order_of_logics(self, tmp_path):
+        path = write_config(tmp_path, logics=["first_detection", "lowest_loss"], lambda_bounds=[0, 5])
+        losses = LossParameters(v_r=0.996, v_t=0.97, v_p=0.95, v_p0_s=0.99, v_d=0.9, v_b=1.0)
+        assert parse_config(path).sweeps == tuple(
+            SweepSpec((1, 2), (1, 2), losses, SourceKind.POISSONIAN, logic, (0.0, 5.0))
+            for logic in (PriorityLogic.FIRST_DETECTION, PriorityLogic.LOWEST_LOSS)
+        )
+
+    @pytest.mark.parametrize("bounds", [[0, 1e-320], [1e-4, 1e308], [1e-300, 1e10]])
+    def test_bounds_without_a_finite_scan_are_line_anchored(self, tmp_path, bounds):
+        path = write_config(tmp_path, lambda_bounds=bounds)
+        with pytest.raises(ConfigError, match="lambda_bounds must give a pump-strength scan of finite points") as err:
+            parse_config(path)
+        assert_line_anchored(path, str(err.value), "lambda_bounds")
+
+    @pytest.mark.parametrize("name", [r"a\u0000b", r"\ud800"], ids=["nul", "lone-surrogate"])
+    def test_output_dir_that_is_no_file_system_path_is_line_anchored(self, tmp_path, name):
+        # JSON escapes that decode to a NUL and to a lone surrogate, which no path can hold.
+        path = write_config(tmp_path, output_dir="NAME")
+        path.write_text(path.read_text().replace("NAME", name))
+        with pytest.raises(ConfigError, match="output_dir .* is not a file-system path") as err:
+            parse_config(path)
+        assert_line_anchored(path, str(err.value), "output_dir")
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"version": 1, "x": "\xff"}')
+        with pytest.raises(ConfigError, match=r"latin1\.json:1: config file is not UTF-8 text"):
+            parse_config(path)
 
     def test_unknown_key_is_line_anchored(self, tmp_path):
         path = write_config(tmp_path, typo_key=3)
@@ -210,9 +246,10 @@ class TestRunSweep:
             m, n, lam, p1, logic = row.split(",")
             layout = MultiplexerLayout(int(m), int(n), logic=PriorityLogic(logic))
             model = PairSourceModel(SourceKind.THERMAL, float(lam), int(n))
-            tm = build_matrix(config.losses, layout)
+            losses = config.sweeps[0].params
+            tm = build_matrix(losses, layout)
             assert 1e-4 < float(lam) < 1000
-            closed = p1_evaluator(model.kind, config.losses.v_d, tm.row_runs, layout.logic)
+            closed = p1_evaluator(model.kind, losses.v_d, tm.row_runs, layout.logic)
             assert float(p1) == pytest.approx(closed(np.array([model.mean_per_window]))[0], abs=1e-10)
 
 
@@ -460,3 +497,102 @@ class TestMain:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+# An output directory that is an existing file, and a config that is not UTF-8.
+TAKEN, NOT_UTF8 = "taken", b'{"version": 1, "x": "\xff"}'
+ONE_POINT = {"trials": 100_000, "points": [[1, 1, 1.0]]}
+# (command, config overrides or raw bytes, exit code): one case for each input that
+# once escaped as a traceback, and one for each exit path that already did not.
+COMMAND_LINE_FAILURES = {
+    "bounds-scan-underflows": ("sweep", {"lambda_bounds": [0, 1e-320]}, EXIT_CONFIG),
+    "bounds-scan-overflows-high": ("sweep", {"lambda_bounds": [1e-4, 1e308]}, EXIT_CONFIG),
+    "bounds-scan-overflows-low": ("sweep", {"lambda_bounds": [1e-300, 1e10]}, EXIT_CONFIG),
+    "sweep-output-dir-is-a-file": ("sweep", {"output_dir": TAKEN}, EXIT_CONFIG),
+    "validate-output-dir-is-a-file": ("validate", {"output_dir": TAKEN, "validation": ONE_POINT}, EXIT_CONFIG),
+    "tables-out-is-a-file": ("tables", {}, EXIT_CONFIG),
+    "sweep-config-not-utf8": ("sweep", NOT_UTF8, EXIT_CONFIG),
+    "validate-config-not-utf8": ("validate", NOT_UTF8, EXIT_CONFIG),
+    "loss-above-1": ("sweep", {"losses": {"v_r": 1.5, "v_t": 0.97, "v_p": 0.95, "v_p0_s": 0.99}}, EXIT_CONFIG),
+    "bracket-failure": ("sweep", {"m_values": [1], "n_values": [1], "lambda_bounds": [8.0, 10.0]}, EXIT_BRACKET),
+    "untruncatable-point": (
+        "validate",
+        {"source": "thermal", "validation": {"trials": 100_000, "points": [[1, 1, 1000.0]]}},
+        EXIT_CONFIG,
+    ),
+}
+
+
+@pytest.mark.parametrize("command, config, code", COMMAND_LINE_FAILURES.values(), ids=list(COMMAND_LINE_FAILURES))
+def test_command_line_failure_is_one_stderr_line(tmp_path, capsys, command, config, code):
+    (tmp_path / TAKEN).write_text("")
+    if command == "tables":
+        argv = ["tables", "--out", str(tmp_path / TAKEN)]
+    elif config == NOT_UTF8:
+        path = tmp_path / "config.json"
+        path.write_bytes(NOT_UTF8)
+        argv = [command, str(path)]
+    else:
+        overrides = {key: str(tmp_path / TAKEN) if value == TAKEN else value for key, value in config.items()}
+        argv = [command, str(write_config(tmp_path, **overrides))]
+    assert main(argv) == code  # returns, so no exception escaped
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and len(err.splitlines()) == 1, err
+    if command == "sweep":
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "validate", "tables"])
+def test_output_dir_under_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("swept, sampled or reproduced with nowhere to write the result")
+
+    for name in ("sweep", "compare_to_oracle", "reproduce_table1"):
+        monkeypatch.setattr(f"photonmux.cli.{name}", no_work)
+    taken = tmp_path / TAKEN
+    taken.write_text("")
+    out = taken / "out"
+    if command == "tables":
+        assert main(["tables", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"cannot make output directory {out}: {taken} is not a directory\n"
+        return
+    path = write_config(tmp_path, output_dir=str(out), validation=ONE_POINT)
+    assert main([command, str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.endswith(f": cannot make output_dir {out}: {taken} is not a directory")
+    assert_line_anchored(path, err, "output_dir")
+
+
+# sha256 of each file the commands write: `tables`, and `sweep` then `validate`
+# on the README's example configuration.  A change that moves any byte of these
+# outputs fails here; one that moves them on purpose replaces the digests and says so.
+PINNED_TABLES = {
+    "table1_repro.csv": "71eb8c8db686e79530684850b15ae770be1ceaaa995253b77316699f6131dc2e",
+    "table2_repro.csv": "fad801d3bb749ed71cc4ef2fdd3d8ffc94e451de5352601b8363b63f06fcdee3",
+}
+PINNED_README_RUN = {
+    "surface.csv": "0cd8e327f6631ceef89f29e839e8a11a2664fbe1c5e4260e972e274e58877468",
+    "global.csv": "df4842e5092519d58f5cf516c01a3cbb342a9dbf6c8e4a78c689c50130f5a02f",
+    "p1_vs_N_M1.csv": "10cb52ca87ebe4e68706776883cbddd8cc4452fb02d1cd80af2cd5f39b652654",
+    "p1_vs_N_M2.csv": "2fab7d5c124cabcd91bf0df102e1eb68c828092caf26842b4243f970a284e7f4",
+    "p1_vs_N_M4.csv": "25b2c7a614ce0d6be4c69f4165b419f093255b6323637c32f985925ecfc1dd64",
+    "validate.csv": "c971c7a909e26a50cb91a1f5b616ff4c8526f3b30d484af8947a8470eae7c3c4",
+}
+
+
+def digests(directory):
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in directory.iterdir()}
+
+
+def test_tables_output_is_pinned(tmp_path):
+    assert run_tables(tmp_path) == EXIT_OK
+    assert digests(tmp_path) == PINNED_TABLES
+
+
+def test_readme_configuration_output_is_pinned(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    config = json.loads(re.search(r"```json\n(.*?)```", readme, flags=re.DOTALL).group(1))
+    path = write_config(tmp_path, **{**config, "output_dir": str(tmp_path / "out")})
+    assert run_sweep(path) == EXIT_OK
+    assert run_validate(path) == EXIT_OK
+    assert digests(tmp_path / "out") == PINNED_README_RUN

@@ -50,7 +50,7 @@ def test_readme_configuration_parses(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(block.group(1), encoding="utf-8")
     config = parse_config(path)
-    assert config.validation_points and config.m_values and config.n_values
+    assert config.validation_points and config.sweeps
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])

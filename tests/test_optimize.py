@@ -419,6 +419,28 @@ class TestSweep:
             with pytest.raises(ValueError):
                 spec_for(ROW4, (1,), (1,), lambda_bounds=bounds)
 
+    @pytest.mark.parametrize("bounds", [(0.0, 1e-320), (1e-4, 1e308), (1e-300, 1e10)])
+    def test_bounds_without_a_finite_scan_rejected(self, bounds):
+        # hi * 1e-12 underflows to 0 at (0, 1e-320), a division by zero;
+        # hi / lo overflows at the others, which would scan inf and get NaN.
+        with pytest.raises(ValueError, match=r"^lambda_bounds must give a pump-strength scan of finite points"):
+            spec_for(ROW4, (1,), (1,), lambda_bounds=bounds)
+
+    @pytest.mark.parametrize(
+        "bounds", [(0.0, 1e-300), (0.0, 5e-312), (0.0, 1.7e308), (1e-300, 1e-200), (1e-4, 1.0), (0.0, 5.0)]
+    )
+    def test_bounds_with_a_finite_scan_keep_it(self, bounds):
+        # Bounds the refusal lets through scan exactly the points of the scan's
+        # formula, written out here, down to subnormal and up to near-overflow ones.
+        lo, hi = bounds
+        spec_for(ROW4, (1,), (1,), lambda_bounds=bounds)
+        step = (hi - lo) * 1e-6
+        grid_lo = lo if lo > 0.0 else hi * 1e-12
+        last = optimize.COARSE_POINTS - 1
+        inner = [grid_lo * (hi / grid_lo) ** (i / last) for i in range(1, last)]
+        expected = [lo, *inner, hi, lo + step, hi - step]
+        assert optimize._scan_grid(lo, hi).tolist() == expected
+
     def test_non_integral_grid_values_rejected(self):
         # int() would truncate 2.7 and 4.9 into the powers of two 2 and 4.  A
         # float is refused even when integral; numpy integers are accepted.
