@@ -42,20 +42,31 @@ So the ``j``-series of a cell sums in closed form.  For one output photon,
 
 with ``T(1; x) = x e^-x`` (Poissonian) or ``x / (1 + x)^2`` (thermal), the
 probability that the thinned source delivers exactly one photon.
-``p1_evaluator`` evaluates P(1) this way, with no input truncation, for a
-whole array of per-window means at once.  It takes only the row runs, which
-state the geometry, and the priority logic.  The optimizer uses it as its
-objective, on row runs that a sweep builds from the per-arm and per-window
-factors without the full matrix.  The batch is evaluated in chunks of at
-most ``2^15`` cells (row runs x windows x means, or one mean if that has
-more).  A chunk stacks the thinned means ``mu v`` and ``mu' v`` and takes
-``T`` of both in one in-place pass, inside two work arrays that the
-evaluator allocates once, so no call allocates or frees an array of chunk
-size at any geometry.  The means arrive negated, as ``exp`` takes them,
+``p1_evaluator`` evaluates P(1) this way, with no input truncation, for
+any pairs of a geometry and a per-window mean at once.  It takes only the
+row runs of each geometry and the priority logic.  The optimizer uses it
+as its one kernel for a whole sweep, on row runs that it builds from the
+per-arm and per-window factors without the full matrix: a point's scan is
+one call of 34 means at that point, and a round of Brent steps one call of
+a mean for each point still refining.  The pairs are evaluated in chunks
+of at most ``2^15`` cells (row runs x windows per pair, or one pair if that
+has more).  A chunk stacks the thinned means ``mu v`` and ``mu' v`` and
+takes ``T`` of both in one in-place pass, inside two work arrays that the
+evaluator allocates once.  The means arrive negated, as ``exp`` takes them,
 from one product of the means with ``-1`` and ``-(1 - v_d)``: IEEE
 negation is exact, so ``-T`` comes out bit for bit, and the subtraction
 ``-p0 T(mu' v) - (-T(mu v))`` gives ``F_1`` with no pass of its own to
-restore the sign.  A batch of one chunk returns that chunk's result.
+restore the sign.
+
+A chunk of one point broadcasts its means over the point's rows, as it
+always has.  A chunk of several points lays their rows and exponents end
+to end and runs each elementwise pass once over all of them: the thinned
+means, ``T``, the ``p0`` product and the weight ``exp``, each pair's mean,
+``p0`` and ``log p0`` repeated over its own cells or exponents.  Only the
+contraction stays one batched product per point, over that point's
+consecutive pairs, so every value is bit for bit the one that its pair
+gives alone.  Besides the work arrays, such a chunk allocates one array of
+up to chunk size at a time: the repeated means, then the repeated ``p0``.
 
 The two evaluators differ only in how they build cell terms: the ``j``-series
 stacks ``F_i`` over ``i``, the closed form stacks ``F_1`` over the means.  Both
@@ -72,7 +83,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -128,16 +139,12 @@ def _weight_exponents(runs: RowRuns, logic: PriorityLogic) -> np.ndarray:
     return np.concatenate((n * ranks, windows))
 
 
-def _priority_weights(
-    log_p0: float | np.ndarray, exponents: np.ndarray, runs: RowRuns
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weight ``exp(e log p0)`` of each row run (summed over its ranks) and of each window.
+def _priority_weights(weights: np.ndarray, runs: RowRuns) -> tuple[np.ndarray, np.ndarray]:
+    """Weight of each row run (summed over its ranks) and of each window, from ``exp(e log p0)``.
 
-    ``exponents`` holds the ``runs.ranks`` rank exponents followed by the window
-    exponents, so one ``exp`` gives both.  ``log_p0`` is a scalar or has
-    shape ``(..., 1)``; the weights gain a trailing axis of row runs or windows.
+    ``weights`` holds ``exp(e log p0)`` at the ``runs.ranks`` rank exponents
+    followed by the window exponents, along its last axis.
     """
-    weights = np.exp(log_p0 * exponents)
     return np.add.reduceat(weights[..., : runs.ranks], runs.starts, axis=-1), weights[..., runs.ranks :]
 
 
@@ -184,7 +191,8 @@ def output_distribution(
     # At p0 = 0, log p0 = -inf would make the weight at exponent 0 NaN; any
     # log below -745 keeps that weight 1 and underflows every other to 0.
     log_p0 = math.log(p0) if p0 > 0.0 else -1e3
-    run_weights, window_weights = _priority_weights(log_p0, _weight_exponents(runs, layout.logic), runs)
+    weights = np.exp(log_p0 * _weight_exponents(runs, layout.logic))
+    run_weights, window_weights = _priority_weights(weights, runs)
     v = runs.rows
     x = 1.0 - v
     j_max = heralded.j_max
@@ -239,34 +247,33 @@ def _one_photon(kind: SourceKind, y: np.ndarray, out: np.ndarray) -> np.ndarray:
 def p1_evaluator(
     kind: SourceKind,
     v_d: float,
-    runs: RowRuns,
+    runs: Sequence[RowRuns],
     logic: PriorityLogic,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """P(exactly one output photon) as a function of the per-window mean pair number.
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """P(exactly one output photon) at pairs of a geometry and a per-window mean pair number.
 
-    The returned function maps a 1-D array of per-window means ``mu`` to the
-    array of P(1), each by the thinning identity, with the heralding
-    detector efficiency ``v_d``.  Each entry is the value a batch of one
-    gives for that mean, whatever else the array holds.  The row runs state
-    the geometry: ``runs.ranks`` arms by ``runs.rows.shape[1]`` windows.
-    The function reuses its own work arrays, so it serves one thread at a
-    time.
+    Each entry of ``runs`` states one geometry: ``ranks`` arms by
+    ``rows.shape[1]`` windows.  The returned function maps two 1-D arrays of
+    one length, indices ``points`` into ``runs`` and per-window means
+    ``mu``, to the array of P(1) of each (point, mean) pair, by the thinning
+    identity, with the heralding detector efficiency ``v_d``.  Each entry is
+    the value that its pair alone gives, whatever else the arrays hold.  The
+    function reuses its own work arrays, so it serves one thread at a time.
     """
-    rows = runs.rows
-    exponents = _weight_exponents(runs, logic)
+    runs = tuple(runs)
+    rows = [r.rows.reshape(-1) for r in runs]
+    exponents = [_weight_exponents(r, logic) for r in runs]
+    cell_counts, weight_counts = (np.array([a.size for a in x]) for x in (rows, exponents))
     thermal = kind is SourceKind.THERMAL
     # One product of these columns with the means gives -mu, -mu (1 - v_d)
     # and mu v_d (thermal) or log p0 = -mu v_d (Poissonian), each bit for bit
     # the negated product.
     coeffs = np.array([-1.0, -(1.0 - v_d), v_d if thermal else -v_d])[:, None]
-    per_chunk = max(1, _CHUNK_CELLS // rows.size)
-    # Every chunk works in these two arrays, so no call allocates one of chunk
-    # size: the negated thinned means of both sources and -T at them, each
-    # stacked as (2 x means, runs, windows), the source's own means first.
-    means, cells = np.empty((2, 2 * per_chunk) + rows.shape)
+    # Every chunk works in these two arrays: the negated thinned means of
+    # both sources and -T at them, the source's own means first.
+    means, cells = np.empty((2, 2 * max(_CHUNK_CELLS, int(cell_counts.max(initial=0)))))
 
-    def chunk(mu: np.ndarray) -> np.ndarray:
-        size = mu.size
+    def chunk(points: np.ndarray, mu: np.ndarray) -> np.ndarray:
         scaled = coeffs * mu
         neg_missed_means, detected = scaled[1], scaled[2]
         if thermal:
@@ -276,24 +283,64 @@ def p1_evaluator(
         else:
             log_p0 = detected
             p0 = np.exp(log_p0)
-        thinned = means[: 2 * size]
-        np.multiply(scaled[:2, :, None, None], rows, out=thinned.reshape((2, size) + rows.shape))
-        terms = _one_photon(kind, thinned, cells[: 2 * size])
-        f1, missed = terms[:size], terms[size:]
-        missed *= p0[:, None, None]
-        np.subtract(missed, f1, out=f1)  # -p0 T(mu' v) + T(mu v) = F_1
-        return _contract(f1, *_priority_weights(log_p0[:, None], exponents, runs))
+        order = points.tolist()
+        if len(set(order)) == 1:
+            # One point: its rows and exponents broadcast over the means.
+            thinned = means[: 2 * mu.size * rows[order[0]].size].reshape(2, mu.size, -1)
+            np.multiply(scaled[:2, :, None], rows[order[0]], out=thinned)
+            exps = exponents[order[0]]
 
-    def p1(mu: np.ndarray) -> np.ndarray:
-        mu = np.asarray(mu, dtype=float)
-        if mu.ndim != 1:
-            raise ValueError(f"means must be a 1-D array, got shape {mu.shape}")
-        if mu.size <= per_chunk:
-            return chunk(mu)
+            def spread(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
+                return x[:, None]
+
+        else:
+            # Several points: their rows and exponents end to end, each pair's
+            # values repeated over its own, one repeat alive at a time.
+            def spread(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
+                return np.repeat(x, counts[points])
+
+            thinned = means[: 2 * cell_counts[points].sum()].reshape(2, -1)
+            np.concatenate([rows[i] for i in order], out=thinned[0])
+            np.multiply(thinned[0], spread(scaled[1], cell_counts), out=thinned[1])
+            thinned[0] *= spread(scaled[0], cell_counts)
+            exps = np.concatenate([exponents[i] for i in order])
+        f1, missed = _one_photon(kind, thinned, cells[: thinned.size].reshape(thinned.shape))
+        missed *= spread(p0, cell_counts)
+        np.subtract(missed, f1, out=f1)  # -p0 T(mu' v) + T(mu v) = F_1
+        f1, weights = f1.reshape(-1), np.exp(spread(log_p0, weight_counts) * exps).reshape(-1)
+        # One batched contraction per point, over its consecutive pairs.
+        out = np.empty(len(order))
+        lo = cell_at = weight_at = 0
+        for hi in range(1, len(order) + 1):
+            if hi < len(order) and order[hi] == order[lo]:
+                continue
+            point, pairs = runs[order[lo]], hi - lo
+            group_cells = f1[cell_at : cell_at + pairs * point.rows.size]
+            group_weights = weights[weight_at : weight_at + pairs * exponents[order[lo]].size]
+            out[lo:hi] = _contract(
+                group_cells.reshape(pairs, *point.rows.shape),
+                *_priority_weights(group_weights.reshape(pairs, -1), point),
+            )
+            lo, cell_at, weight_at = hi, cell_at + group_cells.size, weight_at + group_weights.size
+        return out
+
+    def p1(points: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        points, mu = np.asarray(points), np.asarray(mu, dtype=float)
+        if mu.ndim != 1 or points.shape != mu.shape:
+            raise ValueError(f"points and means must be 1-D arrays of one length, got {points.shape}, {mu.shape}")
+        if not mu.size:
+            return np.zeros(0)
+        ends = cell_counts[points].cumsum()
+        if ends[-1] <= _CHUNK_CELLS:
+            return chunk(points, mu)
         out = np.empty(mu.size)
-        for start in range(0, mu.size, per_chunk):
-            out[start : start + per_chunk] = chunk(mu[start : start + per_chunk])
+        lo = 0
+        while lo < mu.size:
+            # The pairs whose cells fit in one chunk, at least one pair.
+            hi = int(ends.searchsorted(ends[lo] - cell_counts[points[lo]] + _CHUNK_CELLS, "right"))
+            hi = max(hi, lo + 1)
+            out[lo:hi] = chunk(points[lo:hi], mu[lo:hi])
+            lo = hi
         return out
 
     return p1
-

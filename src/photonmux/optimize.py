@@ -13,26 +13,30 @@ at each peak the scan resolves, and the result is the best of them: the
 global maximum unless a higher peak lies between two scan points, where
 the scan does not see it; the sweep then ranks all grid points.  The
 objective is the engine's closed-form single-photon probability, which has
-no input truncation.  It maps an array of pump strengths to an array of
-probabilities, so the bracket checks at both bounds and the whole scan
-take one call; each Brent step is a batch of one.
+no input truncation.  One P(1) kernel serves every grid point of a sweep:
+it maps pairs of a grid point and a pump strength to probabilities, so a
+point's bracket checks at both bounds and its whole scan take one call.
+``optimize_lambda`` is a sweep of one point.
 
 The transmission matrix of a grid point is the outer product of the ranked
 arm transmissions and the window column, and the router tree gives only
-``log2 m + 1`` distinct arm values.  A ``SweepSpec`` therefore keeps the
-distinct arm values with their run starts per m and the window column per
-n, and each grid point's evaluator gets its ``RowRuns`` from them, the arm
-rows times the window column (``RowRuns`` merges rows that come out equal);
-no m x n matrix is built.  The scan's pump strengths depend on the bounds
-only, so a sweep builds them once per n too.
+``log2 m + 1`` distinct arm values.  A sweep therefore builds the distinct
+arm values with their run starts once per m and the window column once per
+n, and each grid point's ``RowRuns`` from them, the arm rows times the
+window column (``RowRuns`` merges rows that come out equal); no m x n
+matrix is built.  The scan's pump strengths depend on the bounds only, so
+a sweep builds them once per n too.
 
-Cost per grid point: one objective call of 34 pump strengths (the four
-bracket-check points and the 30 inner scan points), then one single-mean
-call per Brent step, about 9 (10.1 calls per point in all over the
-reference tables).  A single-mean call touches at most a few hundred cells
-at the design grids, so its cost is numpy dispatch, not arithmetic: about
-14 us at (2, 64) and 34 us at (256, 512) on a 2-core host, best of ten
-rounds.  A second peak that the scan resolves costs a second Brent step.
+Cost of a sweep: one kernel call of 34 pump strengths per grid point (the
+four bracket-check points and the 30 inner scan points), then one call per
+round of Brent steps, each round one pump strength for every peak of every
+point still refining.  The rounds number as many as the steps of the
+slowest peak, 9 to 16 per sweep of the reference tables, where each point
+takes about 9.  A round's cost is numpy dispatch more than arithmetic, and
+it is shared: about 4 to 7 us per point in a round of the 16-point design
+grid or of table 2's 72-point combined grid, against about 14 us for a
+one-point call at (2, 64), on a 2-core host.  A second peak that the scan
+resolves refines in the same rounds as the first.
 """
 
 from __future__ import annotations
@@ -40,8 +44,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable
+from typing import Callable, Generator, Iterator, Sequence
 
 import numpy as np
 
@@ -65,6 +68,10 @@ from .transmission import (  # noqa: F401
 LAMBDA_TOL = 1e-5
 COARSE_POINTS = 32
 
+# Largest m and n of a sweep's grid.  A grid value sets the length of an array
+# that a sweep builds in Python, so an unbounded one could exhaust memory.
+_GRID_MAX = 4096
+
 # Golden-section fraction of the larger bracket segment, for Brent's fallback step.
 _GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
 # Smallest Brent step.  Brent's own stopping rule, max(x - a, b - x) <= 2 * _MIN_STEP,
@@ -74,6 +81,22 @@ _MIN_STEP = LAMBDA_TOL / 4.0
 
 class BracketError(RuntimeError):
     """The pump-strength bounds do not bracket an interior maximum."""
+
+
+def _grid_values(name: str, raw: tuple, rule: str) -> tuple[int, ...]:
+    """``raw`` as Python ints, each a power of 2 up to ``_GRID_MAX``.
+
+    Raises:
+        ValueError: ``{name} must hold {rule}, got {raw}``, or ``integers >= 1``
+            in place of ``rule`` for a value that is no such integer.
+    """
+    try:
+        values = tuple(_count(name, x) for x in raw)
+    except ValueError as exc:
+        raise ValueError(f"{name} must hold integers >= 1, got {raw}") from exc
+    if not all(_is_power_of_two(x) and x <= _GRID_MAX for x in values):
+        raise ValueError(f"{name} must hold {rule}, got {raw}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -90,13 +113,10 @@ class SweepSpec:
     def __post_init__(self):
         for name in ("m_values", "n_values"):
             raw = tuple(getattr(self, name))
-            try:
-                values = tuple(_count(name, x) for x in raw)
-            except ValueError as exc:
-                raise ValueError(f"{name} must hold integers >= 1, got {raw}") from exc
-            distinct = len(set(values)) == len(values)
-            if not (values and distinct and all(map(_is_power_of_two, values))):
-                raise ValueError(f"{name} must hold distinct powers of 2, at least one, got {raw}")
+            rule = f"distinct powers of 2 up to {_GRID_MAX}, at least one"
+            values = _grid_values(name, raw, rule)
+            if not (values and len(set(values)) == len(values)):
+                raise ValueError(f"{name} must hold {rule}, got {raw}")
             object.__setattr__(self, name, values)
         if self.lambda_bounds is not None:
             lo, hi = (_number(f"lambda_bounds[{i}]", x, math.inf) for i, x in enumerate(self.lambda_bounds))
@@ -104,32 +124,6 @@ class SweepSpec:
                 raise ValueError(f"lambda_bounds must satisfy lo < hi, got ({lo!r}, {hi!r})")
             _scan_grid(lo, hi)  # refuses bounds whose scan is not finite
             object.__setattr__(self, "lambda_bounds", (lo, hi))
-
-    @cached_property
-    def _factors(self) -> tuple[dict, dict, dict]:
-        """Ranked arm runs per m, window column per n and scan per n, each built on first use."""
-        return {}, {}, {}
-
-    def _row_runs(self, m: int, n: int) -> RowRuns:
-        """``build_matrix(...).row_runs`` at (m, n), from the arm runs and the window column.
-
-        Distinct arm values can still give equal rows (a zero window column, or
-        products that round alike); ``RowRuns`` merges those as the matrix's own.
-        """
-        arms, columns, _ = self._factors
-        if m not in arms:
-            arms[m] = _arm_runs(self.params, m)
-        if n not in columns:
-            columns[n] = _window_column(self.params, n)
-        arm_runs = arms[m]
-        return RowRuns(rows=arm_runs.rows * columns[n], starts=arm_runs.starts, ranks=arm_runs.ranks)
-
-    def _scan(self, n: int) -> np.ndarray:
-        """``_scan_grid`` of an n-window point's pump-strength bounds; default (1e-4, 10 n)."""
-        scans = self._factors[2]
-        if n not in scans:
-            scans[n] = _scan_grid(*(self.lambda_bounds or (1e-4, 10.0 * n)))
-        return scans[n]
 
 
 @dataclass(frozen=True)
@@ -181,55 +175,102 @@ def _scan_grid(lo: float, hi: float) -> np.ndarray:
     return scan
 
 
-def _maximize(f: Callable[[np.ndarray], np.ndarray], scan: np.ndarray) -> list[tuple[float, float]]:
-    """Locate every peak of ``f`` that the scan resolves, each to ``LAMBDA_TOL`` in x.
+def _maximize(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], scans: Sequence[np.ndarray]
+) -> Iterator[list[tuple[float, float]]]:
+    """Locate every peak that each point's scan resolves, each to ``LAMBDA_TOL`` in x.
 
-    ``scan`` is ``_scan_grid(lo, hi)``, and ``f`` maps a 1-D array of points
-    to the array of their values.  The bounds are validated by a
-    finite-difference sign check at both endpoints.  Each strict local
-    maximum of the coarse logarithmic grid of ``COARSE_POINTS`` brackets a
-    peak between its two neighbours, and a Brent step refines each one, the
-    best grid point first, until the bracket is at most ``LAMBDA_TOL`` wide.
-    ``f`` need not be unimodal, and the single-photon probability is not
-    always (two local maxima in x at 1,729 of 10,920 random grid points).  A
-    second peak that the grid's points do not resolve is not refined, and no
-    fixed grid rules one out.  The sign checks and the grid take one call of
-    ``f``; each Brent step calls it on one point.
+    ``scans[i]`` is ``_scan_grid(lo, hi)`` of point ``i``'s bounds, and
+    ``f(points, xs)`` maps two 1-D arrays, point indices and x values, to
+    the array of the values of each (point, x) pair.  Each point's bounds
+    are validated by a finite-difference sign check at both endpoints.
+    Each strict local maximum of the coarse logarithmic grid of
+    ``COARSE_POINTS`` brackets a peak between its two neighbours, and a
+    Brent step refines each one until the bracket is at most ``LAMBDA_TOL``
+    wide.  ``f`` need not be unimodal, and the single-photon probability is
+    not always (two local maxima in x at 1,729 of 10,920 random grid
+    points).  A second peak that the grid's points do not resolve is not
+    refined, and no fixed grid rules one out.  Each point's sign checks and
+    grid take one call of ``f``; then the Brent steps of every peak of
+    every point advance in lock-step, one call of ``f`` per round for all
+    the peaks still refining.
 
-    Returns:
-        One ``(x, f(x))`` per refined peak, as Python floats, ``x`` the best
-        point evaluated in its bracket; the best grid point's peak first.
+    Yields:
+        Each point's peaks in point order, one ``(x, f(x))`` per refined
+        peak, as Python floats, ``x`` the best point evaluated in its
+        bracket; the best grid point's peak first.
 
     Raises:
-        BracketError: ``f`` does not increase away from ``lo`` or does not
-            decrease toward ``hi``.
+        BracketError: at the first point where ``f`` does not increase away
+            from ``lo`` or does not decrease toward ``hi``, after yielding
+            the points before it.
     """
-    *ys, f_lo_step, f_hi_step = f(scan).tolist()
-    xs = scan.tolist()[:COARSE_POINTS]
-    if not f_lo_step > ys[0]:
-        raise BracketError(f"objective not increasing at lower bound {xs[0]}")
-    if not f_hi_step > ys[-1]:
-        raise BracketError(f"objective not decreasing at upper bound {xs[-1]}")
+    peaks: list[list] = []
+    active = []  # (point, peak, Brent step, its next x)
+    error = None
+    for i, scan in enumerate(scans):
+        ys = f(np.full(scan.size, i), scan).tolist()
+        try:
+            brackets = _brackets(scan.tolist(), ys)
+        except BracketError as exc:
+            error = exc
+            break
+        peaks.append([None] * len(brackets))
+        active += [(i, k, _brent(*bracket), None) for k, bracket in enumerate(brackets)]
+    values = [None] * len(active)
+    while active:
+        refining = []
+        for (i, k, brent, _), fu in zip(active, values):
+            try:
+                refining.append((i, k, brent, brent.send(fu)))
+            except StopIteration as done:
+                peaks[i][k] = done.value
+        active = refining
+        if active:
+            points, xs = zip(*((i, u) for i, _, _, u in active))
+            values = f(np.array(points), np.array(xs)).tolist()
+    yield from peaks
+    if error is not None:
+        raise error
+
+
+def _brackets(scan: list[float], ys: list[float]) -> list[tuple[float, float, float, float]]:
+    """``(a, b, x, f(x))`` of each peak that a scan resolves, the best grid point's first.
+
+    ``scan`` is a ``_scan_grid`` and ``ys`` the values there.  A failed sign
+    check names its cause when the check cannot see the slope at its bound:
+    the values at the bound and at the check point are both 0, as when they
+    underflow, or the check point lies past the best grid point, which is
+    not the bound, as when ``step`` spans several grid points.
+    """
+    xs, checks = scan[:COARSE_POINTS], scan[COARSE_POINTS:]
+    ys, f_checks = ys[:COARSE_POINTS], ys[COARSE_POINTS:]
+    best = max(range(COARSE_POINTS), key=ys.__getitem__)
+    sides = ((0, "increasing at lower", "lo + step", 1), (-1, "decreasing at upper", "hi - step", -1))
+    for (end, trend, name, sign), check, f_check in zip(sides, checks, f_checks):
+        if not f_check > ys[end]:
+            message = f"objective not {trend} bound {xs[end]}"
+            if f_check == ys[end] == 0.0:
+                message += f": it is 0 there and at the check point {name} = {check}, as when it underflows"
+            elif xs[best] != xs[end] and sign * (check - xs[best]) > 0.0:
+                message += f": the check point {name} = {check} lies past the best scan point {xs[best]}"
+            raise BracketError(message)
     # Padded so that a bracket stops at the bound and a bound's outer neighbour is lower.
     x_pad, y_pad = [xs[0], *xs, xs[-1]], [-math.inf, *ys, -math.inf]
-    best = max(range(COARSE_POINTS), key=ys.__getitem__)
     others = [i for i in range(COARSE_POINTS) if i != best and y_pad[i] < ys[i] > y_pad[i + 2]]
-    return [
-        _brent(lambda u: float(f(np.array([u]))[0]), x_pad[i], x_pad[i + 2], xs[i], ys[i])
-        for i in (best, *others)
-    ]
+    return [(x_pad[i], x_pad[i + 2], xs[i], ys[i]) for i in (best, *others)]
 
 
-def _brent(
-    f: Callable[[float], float], a: float, b: float, x: float, fx: float
-) -> tuple[float, float]:
+def _brent(a: float, b: float, x: float, fx: float) -> Generator[float, float, tuple[float, float]]:
     """Brent's maximization on [a, b] from an interior point ``x`` with ``f(x) = fx``.
 
-    Each step fits a parabola through the three best points and moves to its
-    vertex; a golden-section step into the larger segment replaces it when
-    the vertex leaves the bracket or the steps stop shrinking.  Steps are at
-    least ``_MIN_STEP`` long.  Stops once ``b - a <= LAMBDA_TOL``; ``x`` is
-    the best point evaluated and stays inside the bracket.
+    A generator: it yields each point ``u`` to evaluate and is sent
+    ``f(u)`` back, and it returns the result.  Each step fits a parabola
+    through the three best points and moves to its vertex; a golden-section
+    step into the larger segment replaces it when the vertex leaves the
+    bracket or the steps stop shrinking.  Steps are at least ``_MIN_STEP``
+    long.  Stops once ``b - a <= LAMBDA_TOL``; ``x`` is the best point
+    evaluated and stays inside the bracket.
     """
     w = v = x
     fw = fv = fx
@@ -257,7 +298,7 @@ def _brent(
             e = (a - x) if x >= mid else (b - x)
             d = _GOLDEN_STEP * e
         u = x + d if abs(d) >= _MIN_STEP else x + math.copysign(_MIN_STEP, d)
-        fu = f(u)
+        fu = yield u
         if fu >= fx:
             if u >= x:
                 a = x
@@ -276,18 +317,38 @@ def _brent(
     return x, fx
 
 
-def _objective(spec: SweepSpec, point: tuple[int, int]) -> Callable[[np.ndarray], np.ndarray]:
-    """P(1) at one grid point as a function of an array of pump strengths."""
-    m, n = point
-    p1 = p1_evaluator(spec.source_kind, spec.params.v_d, spec._row_runs(m, n), spec.logic)
+def _row_runs(params: LossParameters, points: list[tuple[int, int]]) -> list[RowRuns]:
+    """``build_matrix(...).row_runs`` at each (m, n) point, from the arm runs and the window column.
 
-    def p1_of_lambda(lams: np.ndarray) -> np.ndarray:
-        return p1(np.asarray(lams, dtype=float) / n)
+    Each m's arm runs and each n's window column are built once.  Distinct
+    arm values can still give equal rows (a zero window column, or products
+    that round alike); ``RowRuns`` merges those as the matrix's own.
+    """
+    arms = {m: _arm_runs(params, m) for m in dict.fromkeys(m for m, _ in points)}
+    columns = {n: _window_column(params, n) for n in dict.fromkeys(n for _, n in points)}
+    return [RowRuns(rows=arms[m].rows * columns[n], starts=arms[m].starts, ranks=m) for m, n in points]
 
-    return p1_of_lambda
+
+def _solve(spec: SweepSpec, points: list[tuple[int, int]]) -> Iterator[list[tuple[float, float]]]:
+    """Each point's refined peaks, in point order, with every point's peaks refined in lock-step.
+
+    One P(1) kernel serves all the points, and each n's scan is built once.
+    A generator that does all its work, every scan and every round, before
+    it yields the first point's peaks; a ``BracketError`` comes at the
+    first failing point, after the points before it.
+    """
+    kernel = p1_evaluator(spec.source_kind, spec.params.v_d, _row_runs(spec.params, points), spec.logic)
+    windows = np.array([n for _, n in points], dtype=float)
+    scans = {n: _scan_grid(*(spec.lambda_bounds or (1e-4, 10.0 * n))) for n in dict.fromkeys(n for _, n in points)}
+    yield from _maximize(lambda i, lams: kernel(i, lams / windows[i]), [scans[n] for _, n in points])
 
 
-def optimize_lambda(point: tuple[int, int], spec: SweepSpec) -> tuple[float, float]:
+def optimize_lambda(
+    point: tuple[int, int],
+    spec: SweepSpec,
+    *,
+    _refined: Iterator[list[tuple[float, float]]] | None = None,
+) -> tuple[float, float]:
     """Pump strength maximizing the single-photon probability at one (m, n) point.
 
     The best of the peaks that ``_maximize`` refines wins, the first on a
@@ -295,14 +356,28 @@ def optimize_lambda(point: tuple[int, int], spec: SweepSpec) -> tuple[float, flo
     the grid point, the logic and each refined peak's pump strength and
     P(1), so Python's default filter shows it once per grid point.
 
+    ``sweep`` passes ``_refined``, the ``_solve`` of its whole grid, and
+    calls this function once per grid point through the module's own name,
+    so a profiler or tracer that wraps ``optimize_lambda`` (the benchmark's
+    traced mode does) still sees every point, and the first point's call
+    holds the sweep's scans and rounds.
+
     Returns:
         ``(lambda_opt, p1)`` with ``lambda_opt`` resolved to absolute 1e-5.
+
+    Raises:
+        ValueError: ``m`` or ``n`` is not a power of 2 up to the grid limit
+            of ``SweepSpec``, before anything is built.
     """
-    peaks = _maximize(_objective(spec, point), spec._scan(point[1]))
+    point, rule = tuple(point), f"two powers of 2 up to {_GRID_MAX}"
+    if len(point) != 2:
+        raise ValueError(f"point must hold {rule}, got {point}")
+    m, n = _grid_values("point", point, rule)
+    peaks = next(_solve(spec, [(m, n)]) if _refined is None else _refined)
     if len(peaks) > 1:
         refined = ", ".join(f"({lam:.6g}, {p1:.6g})" for lam, p1 in peaks)
         warnings.warn(
-            f"coarse scan found {len(peaks)} local maxima at (m, n) = ({point[0]}, {point[1]}), "
+            f"coarse scan found {len(peaks)} local maxima at (m, n) = ({m}, {n}), "
             f"{spec.logic.value}; refined to (lambda, p1) = {refined}",
             stacklevel=2,
         )
@@ -310,7 +385,12 @@ def optimize_lambda(point: tuple[int, int], spec: SweepSpec) -> tuple[float, flo
 
 
 def sweep(spec: SweepSpec) -> OptimizationResult:
-    """Optimize the pump strength at every (m, n) grid point."""
-    return OptimizationResult(
-        surface={(m, n): optimize_lambda((m, n), spec) for m in spec.m_values for n in spec.n_values}
-    )
+    """Optimize the pump strength at every (m, n) grid point, as ``optimize_lambda`` does at each.
+
+    The points' refinements run in lock-step, so a sweep costs one scan call
+    per point and one call per round of Brent steps; every optimum is bit
+    for bit the one ``optimize_lambda`` gives alone.
+    """
+    points = [(m, n) for m in spec.m_values for n in spec.n_values]
+    refined = _solve(spec, points)
+    return OptimizationResult(surface={point: optimize_lambda(point, spec, _refined=refined) for point in points})

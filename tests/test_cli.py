@@ -227,6 +227,29 @@ class TestRunSweep:
         assert err.startswith(f"{path}:") and "lambda_bounds" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("key", ["m_values", "n_values"])
+    def test_grid_value_above_the_cap_exits_2(self, tmp_path, capsys, key):
+        # 2**40 windows would have the sweep build an array of 8 TiB in Python.
+        path = write_config(tmp_path, **{key: [1, 2**40]})
+        assert run_sweep(path) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert f"{key} must hold distinct powers of 2 up to 4096" in err and len(err.splitlines()) == 1
+        assert_line_anchored(path, err, key)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "hi, cause",
+        [(1e4, "hi - step = 9999.9900000001, as when it underflows"),
+         (1e5, "hi - step = 99999.9000000001, as when it underflows"),
+         (1e8, "lo + step = 100.0000999999 lies past the best scan point")],
+    )
+    def test_bracket_failure_names_its_cause(self, tmp_path, capsys, hi, cause):
+        lossless = {"v_r": 1, "v_t": 1, "v_p": 1, "v_p0_s": 1, "v_d": 1, "v_b": 1}
+        path = write_config(tmp_path, losses=lossless, m_values=[1], n_values=[1], lambda_bounds=[1e-4, hi])
+        assert run_sweep(path) == EXIT_BRACKET
+        err = capsys.readouterr().err
+        assert err.startswith("bracket failure: objective not") and cause in err and len(err.splitlines()) == 1
+
     def test_bracket_failure_exits_3(self, tmp_path, capsys):
         path = write_config(tmp_path, m_values=[1], n_values=[1], lambda_bounds=[8.0, 10.0])
         assert run_sweep(path) == EXIT_BRACKET
@@ -249,8 +272,9 @@ class TestRunSweep:
             losses = config.sweeps[0].params
             tm = build_matrix(losses, layout)
             assert 1e-4 < float(lam) < 1000
-            closed = p1_evaluator(model.kind, losses.v_d, tm.row_runs, layout.logic)
-            assert float(p1) == pytest.approx(closed(np.array([model.mean_per_window]))[0], abs=1e-10)
+            closed = p1_evaluator(model.kind, losses.v_d, [tm.row_runs], layout.logic)
+            expected = closed(np.zeros(1, int), np.array([model.mean_per_window]))[0]
+            assert float(p1) == pytest.approx(expected, abs=1e-10)
 
 
 class TestRunValidate:

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import corpus
-from photonmux import SourceKind, SweepSpec, optimize_lambda
+from photonmux import PriorityLogic, SourceKind, SweepSpec, optimize_lambda
 from photonmux import optimize
-from test_optimize import BIMODAL_CASES
+from photonmux.engine import p1_evaluator
+from test_optimize import BIMODAL_CASES, objective
 
 P, T = SourceKind.POISSONIAN, SourceKind.THERMAL
 
@@ -45,35 +46,33 @@ RISES = [
 ]
 
 
-def reusing(scan, ys, f):
-    """An ``_objective`` whose function gives ``ys`` back for the array ``scan`` itself, else calls ``f``."""
-    return lambda spec, point: lambda lams: ys if lams is scan else f(lams)
-
-
 @pytest.fixture(scope="module")
 def multi_peak():
     """``(set, source, (m, n), optimum, spec)`` at every multi-peak point with m*n <= 4096.
 
-    Each point is picked from its scan alone, one objective call.  Only the
-    picked points are optimized, each expected to warn, and
-    ``optimize_lambda``'s own scan call gets that scan's values back: the
-    evaluator is deterministic, so the optima are bit for bit the unpatched
-    ones, with one scan per point instead of two.
+    Each point is picked from its scan alone: one P(1) kernel per set and
+    source, on the row runs that a sweep builds, and one scan call per
+    point.  The picked points of each set and source are then solved
+    together, their peaks refined in lock-step as a sweep's are, each point
+    expected to warn.
     """
     points = [(m, n) for m, n in corpus.grid_points() if m * n <= 4096]
     m_values, n_values = (tuple(sorted(set(axis))) for axis in zip(*points))
-    objective = optimize._objective
+    scans = [optimize._scan_grid(1e-4, 10.0 * n) / n for _, n in points]
     optima = []
-    with pytest.MonkeyPatch.context() as patch, pytest.warns(UserWarning) as record:
+    with pytest.warns(UserWarning) as record:
         for k, params in enumerate(corpus.loss_sets()):
+            runs = optimize._row_runs(params, points)
             for kind in corpus.SOURCES:
+                p1 = p1_evaluator(kind, params.v_d, runs, PriorityLogic.LOWEST_LOSS)
+                picked = [
+                    point
+                    for i, (point, means) in enumerate(zip(points, scans))
+                    if corpus.scan_peaks(p1(np.full(means.size, i), means)[: optimize.COARSE_POINTS].tolist()) > 1
+                ]
                 spec = SweepSpec(m_values=m_values, n_values=n_values, params=params, source_kind=kind)
-                for point in points:
-                    scan, f = spec._scan(point[1]), objective(spec, point)
-                    ys = f(scan)
-                    if corpus.scan_peaks(ys[: optimize.COARSE_POINTS].tolist()) > 1:
-                        patch.setattr(optimize, "_objective", reusing(scan, ys, f))
-                        optima.append((k, kind, point, optimize_lambda(point, spec), spec))
+                refined = optimize._solve(spec, picked)
+                optima += [(k, kind, point, optimize_lambda(point, spec, _refined=refined), spec) for point in picked]
     assert len(record) == len(optima)
     assert all("local maxima" in str(warning.message) for warning in record)
     return optima
@@ -105,5 +104,5 @@ def test_no_dense_scan_point_beats_the_optimizer(multi_peak):
     sample = multi_peak[::43]
     assert len(sample) == 20
     for k, kind, (m, n), (lam, p1), spec in sample:
-        dense = optimize._objective(spec, (m, n))(np.geomspace(1e-4, 10.0 * n, 1024))
+        dense = objective(spec, (m, n))(np.geomspace(1e-4, 10.0 * n, 1024))
         assert dense.max() <= p1 + 1e-9, (k, kind, m, n)

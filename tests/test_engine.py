@@ -297,7 +297,13 @@ def draw_closed_form_case(rng, m_exp_max, n_exp_max, lam_lo, lam_hi_per_window):
 
 def closed_p1(model, v_d, tm, layout):
     """``p1_evaluator``'s P(1), a batch of one, at the source model's per-window mean."""
-    return p1_evaluator(model.kind, v_d, tm.row_runs, layout.logic)(np.array([model.mean_per_window]))[0]
+    return one_point(model.kind, v_d, tm, layout.logic)(np.array([model.mean_per_window]))[0]
+
+
+def one_point(kind, v_d, tm, logic):
+    """``p1_evaluator`` of the single geometry ``tm``, as a function of an array of means."""
+    p1 = p1_evaluator(kind, v_d, [tm.row_runs], logic)
+    return lambda mu: p1(np.zeros(len(mu), int), mu)
 
 
 def two_pass_one_photon(kind, x):
@@ -424,7 +430,7 @@ class TestClosedFormP1:
         tm = build_matrix(params, layout)
         if (m, n) == (256, 512):
             assert tm.row_runs.rows.shape == (9, 512)
-        p1 = p1_evaluator(kind, params.v_d, tm.row_runs, layout.logic)
+        p1 = one_point(kind, params.v_d, tm, layout.logic)
         mu = np.geomspace(1e-6, 10.0, 20)
         batch = p1(mu)
         assert batch.shape == (20,)
@@ -447,10 +453,63 @@ class TestClosedFormP1:
             tm = build_matrix(params, layout)
             mu = np.exp(rng.uniform(np.log(1e-6), np.log(10.0), int(rng.integers(1, 38))))
             expected = two_pass_p1(model.kind, params.v_d, tm, layout, mu)
-            actual = p1_evaluator(model.kind, params.v_d, tm.row_runs, layout.logic)(mu)
+            actual = one_point(model.kind, params.v_d, tm, layout.logic)(mu)
             assert np.array_equal(actual, expected), (case, model, layout)
             crossed += mu.size * tm.row_runs.rows.size > 1 << 15
         assert crossed >= 100, crossed
+
+    @pytest.mark.parametrize("kind", list(SourceKind))
+    @pytest.mark.parametrize("logic", [LL, FD])
+    def test_pairs_of_several_points_equal_single_point_calls(self, kind, logic):
+        # Sixteen geometries from (1, 1) to (256, 512).  A round sends one mean
+        # per point; a point with two peaks sends two in a row; 40 pairs in
+        # random order span several chunks.  Each value is, bit for bit, the
+        # one its point's own evaluator gives for that mean alone.
+        params = LossParameters(v_r=0.996, v_t=0.97, v_p=0.95, v_p0_s=0.99, v_d=0.9)
+        layouts = [MultiplexerLayout(m, n, logic=logic) for m in (1, 2, 16, 256) for n in (1, 8, 64, 512)]
+        matrices = [build_matrix(params, layout) for layout in layouts]
+        p1 = p1_evaluator(kind, params.v_d, [tm.row_runs for tm in matrices], logic)
+        alone = [one_point(kind, params.v_d, tm, logic) for tm in matrices]
+        rng = np.random.default_rng(25)
+        mixed = rng.permutation(np.concatenate((rng.integers(0, 16, 30), np.full(10, 15))))
+        rounds = [np.arange(16), np.array([0, 3, 3, 7, 8, 8, 15]), mixed]
+        assert sum(matrices[i].row_runs.rows.size for i in rounds[2]) > 1 << 15
+        for points in rounds:
+            mu = np.exp(rng.uniform(np.log(1e-6), np.log(10.0), points.size))
+            values = p1(points, mu)
+            assert values.shape == points.shape
+            for i, mean, value in zip(points.tolist(), mu.tolist(), values.tolist()):
+                assert value == alone[i](np.array([mean]))[0], (layouts[i], mean)
+
+    def test_several_points_equal_the_two_pass_formula_bit_for_bit(self):
+        # Random sets of up to 12 geometries up to (256, 512), both sources
+        # and logics, and up to 59 pairs in random order, which often cross
+        # chunk boundaries.
+        rng = np.random.default_rng(13)
+        crossed = 0
+        for case in range(150):
+            model, params, layout = draw_closed_form_case(rng, 8, 9, 1e-4, 10.0)
+            layouts = [layout]
+            for _ in range(int(rng.integers(1, 12))):
+                m, n = 2 ** int(rng.integers(0, 9)), 2 ** int(rng.integers(5, 10))
+                layouts.append(MultiplexerLayout(m, n, logic=layout.logic))
+            matrices = [build_matrix(params, lay) for lay in layouts]
+            p1 = p1_evaluator(model.kind, params.v_d, [tm.row_runs for tm in matrices], layout.logic)
+            points = rng.integers(0, len(layouts), int(rng.integers(2, 60)))
+            mu = np.exp(rng.uniform(np.log(1e-6), np.log(10.0), points.size))
+            actual = p1(points, mu)
+            for i, mean, value in zip(points.tolist(), mu.tolist(), actual.tolist()):
+                expected = two_pass_p1(model.kind, params.v_d, matrices[i], layouts[i], np.array([mean]))[0]
+                assert value == expected, (case, layouts[i], mean)
+            crossed += sum(matrices[i].row_runs.rows.size for i in points) > 1 << 15
+        assert crossed >= 20, crossed
+
+    def test_points_and_means_must_pair_up(self):
+        tm = build_matrix(LOSSLESS, MultiplexerLayout(2, 2))
+        p1 = p1_evaluator(SourceKind.POISSONIAN, 1.0, [tm.row_runs], LL)
+        for points, mu in ((np.zeros(2, int), np.ones(3)), (np.zeros((1, 1), int), np.ones((1, 1)))):
+            with pytest.raises(ValueError, match="1-D arrays of one length"):
+                p1(points, mu)
 
     def test_forty_digit_reference_decides_against_the_truncated_series(self):
         # A weak pump at the largest geometry: the adaptive series stops at

@@ -28,6 +28,7 @@ from photonmux import (
     sweep,
 )
 from photonmux import optimize
+from photonmux.engine import p1_evaluator
 from photonmux.optimize import OptimizationResult
 from photonmux.tables import (
     COMBINED_M_GRID,
@@ -93,7 +94,42 @@ def spec_for(params, m_values, n_values, **kwargs):
 
 def maximize(f, lo, hi):
     """The peaks that the pump-strength search of ``f`` refines on the scan grid of [lo, hi]."""
-    return optimize._maximize(f, optimize._scan_grid(lo, hi))
+    [peaks] = optimize._maximize(lambda points, xs: f(xs), [optimize._scan_grid(lo, hi)])
+    return peaks
+
+
+def objective(spec, point):
+    """P(1) at one grid point of ``spec`` as a function of an array of pump strengths."""
+    m, n = point
+    runs = build_matrix(spec.params, MultiplexerLayout(m, n, spec.logic)).row_runs
+    p1 = p1_evaluator(spec.source_kind, spec.params.v_d, [runs], spec.logic)
+    return lambda lams: p1(np.zeros(len(lams), dtype=int), np.asarray(lams, dtype=float) / n)
+
+
+def record_kernel_calls(monkeypatch):
+    """Patch the optimizer's P(1) kernel to record each call; returns the record.
+
+    The record holds one entry per kernel that a sweep or ``optimize_lambda``
+    builds: ``(runs, kernel, calls)``, each call a ``(points, means, values)``
+    triple of copies.
+    """
+    record = []
+    evaluator = optimize.p1_evaluator
+
+    def recording(kind, v_d, runs, logic):
+        p1 = evaluator(kind, v_d, runs, logic)
+        calls = []
+        record.append((runs, p1, calls))
+
+        def kernel(points, mu):
+            values = p1(points, mu)
+            calls.append((np.array(points), np.array(mu), values.copy()))
+            return values
+
+        return kernel
+
+    monkeypatch.setattr(optimize, "p1_evaluator", recording)
+    return record
 
 
 class TestMaximizeUnimodal:
@@ -169,12 +205,10 @@ class TestOptimizeLambda:
         assert p1 == pytest.approx(0.842, abs=5e-4)
 
     def test_optimum_is_stable_to_perturbation(self):
-        from photonmux.optimize import _objective
-
         for point in ((1, 1), (2, 4)):
             spec = spec_for(ROW4, (point[0],), (point[1],))
             lam, p1 = optimize_lambda(point, spec)
-            f = _objective(spec, point)
+            f = objective(spec, point)
             above, below = f(np.array([lam + 1e-4, max(lam - 1e-4, 0.0)]))
             assert above <= p1 + 1e-9
             assert below <= p1 + 1e-9
@@ -183,101 +217,91 @@ class TestOptimizeLambda:
         # Table-2 row 1 at its combined optimum (2, 64).  The 4 bracket checks
         # and the 30 inner points of the scan take 34 pump strengths in one
         # call, which leaves the Brent step at most 14, one per call.
-        calls = []
-        objective = optimize._objective
-
-        def counted(spec, point):
-            f = objective(spec, point)
-
-            def g(lams):
-                calls.append(np.array(lams))
-                return f(lams)
-
-            return g
-
-        monkeypatch.setattr(optimize, "_objective", counted)
+        record = record_kernel_calls(monkeypatch)
         lam, _ = optimize_lambda((2, 64), spec_for(TABLE2_ROWS[0].losses(), (2,), (64,)))
-        assert sum(c.size for c in calls) <= 48
+        [(_, _, calls)] = record
+        assert sum(mu.size for _, mu, _ in calls) <= 48
         assert len(calls) <= 15
         assert lam == pytest.approx(3.422646523650135, abs=2e-5)  # the golden-section optimum
 
     def test_no_lambda_is_evaluated_twice(self, monkeypatch):
-        # The bracket checks evaluate both bounds, which are also the scan's end points.
-        calls = {}
-        objective = optimize._objective
-
-        def recorded(spec, point):
-            f = objective(spec, point)
-            lams = calls.setdefault((spec.lambda_bounds, point), [])
-
-            def g(batch):
-                lams.extend(np.ravel(batch).tolist())
-                return f(batch)
-
-            return g
-
-        monkeypatch.setattr(optimize, "_objective", recorded)
+        # The bracket checks evaluate both bounds, which are also the scan's
+        # end points.  Each grid point's n is a power of 2, so its pump
+        # strengths are distinct exactly when its means are.
+        record = record_kernel_calls(monkeypatch)
         sweep(spec_for(TABLE2_ROWS[0].losses(), (1, 2, 4), (1, 16, 64)))
         optimize_lambda((1, 1), spec_for(LOSSLESS, (1,), (1,), lambda_bounds=(0.0, 5.0)))
         kind, point, params, _ = BIMODAL_CASES[0]  # two peaks, each refined
         with pytest.warns(UserWarning, match="local maxima"):
             optimize_lambda(point, spec_for(params, (point[0],), (point[1],), source_kind=kind))
-        assert len(calls) == 11
-        for key, lams in calls.items():
-            assert len(set(lams)) == len(lams), key
+        means = {}
+        for k, (_, _, calls) in enumerate(record):
+            for points, mu, _ in calls:
+                for i, x in zip(points.tolist(), mu.tolist()):
+                    means.setdefault((k, i), []).append(x)
+        assert len(means) == 11
+        for key, xs in means.items():
+            assert len(set(xs)) == len(xs), key
 
     def test_brent_steps_equal_batch_entries(self, monkeypatch):
-        # Each Brent step sends one point; the objective's value there is the
-        # entry a batch of all the steps gives.
-        steps = []
-        objective = optimize._objective
-
-        def recorded(spec, point):
-            f = objective(spec, point)
-            lams, values = [], []
-            steps.append((f, lams, values))
-
-            def g(batch):
-                out = f(batch)
-                if batch.size == 1:
-                    lams.append(batch.item())
-                    values.append(out.item())
-                return out
-
-            return g
-
-        monkeypatch.setattr(optimize, "_objective", recorded)
+        # Every round of a sweep from (1, 1) to (256, 512) sends one pump
+        # strength per peak still refining, and each value is, bit for bit,
+        # the one that its pair alone gives, and the entry that a batch of
+        # all of that point's steps gives.  The lock-step optima are
+        # optimize_lambda's, each solved alone.
+        record = record_kernel_calls(monkeypatch)
         for kind in SourceKind:
             for logic in (LL, FD):
-                for point in ((1, 1), (256, 512)):
-                    spec = spec_for(ROW4, (point[0],), (point[1],), source_kind=kind, logic=logic)
-                    optimize_lambda(point, spec)
-        assert len(steps) == 8
-        for f, lams, values in steps:
-            assert len(lams) >= 5
-            assert f(np.array(lams)).tolist() == values
+                spec = spec_for(ROW4, (1, 4, 256), (1, 64, 512), source_kind=kind, logic=logic)
+                result = sweep(spec)
+                _, p1, calls = record[-1]
+                assert [mu.size for _, mu, _ in calls[:9]] == [optimize.COARSE_POINTS + 2] * 9
+                steps = {}
+                for points, mu, values in calls[9:]:
+                    assert np.array_equal(np.unique(points), points)  # one step per point
+                    for i, x, value in zip(points.tolist(), mu.tolist(), values.tolist()):
+                        assert p1(np.array([i]), np.array([x]))[0] == value
+                        xs, ys = steps.setdefault(i, ([], []))
+                        xs.append(x)
+                        ys.append(value)
+                assert sorted(steps) == list(range(9))
+                assert len(calls) - 9 == max(len(xs) for xs, _ in steps.values())
+                for i, (xs, ys) in steps.items():
+                    assert len(xs) >= 5
+                    assert p1(np.full(len(xs), i), np.array(xs)).tolist() == ys
+                for point, optimum in result.surface.items():
+                    assert optimize_lambda(point, spec) == optimum
+        assert len(record) == 4 * (1 + 9)
+
+    def test_sweep_refines_in_lock_step(self, monkeypatch):
+        # A 4 x 4 sweep: one scan call per grid point, then one call per round
+        # for every peak still refining, so the rounds number as many as the
+        # Brent steps of its slowest peak, not the steps of all its points.
+        record = record_kernel_calls(monkeypatch)
+        sweep(spec_for(TABLE2_ROWS[0].losses(), (1, 2, 4, 8), (1, 2, 4, 8)))
+        [(runs, _, calls)] = record
+        assert len(runs) == 16
+        scans, rounds = calls[:16], calls[16:]
+        for i, (points, mu, _) in enumerate(scans):
+            assert points.tolist() == [i] * (optimize.COARSE_POINTS + 2)
+        sizes = [mu.size for _, mu, _ in rounds]
+        assert sizes[0] == 16 and sizes == sorted(sizes, reverse=True)
+        steps = np.bincount(np.concatenate([points for points, _, _ in rounds]))
+        assert len(rounds) == steps.max() <= 20
+        assert len(calls) <= 16 + 20
 
     def test_table2_row_averages_few_objective_calls(self, monkeypatch):
-        # One batched call for the bracket checks and the scan, then the Brent
-        # step's single-point calls, at each of the row's 92 grid points.
-        calls = []
-        objective = optimize._objective
-
-        def counted(spec, point):
-            f = objective(spec, point)
-            index = len(calls)
-            calls.append(0)
-
-            def g(lams):
-                calls[index] += 1
-                return f(lams)
-
-            return g
-
-        monkeypatch.setattr(optimize, "_objective", counted)
+        # One batched call for the bracket checks and the scan at each of the
+        # row's 92 grid points, then one call per round of Brent steps in each
+        # of its three sweeps, and at most 10 Brent steps per point on average.
+        record = record_kernel_calls(monkeypatch)
         reproduce_table2_row(TABLE2_ROWS[0])
-        assert len(calls) == 92
-        assert sum(calls) / len(calls) <= 11
+        assert sorted(len(runs) for runs, _, _ in record) == [10, 10, 72]
+        evaluations = 0
+        for runs, _, calls in record:
+            assert len(calls) <= len(runs) + 15
+            evaluations += sum(mu.size for _, mu, _ in calls)
+        assert evaluations / 92 <= 34 + 10
 
     def test_explicit_bounds_respected(self):
         spec = spec_for(LOSSLESS, (1,), (1,), lambda_bounds=(0.5, 3.0))
@@ -288,6 +312,34 @@ class TestOptimizeLambda:
         # The optimum sits at 1, so [3, 10] has a decreasing profile.
         spec = spec_for(LOSSLESS, (1,), (1,), lambda_bounds=(3.0, 10.0))
         with pytest.raises(BracketError):
+            optimize_lambda((1, 1), spec)
+
+    @pytest.mark.parametrize("hi", [1e4, 1e5, 1e8])
+    def test_bracket_failure_names_a_check_that_cannot_see_the_slope(self, hi):
+        # The lossless optimum sits at 1.  P(1) underflows to exactly 0 at
+        # 1e4 and at 1e5, and at the check point hi - step below each; at
+        # 1e8 the check point lo + step = 100 lies far past the peak.
+        lo = 1e-4
+        spec = spec_for(LOSSLESS, (1,), (1,), lambda_bounds=(lo, hi))
+        *_, lo_step, hi_step = optimize._scan_grid(lo, hi).tolist()
+        with pytest.raises(BracketError) as failure:
+            optimize_lambda((1, 1), spec)
+        if hi < 1e8:
+            expected = (
+                f"objective not decreasing at upper bound {hi}: it is 0 there and at the check point "
+                f"hi - step = {hi_step}, as when it underflows"
+            )
+        else:
+            expected = (
+                f"objective not increasing at lower bound {lo}: the check point lo + step = {lo_step} "
+                "lies past the best scan point 0.7429639507594946"
+            )
+        assert str(failure.value) == expected
+
+    def test_bracket_failure_of_a_monotone_profile_keeps_its_text(self):
+        # [8, 10] lies past the peak, so the check at 8 sees the profile fall.
+        spec = spec_for(LOSSLESS, (1,), (1,), lambda_bounds=(8.0, 10.0))
+        with pytest.raises(BracketError, match=r"^objective not increasing at lower bound 8\.0$"):
             optimize_lambda((1, 1), spec)
 
 
@@ -336,8 +388,26 @@ def test_higher_of_two_scan_peaks_is_found(case):
     bound = output_distribution(heralded, tm, layout).tail_bound
     assert abs(single_photon_probability(heralded, tm, layout) - p1) <= bound
     # No point of a dense scan over the default bounds lies higher.
-    dense = optimize._objective(spec, (m, n))(np.geomspace(1e-4, 10.0 * n, 4000))
+    dense = objective(spec, (m, n))(np.geomspace(1e-4, 10.0 * n, 4000))
     assert dense.max() <= p1 + 1e-9
+
+
+@pytest.mark.parametrize(
+    "case", BIMODAL_CASES, ids=[f"{c[0].value}-{c[1][0]}x{c[1][1]}" for c in BIMODAL_CASES]
+)
+def test_two_peaks_refine_in_the_same_rounds(case, monkeypatch):
+    # Both peaks of a two-peak point advance in the same kernel calls, and
+    # each value is the one that its pump strength alone gives, bit for bit.
+    kind, (m, n), params, _ = case
+    record = record_kernel_calls(monkeypatch)
+    with pytest.warns(UserWarning, match="local maxima"):
+        optimize_lambda((m, n), spec_for(params, (m,), (n,), source_kind=kind))
+    [(_, p1, calls)] = record
+    rounds = calls[1:]
+    assert sum(mu.size == 2 for _, mu, _ in rounds) >= 5
+    for points, mu, values in rounds:
+        assert points.tolist() == [0] * mu.size
+        assert [p1(np.zeros(1, int), mu[k : k + 1])[0] for k in range(mu.size)] == values.tolist()
 
 
 def test_sweep_warns_once_per_two_peak_grid_point(tmp_path):
@@ -457,6 +527,33 @@ class TestSweep:
             with pytest.raises(ValueError, match="distinct"):
                 spec_for(ROW4, m_values, n_values)
 
+    def test_grid_values_above_the_cap_rejected(self):
+        # A grid value sets the length of the window column and arm arrays
+        # that a sweep builds, so 2**40 would loop 2**40 times; it is refused
+        # before anything is built.
+        assert spec_for(ROW4, (4096,), (4096,)).m_values == (4096,)
+        for m_values, n_values in (((8192,), (1,)), ((1,), (2**40,)), ((1, 2**40), (4,))):
+            with pytest.raises(ValueError, match=r"must hold distinct powers of 2 up to 4096"):
+                spec_for(ROW4, m_values, n_values)
+
+    def test_point_beyond_the_grid_rule_rejected(self, monkeypatch):
+        # optimize_lambda takes its point apart from the spec's grid, so it
+        # checks the same rule before it builds the point's row runs.
+        def build(*args):
+            raise AssertionError("built a row run")
+
+        monkeypatch.setattr(optimize, "_row_runs", build)
+        spec = spec_for(ROW4, (1,), (4,))
+        for point in ((1, 2**40), (8192, 1), (3, 4)):
+            with pytest.raises(ValueError, match=r"point must hold two powers of 2 up to 4096, got \("):
+                optimize_lambda(point, spec)
+        for point in ((1,), (1, 2, 4)):
+            with pytest.raises(ValueError, match="point must hold two powers of 2 up to 4096"):
+                optimize_lambda(point, spec)
+        for point in ((True, 2), (1.0, 4)):
+            with pytest.raises(ValueError, match="point must hold integers >= 1"):
+                optimize_lambda(point, spec)
+
     def test_boolean_grid_values_rejected(self):
         # operator.index(True) == 1, a power of two, so a boolean would sweep m = 1.
         for m_values, n_values in (((True,), (2,)), ((2,), (False,)), ((np.True_,), (2,))):
@@ -488,20 +585,24 @@ class TestSweepTransmissionFactors:
 
     def test_row_runs_equal_the_built_matrix_runs(self, monkeypatch):
         # Every grid point of the table-1 and table-2 sweeps hands the
-        # evaluator the row runs of build_matrix, bit for bit.
+        # evaluator the row runs of build_matrix, bit for bit.  The kernel is
+        # only built here: each sweep stops before its first evaluation.
         seen = []
-        evaluator = optimize.p1_evaluator
+
+        class Built(Exception):
+            pass
 
         def recording(kind, v_d, runs, logic):
-            seen.append((spec.params, point, runs))
-            return evaluator(kind, v_d, runs, logic)
+            points = [(m, n) for m in spec.m_values for n in spec.n_values]
+            seen.extend((spec.params, point, r) for point, r in zip(points, runs, strict=True))
+            raise Built
 
         monkeypatch.setattr(optimize, "p1_evaluator", recording)
         for params in factor_loss_sets():
             for m_values, n_values in self.TABLE_GRIDS:
                 spec = spec_for(params, m_values, n_values)
-                for point in ((m, n) for m in m_values for n in n_values):
-                    optimize._objective(spec, point)
+                with pytest.raises(Built):
+                    sweep(spec)
         for params, (m, n), runs in seen:
             expected = build_matrix(params, MultiplexerLayout(m, n)).row_runs
             assert runs.rows.dtype == expected.rows.dtype
