@@ -14,11 +14,13 @@ Subcommands
 
 Exit codes: 0 success; 2 invalid configuration, including a config file that
 is not UTF-8, an output directory that cannot be made (such as an existing
-file; ``tables --out`` too) and a validation point whose heralded input cannot
-be truncated within tolerance; 3 pump-strength bracketing failure; 4
+file; ``tables --out`` too), a grid value or validation point m or n beyond
+4096, more than 2**40 trials, and a validation point whose heralded input
+cannot be truncated within tolerance; 3 pump-strength bracketing failure; 4
 analytic/Monte-Carlo disagreement beyond 4 standard errors.  Each failure is
 one line on stderr, and the output directory is checked before any sweep,
-sampling or table run starts.
+sampling or table run starts; ``sweep`` and ``validate`` make it only to
+write their results.
 """
 
 from __future__ import annotations
@@ -172,8 +174,6 @@ def run_validate(config_path: str | Path) -> int:
         if unusable:
             print(_fail(path, text, key, message), file=sys.stderr)
             return EXIT_CONFIG
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     worst = None
     cases = itertools.product(config.sweeps, config.validation_points)  # logic-major
@@ -193,8 +193,9 @@ def run_validate(config_path: str | Path) -> int:
             rows.append([m, n, lam, logic.value, c.bin, c.analytic, c.empirical, c.std_err, c.z])
             if c.z > Z_LIMIT and (worst is None or c.z > worst[4].z):
                 worst = (m, n, lam, logic, c)
+    config.output_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
-        out / "validate.csv",
+        config.output_dir / "validate.csv",
         ["m", "n", "lambda", "logic", "bin", "analytic", "empirical", "std_err", "z"],
         rows,
     )

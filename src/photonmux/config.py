@@ -16,9 +16,10 @@ import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .montecarlo import _trials
 from .optimize import SweepSpec
 from .statistics import PairSourceModel, SourceKind
-from .transmission import LossParameters, PriorityLogic, _count, _is_power_of_two
+from .transmission import _GRID_MAX, LossParameters, PriorityLogic, _count, _size
 
 CONFIG_VERSION = 1
 
@@ -131,6 +132,8 @@ def parse_config(path: str | Path) -> RunConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer of more digits than int() converts
+        raise ConfigError(f"{path}:1: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}:1: config root must be a JSON object")
     _reject_unknown(path, text, raw, _TOP_KEYS, "unknown key")
@@ -186,7 +189,7 @@ def parse_config(path: str | Path) -> RunConfig:
         validation = _require(raw, path, text, "validation", dict, "an object")
         _reject_unknown(path, text, validation, _VALIDATION_KEYS, "unknown validation key")
         if "trials" in validation:
-            trials = _built(path, text, _count, "trials", validation["trials"])
+            trials = _built(path, text, _trials, validation["trials"])
         if "seed" in validation:
             seed = _built(path, text, _count, "seed", validation["seed"], 0)
         if "points" in validation:
@@ -196,11 +199,15 @@ def parse_config(path: str | Path) -> RunConfig:
             parsed = []
             for triple in points_raw:
                 invalid = f"invalid validation point {triple!r}"
-                shape = isinstance(triple, list) and len(triple) == 3
-                if not (shape and all(_is_a(k, int) and _is_power_of_two(k) for k in triple[:2])):
-                    raise _fail(path, text, "points", f"{invalid}: want [m, n, lambda], m and n powers of 2")
+                want = f"{invalid}: want [m, n, lambda], m and n powers of 2 up to {_GRID_MAX}"
+                if not (isinstance(triple, list) and len(triple) == 3):
+                    raise _fail(path, text, "points", want)
                 try:
-                    point = (*triple[:2], PairSourceModel(source, triple[2], triple[1]).mean_pairs)
+                    m, n = (_size("point", k) for k in triple[:2])
+                except ValueError as exc:
+                    raise _fail(path, text, "points", want) from exc
+                try:
+                    point = (m, n, PairSourceModel(source, triple[2], n).mean_pairs)
                 except ValueError as exc:
                     raise _fail(path, text, "points", f"{invalid}: {exc}") from exc
                 if point in parsed:

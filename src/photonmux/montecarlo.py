@@ -35,15 +35,16 @@ nothing for its leading ``j = 0`` category (probability 0) or after its last
 trial, so the stream depends on neither that slot nor ``J``; the survivors.
 
 Trials are partitioned into blocks of ``BLOCK_SIZE`` trials, each driven by
-its own child of ``numpy.random.SeedSequence(seed)``; results are therefore
-reproducible bit for bit and blocks may be evaluated in any order (the block
-structure is part of the random-stream definition).  A block's walk stops at
-the first cell after which no trial is waiting.  It costs one binomial and
-one multinomial per visited cell, the multinomial one binomial per pair
-number up to the largest one drawn, one survivor call per present pair
-number, plus one survivor draw per heralded trial.  Besides its ``J + 1``
-bins it holds the survivors of one pair number of one cell at a time, at
-most one int64 per heralded trial, whatever the geometry.
+its own child of ``numpy.random.SeedSequence(seed)``, spawned as the block
+is sampled; results are therefore reproducible bit for bit and blocks may
+be evaluated in any order (the block structure is part of the random-stream
+definition).  A block's walk stops at the first cell after which no trial
+is waiting.  It costs one binomial and one multinomial per visited cell,
+the multinomial one binomial per pair number up to the largest one drawn,
+one survivor call per present pair number, plus one survivor draw per
+heralded trial.  Besides its ``J + 1`` bins it holds the survivors of one
+pair number of one cell at a time, at most one int64 per heralded trial,
+whatever the geometry.
 """
 
 from __future__ import annotations
@@ -59,6 +60,17 @@ from .transmission import LossParameters, MultiplexerLayout, PriorityLogic, _cou
 
 BLOCK_SIZE = 1 << 20
 CLOSING_BOUND = 1e-20
+# Most trials of one run: 2**20 blocks, about 13 days of sampling at 1 Mtrial/s,
+# and far below 2**63, where the int64 counts would wrap.
+_TRIALS_MAX = 1 << 40
+
+
+def _trials(value) -> int:
+    """``value`` as a count of trials, by ``_count``'s rule, up to ``_TRIALS_MAX``."""
+    trials = _count("trials", value)
+    if trials > _TRIALS_MAX:
+        raise ValueError(f"trials must be at most {_TRIALS_MAX}, got {trials}")
+    return trials
 
 
 def _visiting_order(m: int, n: int, logic: PriorityLogic) -> Iterator[tuple[int, int]]:
@@ -208,7 +220,7 @@ def simulate(
             layout's ``n`` windows.
         params: optical and detector efficiencies.
         layout: geometry and priority logic.
-        trials: number of simulated periods, an integer >= 1.
+        trials: number of simulated periods, an integer from 1 to 2**40.
         seed: seed of the block-splitting random stream, an integer >= 0.
 
     Returns:
@@ -220,7 +232,7 @@ def simulate(
             source's window count is not the layout's; raised before
             anything is built or sampled.
     """
-    trials, seed = _count("trials", trials), _count("seed", seed, least=0)
+    trials, seed = _trials(trials), _count("seed", seed, least=0)
     if model.n_windows != layout.n:
         raise ValueError(f"source spans {model.n_windows} windows, but the layout has {layout.n}")
     transmissions = build_matrix(params, layout).values
@@ -229,12 +241,12 @@ def simulate(
         # No detector ever clicks: every trial is vacuum, and nothing is drawn.
         return PhotonNumberDistribution(probs=np.ones(1), tail_bound=0.0)
     pvals = _heralded_pair_pmf(model, params.v_d)
-    n_blocks = (trials + BLOCK_SIZE - 1) // BLOCK_SIZE
-    streams = np.random.SeedSequence(seed).spawn(n_blocks)
+    root = np.random.SeedSequence(seed)
     counts = np.zeros(pvals.size - 1, dtype=np.int64)
     remaining = trials
-    for stream in streams:
-        block = min(BLOCK_SIZE, remaining)
+    while remaining:
+        # Children are numbered in spawn order, so block b draws from child b.
+        block, stream = min(BLOCK_SIZE, remaining), root.spawn(1)[0]
         hist = _simulate_block(
             h, pvals, transmissions, layout.logic, block, np.random.default_rng(stream)
         )

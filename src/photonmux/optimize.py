@@ -54,23 +54,20 @@ import numpy as np
 from .engine import p1_evaluator, single_photon_probability  # noqa: F401
 from .statistics import SourceKind, herald_convolve  # noqa: F401
 from .transmission import (  # noqa: F401
+    _GRID_MAX,
     LossParameters,
     PriorityLogic,
     RowRuns,
     _arm_runs,
     _count,
-    _is_power_of_two,
     _number,
+    _size,
     _window_column,
     build_matrix,
 )
 
 LAMBDA_TOL = 1e-5
 COARSE_POINTS = 32
-
-# Largest m and n of a sweep's grid.  A grid value sets the length of an array
-# that a sweep builds in Python, so an unbounded one could exhaust memory.
-_GRID_MAX = 4096
 
 # Golden-section fraction of the larger bracket segment, for Brent's fallback step.
 _GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
@@ -84,7 +81,7 @@ class BracketError(RuntimeError):
 
 
 def _grid_values(name: str, raw: tuple, rule: str) -> tuple[int, ...]:
-    """``raw`` as Python ints, each a power of 2 up to ``_GRID_MAX``.
+    """``raw`` as Python ints, each a size of the built-in geometry (``_size``).
 
     Raises:
         ValueError: ``{name} must hold {rule}, got {raw}``, or ``integers >= 1``
@@ -94,9 +91,10 @@ def _grid_values(name: str, raw: tuple, rule: str) -> tuple[int, ...]:
         values = tuple(_count(name, x) for x in raw)
     except ValueError as exc:
         raise ValueError(f"{name} must hold integers >= 1, got {raw}") from exc
-    if not all(_is_power_of_two(x) and x <= _GRID_MAX for x in values):
-        raise ValueError(f"{name} must hold {rule}, got {raw}")
-    return values
+    try:
+        return tuple(_size(name, x) for x in values)
+    except ValueError as exc:
+        raise ValueError(f"{name} must hold {rule}, got {raw}") from exc
 
 
 @dataclass(frozen=True)
@@ -366,8 +364,8 @@ def optimize_lambda(
         ``(lambda_opt, p1)`` with ``lambda_opt`` resolved to absolute 1e-5.
 
     Raises:
-        ValueError: ``m`` or ``n`` is not a power of 2 up to the grid limit
-            of ``SweepSpec``, before anything is built.
+        ValueError: ``m`` or ``n`` breaks the size rule of the built-in
+            builders (a power of 2 up to 4096), before anything is built.
     """
     point, rule = tuple(point), f"two powers of 2 up to {_GRID_MAX}"
     if len(point) != 2:

@@ -8,9 +8,10 @@ binary representation of the required delay, and the spatial multiplexer is
 a binary tree of polarizing-beam-splitter routers whose arm losses follow the
 binomial expansion of ``(v_r_s + v_t_s)^levels``.
 
-The input rules of every record live here: ``_count`` (an integer, no bool)
-and ``_number`` (a finite float in range, no bool or string); the config
-parser builds its values through them too.
+The input rules of every record live here: ``_count`` (an integer, no bool),
+``_number`` (a finite float in range, no bool or string) and ``_size``, the
+rule of every m and n the built-in builders take (a count that is a power of
+2 up to ``_GRID_MAX``); the config parser builds its values through them too.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ class PriorityLogic(Enum):
     FIRST_DETECTION = "first_detection"
 
 
+# Largest m and n of the built-in geometry.  A size sets the length of an
+# array built in Python, so an unbounded one could exhaust memory.
+_GRID_MAX = 4096
+
+
 def _is_power_of_two(x: int) -> bool:
     return x >= 1 and (x & (x - 1)) == 0
 
@@ -52,6 +58,14 @@ def _count(name: str, value, least: int = 1) -> int:
             if count >= least:
                 return count
     raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _size(name: str, value) -> int:
+    """``value`` as a count, by ``_count``'s rule, that is a power of 2 up to ``_GRID_MAX``."""
+    size = _count(name, value)
+    if not (_is_power_of_two(size) and size <= _GRID_MAX):
+        raise ValueError(f"{name} must be a power of 2 up to {_GRID_MAX}, got {size}")
+    return size
 
 
 def _number(name: str, value, hi: float = 1.0) -> float:
@@ -104,8 +118,9 @@ class MultiplexerLayout:
     """Geometry and priority logic: ``m`` spatial arms, ``n`` time windows.
 
     The built-in transmission builders require ``m`` and ``n`` to be powers
-    of two (binary-tree geometry); a layout with other sizes is accepted here
-    and usable with an externally supplied transmission matrix.
+    of 2 up to 4096 (binary-tree geometry, ``_size``); a layout with other
+    sizes is accepted here and usable with an externally supplied
+    transmission matrix.
     """
 
     m: int
@@ -204,8 +219,7 @@ def time_window_transmission(params: LossParameters, n: int, big_n: int) -> floa
 
 def _ranked_arms(params: LossParameters, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted arm transmissions and the permutation from canonical enumeration."""
-    if not _is_power_of_two(m):
-        raise ValueError(f"arm count must be a power of 2, got {m}")
+    m = _size("arm count", m)
     levels = m.bit_length() - 1
     reflections = range(levels, -1, -1)
     v_r_s, v_t_s = params.v_r_s, params.v_t_s
@@ -232,8 +246,7 @@ def spatial_arm_transmissions(params: LossParameters, m: int) -> np.ndarray:
 
 def _splitter_factors(params: LossParameters, n: int) -> list[float]:
     """``v_r^h * v_t^(levels-h)`` for ``h = 0 .. levels`` reflections of an ``n``-window network."""
-    if not _is_power_of_two(n):
-        raise ValueError(f"window count must be a power of 2, got {n}")
+    n = _size("window count", n)
     levels = n.bit_length() - 1
     return [params.v_r**h * params.v_t ** (levels - h) for h in range(levels + 1)]
 

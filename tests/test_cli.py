@@ -1,8 +1,10 @@
 """Config parsing, CSV emission, exit codes, and the validation harness."""
 
+import copy
 import hashlib
 import json
 import math
+import random
 import re
 from pathlib import Path
 
@@ -18,7 +20,9 @@ from photonmux import (
     SweepSpec,
     TransmissionMatrix,
     build_matrix,
+    simulate,
 )
+from photonmux import cli, transmission
 from photonmux.cli import (
     EXIT_BRACKET,
     EXIT_CONFIG,
@@ -64,6 +68,36 @@ def write_raw_lambda(tmp_path, literal, **overrides):
 def assert_line_anchored(path, message, key):
     line = int(message.removeprefix(f"{path}:").split(":")[0])
     assert path.read_text().splitlines()[line - 1].strip().startswith(f'"{key}"')
+
+
+def forbid_work_beyond_the_caps(monkeypatch, sample=None):
+    """Fail at once where a geometry beyond 4096 is built or more than 2**40 trials are sampled.
+
+    A window of such a geometry, an arm expansion past 4096 arms, or such a
+    sampler call raises ``AssertionError``, so a run that lets one through
+    stops before it loops or allocates for long.  Any other sampler call
+    goes to ``sample``, or raises too when there is none.
+    """
+
+    def beyond(*args, **kwargs):
+        raise AssertionError("built or sampled work beyond the caps")
+
+    def window(params, splitter, d, n, delayed=transmission._delay_transmission):
+        return beyond() if n > 4096 else delayed(params, splitter, d, n)
+
+    class ArmExpansion:  # numpy, as the transmission module sees it
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def repeat(self, values, counts):
+            return beyond() if sum(counts) > 4096 else np.repeat(values, counts)
+
+    def sampler(model, params, layout, trials, seed):
+        return beyond() if sample is None or trials > 2**40 else sample(model, params, layout, trials, seed)
+
+    monkeypatch.setattr(transmission, "_delay_transmission", window)
+    monkeypatch.setattr(transmission, "np", ArmExpansion())
+    monkeypatch.setattr(cli, "simulate", sampler)
 
 
 class TestParseConfig:
@@ -118,6 +152,14 @@ class TestParseConfig:
         path = tmp_path / "broken.json"
         path.write_text('{\n  "version": 1,\n  "oops"\n}\n')
         with pytest.raises(ConfigError, match=r"broken\.json:[34]: "):
+            parse_config(path)
+
+    def test_integer_beyond_the_digit_limit_rejected(self, tmp_path):
+        # Python's int() refuses more than 4300 digits, so json.loads raises a
+        # ValueError that is no JSONDecodeError.
+        path = tmp_path / "long.json"
+        path.write_text('{"version": ' + "1" * 5000 + "}")
+        with pytest.raises(ConfigError, match=r"long\.json:1: .*4300 digits"):
             parse_config(path)
 
     def test_missing_file(self, tmp_path):
@@ -404,6 +446,34 @@ class TestRunValidate:
         assert len(err.splitlines()) == 1
         assert_line_anchored(path, err, "points")
 
+    @pytest.mark.parametrize("point", [[1, 2**40, 1.0], [2**40, 1, 1.0], [8192, 1, 1.0]])
+    def test_point_beyond_the_size_cap_exits_2_before_building(self, tmp_path, capsys, monkeypatch, point):
+        # The builders take powers of 2 up to 4096; 2**40 windows would loop
+        # 2**40 times in Python.
+        path = write_config(tmp_path, validation={"trials": 100_000, "points": [point]})
+        forbid_work_beyond_the_caps(monkeypatch)
+        assert run_validate(path) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert f"invalid validation point {point!r}" in err and "powers of 2 up to 4096" in err
+        assert_line_anchored(path, err, "points")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("trials", [2**40 + 1, 2**62, 10**30], ids=["2**40+1", "2**62", "10**30"])
+    def test_trials_beyond_the_cap_exit_2_before_sampling(self, tmp_path, capsys, monkeypatch, trials):
+        # Uncapped, 10**30 overflows SeedSequence.spawn and 2**62 samples for ever.
+        path = write_config(tmp_path, validation={"trials": trials, "points": [[1, 1, 1.0]]})
+        forbid_work_beyond_the_caps(monkeypatch)
+        assert run_validate(path) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and f"trials must be at most {2**40}, got {trials}" in err
+        assert_line_anchored(path, err, "trials")
+        assert not (tmp_path / "out").exists()
+
+    def test_trials_at_the_cap_are_accepted(self, tmp_path):
+        path = write_config(tmp_path, validation={"trials": 2**40, "points": [[1, 1, 1.0]]})
+        assert parse_config(path).validation_trials == 2**40
+
     @pytest.mark.parametrize("literal", ["1e999", "NaN"])
     def test_non_finite_point_exits_2(self, tmp_path, capsys, literal):
         path = write_raw_lambda(
@@ -620,3 +690,100 @@ def test_readme_configuration_output_is_pinned(tmp_path):
     assert run_sweep(path) == EXIT_OK
     assert run_validate(path) == EXIT_OK
     assert digests(tmp_path / "out") == PINNED_README_RUN
+
+
+# The seeded command-line fuzzer.  Each case mutates a valid config one to three
+# times, replacing or deleting a value, and runs `sweep` or `validate` on it, or
+# runs `tables --out` on a mutated directory.
+FUZZ_SEED, FUZZ_CASES = 26, 300
+# Literals json.dumps does not write: infinities, NaN and an integer of more
+# digits than int() converts.  A config holds each as a "RAW<index>" string.
+RAW_LITERALS = ["1e999", "-1e999", "NaN", "1" * 5000]
+FUZZ_VALUES = [
+    None, True, False, 0, -1, 1, 2, 0.0, -0.0, 0.5, 2.5, 5e-324, 1e308, 10**400, "1", "", [], {}, [1],
+    [[1, 1, 1.0]], {"v_r": 0.5}, *(f"RAW{i}" for i in range(len(RAW_LITERALS))),
+]
+# Large powers of 2 at every count key; a valid point stays at most (8, 8).
+POINT_SIZES = [8192, 2**40, 2**62, 2**64]
+LARGE_COUNTS = [4096, *POINT_SIZES, 2**40 + 1]
+OUT_DIRS = ["out", "taken", "taken/out", "a\0b", "\ud800"]
+FUZZ_SITES = {
+    **{(key,): FUZZ_VALUES for key in ("version", "losses", "source", "logics", "validation")},
+    **{("losses", key): FUZZ_VALUES for key in ("v_r", "v_d", "v_t_s")},
+    ("m_values",): [*FUZZ_VALUES, [4096, 1], [2**40]],
+    ("n_values",): [*FUZZ_VALUES, [1, 4096], [2**62]],
+    ("m_values", 0): FUZZ_VALUES + LARGE_COUNTS,
+    ("n_values", 1): FUZZ_VALUES + LARGE_COUNTS,
+    ("lambda_bounds",): [*FUZZ_VALUES, [8.0, 10.0], [0, 1e-320], [1e-4, 1e8]],
+    ("lambda_bounds", 1): [*FUZZ_VALUES, 1e4],
+    ("output_dir",): FUZZ_VALUES + OUT_DIRS,
+    ("validation", "trials"): FUZZ_VALUES + LARGE_COUNTS + [100_000],
+    ("validation", "seed"): FUZZ_VALUES + LARGE_COUNTS,
+    ("validation", "points"): [*FUZZ_VALUES, [[8, 8, 1.0]], [[2, 4, 1.0], [2, 4, 1]], [[1, 1, 1000.0]]],
+    ("validation", "points", 0, 0): FUZZ_VALUES + POINT_SIZES,
+    ("validation", "points", 0, 1): FUZZ_VALUES + POINT_SIZES,
+    ("validation", "points", 0, 2): FUZZ_VALUES,
+}
+
+
+def fuzz_config(rng):
+    config = {
+        "version": 1,
+        "losses": {"v_r": 0.996, "v_t": 0.97, "v_p": 0.95, "v_p0_s": 0.99, "v_d": 0.9, "v_b": 1.0},
+        "source": rng.choice(["poissonian", "thermal"]),
+        "logics": ["lowest_loss", "first_detection"],
+        "m_values": [1, 2],
+        "n_values": [1, 2],
+        "lambda_bounds": [1e-4, 40.0],
+        "output_dir": "out",
+        "validation": {"trials": 100_000, "seed": 7, "points": [[2, 4, 1.0]]},
+    }
+    for _ in range(rng.randint(1, 3)):
+        (*steps, key), values = rng.choice(list(FUZZ_SITES.items()))
+        node = config
+        try:
+            for step in steps:
+                node = node[step]
+            if rng.random() < 0.15:
+                del node[key]
+            else:
+                node[key] = copy.deepcopy(rng.choice(values))  # a later mutation may edit it
+        except (KeyError, IndexError, TypeError):  # an earlier mutation removed the site
+            pass
+    text = json.dumps(config, indent=2)
+    for i, literal in enumerate(RAW_LITERALS):
+        text = text.replace(f'"RAW{i}"', literal)
+    return text
+
+
+def test_no_config_crashes_the_command_line(tmp_path, capsys, monkeypatch):
+    rng = random.Random(FUZZ_SEED)
+    budget = [0]  # trials the sampler runs in the current case
+
+    def sample(model, params, layout, trials, seed):
+        return simulate(model, params, layout, min(trials, budget[0]), seed)
+
+    forbid_work_beyond_the_caps(monkeypatch, sample)
+    for name in ("reproduce_table1", "reproduce_table2"):
+        monkeypatch.setattr(cli, name, lambda rows: [])
+    for case in range(FUZZ_CASES):
+        case_dir = tmp_path / str(case)
+        case_dir.mkdir()
+        monkeypatch.chdir(case_dir)
+        Path("taken").write_text("")
+        command = rng.choice(["sweep", "validate", "validate", "tables"])
+        if command == "tables":
+            argv = ["tables", "--out", rng.choice(OUT_DIRS)]
+        else:
+            Path("config.json").write_text(fuzz_config(rng), encoding="utf-8")
+            argv = [command, "config.json"]
+        # Most cases sample 1000 trials; a few sample the configured count up to 200,000.
+        budget[0] = 200_000 if rng.random() < 0.25 else 1000
+        code = main(argv)  # returns, so no exception escaped
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_BRACKET, EXIT_DISAGREEMENT), (case, argv, err)
+        if code != EXIT_OK:
+            assert err.endswith("\n") and len(err.splitlines()) == 1 and "Traceback" not in err, (case, err)
+        if code in (EXIT_CONFIG, EXIT_BRACKET):
+            made = {"taken"} if command == "tables" else {"taken", "config.json"}
+            assert {path.name for path in case_dir.iterdir()} == made, (case, argv, err)

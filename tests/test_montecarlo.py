@@ -230,6 +230,35 @@ def test_blocks_together_count_every_trial(monkeypatch):
     assert np.array_equal(counts, np.rint(counts)) and np.rint(counts).sum() == 10_000
 
 
+def test_block_b_draws_from_child_b_of_the_seed(monkeypatch):
+    # The random stream's definition: block b samples with the b-th child that
+    # SeedSequence(seed).spawn gives, however the children are spawned.
+    monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 4096)
+    model = PairSourceModel(SourceKind.THERMAL, 2.0, 4)
+    layout = MultiplexerLayout(2, 4)
+    transmissions = build_matrix(ROW1, layout).values
+    h, pvals = _click_probability(model, ROW1.v_d), _heralded_pair_pmf(model, ROW1.v_d)
+    expected = np.zeros(pvals.size - 1, dtype=np.int64)
+    children = np.random.SeedSequence(13).spawn(3)
+    for block, child in zip((4096, 4096, 1808), children):
+        hist = _simulate_block(h, pvals, transmissions, layout.logic, block, np.random.default_rng(child))
+        expected[: hist.size] += hist
+    dist = simulate(model, ROW1, layout, trials=10_000, seed=13)
+    assert np.rint(dist.probs * 10_000).astype(np.int64).tolist() == np.trim_zeros(expected, "b").tolist()
+
+
+@pytest.mark.parametrize("trials", [2**40 + 1, 2**62, 10**30], ids=["2**40+1", "2**62", "10**30"])
+def test_trials_beyond_the_cap_rejected_before_sampling(monkeypatch, trials):
+    # Uncapped, 10**30 overflows SeedSequence.spawn and 2**62 samples for ever.
+    def fail(*args, **kwargs):
+        raise AssertionError("built or sampled a run beyond the trials cap")
+
+    monkeypatch.setattr(montecarlo, "build_matrix", fail)
+    model = PairSourceModel(SourceKind.POISSONIAN, 1.0, 1)
+    with pytest.raises(ValueError, match=f"trials must be at most {2**40}, got {trials}"):
+        simulate(model, ROW1, MultiplexerLayout(1, 1), trials=trials, seed=1)
+
+
 def test_a_trial_in_the_closing_category_raises(monkeypatch):
     # Force every heralded trial above J = 1: the sampler must refuse, not drop them.
     monkeypatch.setattr(montecarlo, "_heralded_pair_pmf", lambda model, v_d: np.array([0.0, 0.0, 1.0]))

@@ -20,9 +20,10 @@ from photonmux import (
     spatial_arm_transmissions,
     time_window_transmission,
 )
+from photonmux import transmission
 from photonmux.cli import EXIT_CONFIG, run_sweep
 from photonmux.tables import TABLE1_ROWS, TABLE2_ROWS
-from photonmux.transmission import RowRuns, _arm_runs
+from photonmux.transmission import RowRuns, _arm_runs, _window_column
 
 
 def params(**kwargs):
@@ -304,6 +305,42 @@ def test_records_store_counts_as_python_ints():
     model = PairSourceModel(SourceKind.THERMAL, 1.0, np.int64(8))
     assert (layout.m, layout.n, model.n_windows) == (4, 8, 8)
     assert all(type(x) is int for x in (layout.m, layout.n, model.n_windows))
+
+
+# Every m and n of the built-in builders follows one size rule: a count that is
+# a power of 2 up to 4096.  Unchecked, 2**40 windows loop 2**40 times, 2**40
+# arms ask for an 8 TiB array, and True builds one arm.
+SIZE_REFUSALS = {
+    "build_matrix(1, 2**40)": lambda p: build_matrix(p, MultiplexerLayout(1, 2**40)),
+    "build_matrix(2**40, 1)": lambda p: build_matrix(p, MultiplexerLayout(2**40, 1)),
+    "build_matrix(8192, 1)": lambda p: build_matrix(p, MultiplexerLayout(8192, 1)),
+    "spatial_arm_transmissions(True)": lambda p: spatial_arm_transmissions(p, True),
+    "spatial_arm_transmissions(8192)": lambda p: spatial_arm_transmissions(p, 8192),
+    "time_window_transmission(1, 2**40)": lambda p: time_window_transmission(p, 1, 2**40),
+}
+
+
+@pytest.mark.parametrize("build", SIZE_REFUSALS.values(), ids=list(SIZE_REFUSALS))
+def test_builders_refuse_sizes_beyond_the_rule(monkeypatch, build):
+    # Any window, and any arm expansion beyond 4096 arms, fails the test, so a
+    # builder without the rule stops at once.
+    def built(*args, **kwargs):
+        raise AssertionError("built an element of a geometry beyond the size rule")
+
+    def expand(values, counts, repeat=np.repeat):
+        return built() if sum(counts) > 4096 else repeat(values, counts)
+
+    monkeypatch.setattr(transmission, "_delay_transmission", built)
+    monkeypatch.setattr(np, "repeat", expand)
+    with pytest.raises(ValueError, match=r"(arm|window) count must be (a power of 2 up to 4096|an integer)"):
+        build(params())
+
+
+def test_builders_take_every_size_of_the_rule():
+    for size in (2**i for i in range(13)):
+        assert spatial_arm_transmissions(params(), np.int64(size)).size == size
+        assert _arm_runs(params(), size).ranks == size
+        assert _window_column(params(), size).size == size
 
 
 LOSS_FIELDS = ("v_r", "v_t", "v_p", "v_p0_s", "v_d", "v_b", "v_r_s", "v_t_s")
