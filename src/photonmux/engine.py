@@ -43,30 +43,42 @@ So the ``j``-series of a cell sums in closed form.  For one output photon,
 with ``T(1; x) = x e^-x`` (Poissonian) or ``x / (1 + x)^2`` (thermal), the
 probability that the thinned source delivers exactly one photon.
 ``p1_evaluator`` evaluates P(1) this way, with no input truncation, for
-any pairs of a geometry and a per-window mean at once.  It takes only the
+many pairs of a geometry and a per-window mean at once.  It takes only the
 row runs of each geometry and the priority logic.  The optimizer uses it
 as its one kernel for a whole sweep, on row runs that it builds from the
-per-arm and per-window factors without the full matrix: a point's scan is
-one call of 34 means at that point, and a round of Brent steps one call of
-a mean for each point still refining.  The pairs are evaluated in chunks
-of at most ``2^15`` cells (row runs x windows per pair, or one pair if that
-has more).  A chunk stacks the thinned means ``mu v`` and ``mu' v`` and
-takes ``T`` of both in one in-place pass, inside two work arrays that the
-evaluator allocates once.  The means arrive negated, as ``exp`` takes them,
-from one product of the means with ``-1`` and ``-(1 - v_d)``: IEEE
-negation is exact, so ``-T`` comes out bit for bit, and the subtraction
-``-p0 T(mu' v) - (-T(mu v))`` gives ``F_1`` with no pass of its own to
-restore the sign.
+per-arm and per-window factors without the full matrix.  The kernel takes
+two forms of call, one per phase of the optimizer, each with its own
+layout:
 
-A chunk of one point broadcasts its means over the point's rows, as it
-always has.  A chunk of several points lays their rows and exponents end
-to end and runs each elementwise pass once over all of them: the thinned
-means, ``T``, the ``p0`` product and the weight ``exp``, each pair's mean,
-``p0`` and ``log p0`` repeated over its own cells or exponents.  Only the
-contraction stays one batched product per point, over that point's
-consecutive pairs, so every value is bit for bit the one that its pair
-gives alone.  Besides the work arrays, such a chunk allocates one array of
-up to chunk size at a time: the repeated means, then the repeated ``p0``.
+- outer, for the scans: P points against K shared means, every (point,
+  mean) of the two.  The points of one window count share their 34 scan
+  means, so all of them take one call.  A chunk lays the points' rows and
+  exponents end to end and broadcasts the means over them.
+- pairs, for the rounds of Brent steps: one (point, mean) per entry, a
+  mean for each peak still refining.  A chunk lays the pairs' rows and
+  exponents end to end, each pair's mean, ``p0`` and ``log p0`` repeated
+  over its own cells or exponents.  Besides the work arrays, it allocates
+  one array of up to chunk size at a time: the repeated means, then the
+  repeated ``p0``.
+
+Either way a chunk holds at most ``2^15`` cells (row runs x windows x
+means, or one point and one mean if that has more), stacks the thinned
+means ``mu v`` and ``mu' v`` and takes ``T`` of both in one in-place pass,
+inside two work arrays that the evaluator allocates once, and runs each
+elementwise pass once over all its cells: the thinned means, ``T``, the
+``p0`` product and the weight ``exp``.  The means arrive negated, as
+``exp`` takes them, from one product of the means with ``-1`` and
+``-(1 - v_d)``: IEEE negation is exact, so ``-T`` comes out bit for bit,
+and the subtraction ``-p0 T(mu' v) - (-T(mu v))`` gives ``F_1`` with no
+pass of its own to restore the sign.
+
+Only the contraction stays one batched product per point, over that
+point's means (outer) or its consecutive pairs (pairs), so every value is
+bit for bit the one that its pair gives alone.  That needs each point's
+cells and weights contiguous along the window axis, as slices of the
+chunk's arrays are: a gathered copy such as ``w[:, idx]`` is column-major,
+and a contraction fed with it changed P(1) in the last bits at m = 1
+points (``np.take(w, idx, axis=1)`` did not).
 
 The two evaluators differ only in how they build cell terms: the ``j``-series
 stacks ``F_i`` over ``i``, the closed form stacks ``F_1`` over the means.  Both
@@ -83,7 +95,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -253,17 +265,32 @@ def p1_evaluator(
     """P(exactly one output photon) at pairs of a geometry and a per-window mean pair number.
 
     Each entry of ``runs`` states one geometry: ``ranks`` arms by
-    ``rows.shape[1]`` windows.  The returned function maps two 1-D arrays of
-    one length, indices ``points`` into ``runs`` and per-window means
-    ``mu``, to the array of P(1) of each (point, mean) pair, by the thinning
-    identity, with the heralding detector efficiency ``v_d``.  Each entry is
-    the value that its pair alone gives, whatever else the arrays hold.  The
-    function reuses its own work arrays, so it serves one thread at a time.
+    ``rows.shape[1]`` windows.  The returned function takes indices
+    ``points`` into ``runs`` and per-window means ``mu`` in one of two forms,
+    and evaluates P(1) by the thinning identity, with the heralding detector
+    efficiency ``v_d``:
+
+    - pairs: two 1-D arrays of one length, one (point, mean) pair per
+      entry, to the array of P(1) of each pair;
+    - outer: ``points`` of shape (P, 1) and ``mu`` of shape (1, K), to the
+      (P, K) array of P(1) at every (point, mean) of the two.
+
+    Each entry is the value that its pair alone gives, whatever else the
+    arrays hold: each point keeps its own contraction, on cells and weights
+    contiguous along the window axis (a column-major gather of them changes
+    the last bits).  The function reuses its own work arrays, so it serves
+    one thread at a time.
+
+    Raises:
+        ValueError: the arrays are in neither form, a point index is not an
+            integer in ``[0, len(runs))``, or a mean is negative or not
+            finite; checked before any work.
     """
     runs = tuple(runs)
     rows = [r.rows.reshape(-1) for r in runs]
     exponents = [_weight_exponents(r, logic) for r in runs]
     cell_counts, weight_counts = (np.array([a.size for a in x]) for x in (rows, exponents))
+    sizes = cell_counts.tolist()
     thermal = kind is SourceKind.THERMAL
     # One product of these columns with the means gives -mu, -mu (1 - v_d)
     # and mu v_d (thermal) or log p0 = -mu v_d (Poissonian), each bit for bit
@@ -271,9 +298,10 @@ def p1_evaluator(
     coeffs = np.array([-1.0, -(1.0 - v_d), v_d if thermal else -v_d])[:, None]
     # Every chunk works in these two arrays: the negated thinned means of
     # both sources and -T at them, the source's own means first.
-    means, cells = np.empty((2, 2 * max(_CHUNK_CELLS, int(cell_counts.max(initial=0)))))
+    means, cells = np.empty((2, 2 * max(_CHUNK_CELLS, max(sizes, default=0))))
 
-    def chunk(points: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    def source(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``-mu`` and ``-mu'`` stacked, ``p0`` and ``log p0``, at each mean of ``mu``."""
         scaled = coeffs * mu
         neg_missed_means, detected = scaled[1], scaled[2]
         if thermal:
@@ -283,31 +311,25 @@ def p1_evaluator(
         else:
             log_p0 = detected
             p0 = np.exp(log_p0)
-        order = points.tolist()
-        if len(set(order)) == 1:
-            # One point: its rows and exponents broadcast over the means.
-            thinned = means[: 2 * mu.size * rows[order[0]].size].reshape(2, mu.size, -1)
-            np.multiply(scaled[:2, :, None], rows[order[0]], out=thinned)
-            exps = exponents[order[0]]
+        return scaled[:2], p0, log_p0
 
-            def spread(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
-                return x[:, None]
-
-        else:
-            # Several points: their rows and exponents end to end, each pair's
-            # values repeated over its own, one repeat alive at a time.
-            def spread(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
-                return np.repeat(x, counts[points])
-
-            thinned = means[: 2 * cell_counts[points].sum()].reshape(2, -1)
-            np.concatenate([rows[i] for i in order], out=thinned[0])
-            np.multiply(thinned[0], spread(scaled[1], cell_counts), out=thinned[1])
-            thinned[0] *= spread(scaled[0], cell_counts)
-            exps = np.concatenate([exponents[i] for i in order])
+    def cell_terms(thinned: np.ndarray, p0: np.ndarray) -> np.ndarray:
+        """``F_1`` in place of ``thinned[0]``'s ``-T``, from the negated thinned means; ``p0`` spread over them."""
         f1, missed = _one_photon(kind, thinned, cells[: thinned.size].reshape(thinned.shape))
-        missed *= spread(p0, cell_counts)
-        np.subtract(missed, f1, out=f1)  # -p0 T(mu' v) + T(mu v) = F_1
-        f1, weights = f1.reshape(-1), np.exp(spread(log_p0, weight_counts) * exps).reshape(-1)
+        missed *= p0
+        return np.subtract(missed, f1, out=f1)  # -p0 T(mu' v) + T(mu v) = F_1
+
+    def pairs_chunk(points: np.ndarray, mu: np.ndarray, size: int) -> np.ndarray:
+        """Pairs: their rows and exponents end to end, each pair's values repeated over its own."""
+        (neg_means, neg_missed_means), p0, log_p0 = source(mu)
+        order, counts = points.tolist(), cell_counts[points]
+        thinned = means[: 2 * size].reshape(2, -1)
+        np.concatenate([rows[i] for i in order], out=thinned[0])
+        # One repeat alive at a time.
+        np.multiply(thinned[0], neg_missed_means.repeat(counts), out=thinned[1])
+        thinned[0] *= neg_means.repeat(counts)
+        f1 = cell_terms(thinned, p0.repeat(counts))
+        weights = np.exp(log_p0.repeat(weight_counts[points]) * np.concatenate([exponents[i] for i in order]))
         # One batched contraction per point, over its consecutive pairs.
         out = np.empty(len(order))
         lo = cell_at = weight_at = 0
@@ -324,23 +346,69 @@ def p1_evaluator(
             lo, cell_at, weight_at = hi, cell_at + group_cells.size, weight_at + group_weights.size
         return out
 
+    def outer_chunk(order: list[int], mu: np.ndarray, size: int) -> np.ndarray:
+        """Outer: the points' rows and exponents end to end, broadcast against the means."""
+        scaled, p0, log_p0 = source(mu)
+        thinned = means[: 2 * mu.size * size].reshape(2, mu.size, size)
+        np.multiply(scaled[:, :, None], np.concatenate([rows[i] for i in order]), out=thinned)
+        f1 = cell_terms(thinned, p0[:, None])
+        weights = np.exp(log_p0[:, None] * np.concatenate([exponents[i] for i in order]))
+        # One batched contraction per point, over the means.  Each point's
+        # cells and weights are slices, contiguous along the window axis.
+        out = np.empty((len(order), mu.size))
+        cell_at = weight_at = 0
+        for k, i in enumerate(order):
+            point, cell_end, weight_end = runs[i], cell_at + sizes[i], weight_at + exponents[i].size
+            out[k] = _contract(
+                f1[:, cell_at:cell_end].reshape(mu.size, *point.rows.shape),
+                *_priority_weights(weights[:, weight_at:weight_end], point),
+            )
+            cell_at, weight_at = cell_end, weight_end
+        return out
+
+    def spans(order: list[int], limit: int) -> Iterator[tuple[int, int, int]]:
+        """``(lo, hi, cells)`` of each run of consecutive ``order`` entries whose cells fit in ``limit``.
+
+        Each run is as long as fits, and at least one entry.
+        """
+        lo = 0
+        while lo < len(order):
+            hi, size = lo + 1, sizes[order[lo]]
+            while hi < len(order) and size + sizes[order[hi]] <= limit:
+                hi, size = hi + 1, size + sizes[order[hi]]
+            yield lo, hi, size
+            lo = hi
+
     def p1(points: np.ndarray, mu: np.ndarray) -> np.ndarray:
         points, mu = np.asarray(points), np.asarray(mu, dtype=float)
-        if mu.ndim != 1 or points.shape != mu.shape:
-            raise ValueError(f"points and means must be 1-D arrays of one length, got {points.shape}, {mu.shape}")
-        if not mu.size:
-            return np.zeros(0)
-        ends = cell_counts[points].cumsum()
-        if ends[-1] <= _CHUNK_CELLS:
-            return chunk(points, mu)
-        out = np.empty(mu.size)
-        lo = 0
-        while lo < mu.size:
-            # The pairs whose cells fit in one chunk, at least one pair.
-            hi = int(ends.searchsorted(ends[lo] - cell_counts[points[lo]] + _CHUNK_CELLS, "right"))
-            hi = max(hi, lo + 1)
-            out[lo:hi] = chunk(points[lo:hi], mu[lo:hi])
-            lo = hi
+        outer = points.ndim == 2
+        if not (
+            (outer and points.shape[1] == 1 and mu.ndim == 2 and mu.shape[0] == 1)
+            or (mu.ndim == 1 and points.shape == mu.shape)
+        ):
+            raise ValueError(
+                "points and means must be 1-D arrays of one length, or of shapes (P, 1) and (1, K), "
+                f"got {points.shape}, {mu.shape}"
+            )
+        order = points.ravel().tolist()
+        if order and not (points.dtype.kind in "iu" and min(order) >= 0 and max(order) < len(runs)):
+            bad = next((i for i in order if type(i) is not int or not 0 <= i < len(runs)), points.dtype)
+            raise ValueError(f"point indices must be integers in [0, {len(runs)}), got {bad!r}")
+        if mu.size and not (mu.min() >= 0.0 and mu.max() < math.inf):
+            # A NaN fails both comparisons.
+            raise ValueError(f"means must be finite and >= 0, got {mu[~((mu >= 0.0) & (mu < math.inf))].flat[0]}")
+        if not outer:
+            out = np.empty(mu.size)
+            for lo, hi, size in spans(order, _CHUNK_CELLS):
+                out[lo:hi] = pairs_chunk(points[lo:hi], mu[lo:hi], size)
+            return out
+        mu = mu[0]
+        out = np.empty((len(order), mu.size))
+        for lo, hi, size in spans(order, _CHUNK_CELLS // max(mu.size, 1)):
+            # Every mean at once, or as many as fit when one point alone does not.
+            step = max(_CHUNK_CELLS // size, 1)
+            for at in range(0, mu.size, step):
+                out[lo:hi, at : at + step] = outer_chunk(order[lo:hi], mu[at : at + step], size)
         return out
 
     return p1

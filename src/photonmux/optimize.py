@@ -14,9 +14,10 @@ global maximum unless a higher peak lies between two scan points, where
 the scan does not see it; the sweep then ranks all grid points.  The
 objective is the engine's closed-form single-photon probability, which has
 no input truncation.  One P(1) kernel serves every grid point of a sweep:
-it maps pairs of a grid point and a pump strength to probabilities, so a
-point's bracket checks at both bounds and its whole scan take one call.
-``optimize_lambda`` is a sweep of one point.
+it maps pairs of a grid point and a pump strength to probabilities, or
+every grid point of a set against every pump strength of a set, so the
+bracket checks at both bounds and the whole scan of every point of one n
+take one call.  ``optimize_lambda`` is a sweep of one point.
 
 The transmission matrix of a grid point is the outer product of the ranked
 arm transmissions and the window column, and the router tree gives only
@@ -27,15 +28,19 @@ window column (``RowRuns`` merges rows that come out equal); no m x n
 matrix is built.  The scan's pump strengths depend on the bounds only, so
 a sweep builds them once per n too.
 
-Cost of a sweep: one kernel call of 34 pump strengths per grid point (the
-four bracket-check points and the 30 inner scan points), then one call per
-round of Brent steps, each round one pump strength for every peak of every
-point still refining.  The rounds number as many as the steps of the
+Cost of a sweep: one kernel call per window count n, of its grid points
+against their 34 shared pump strengths (the four bracket-check points and
+the 30 inner scan points), then one call per round of Brent steps, each
+round one pump strength for every peak of every point still refining.  A
+full ``photonmux tables`` run makes 317 scan calls for its 1,244 grid
+points, and 537 rounds.  The rounds number as many as the steps of the
 slowest peak, 9 to 16 per sweep of the reference tables, where each point
 takes about 9.  A round's cost is numpy dispatch more than arithmetic, and
 it is shared: about 4 to 7 us per point in a round of the 16-point design
 grid or of table 2's 72-point combined grid, against about 14 us for a
-one-point call at (2, 64), on a 2-core host.  A second peak that the scan
+one-point call at (2, 64), on a 2-core host.  A scan's cost is shared the
+same way: the four points of one n of the design grid take about 75 us in
+one call, against about 120 us in four.  A second peak that the scan
 resolves refines in the same rounds as the first.
 """
 
@@ -174,24 +179,28 @@ def _scan_grid(lo: float, hi: float) -> np.ndarray:
 
 
 def _maximize(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray], scans: Sequence[np.ndarray]
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], scans: Sequence[tuple[np.ndarray, Sequence[int]]]
 ) -> Iterator[list[tuple[float, float]]]:
     """Locate every peak that each point's scan resolves, each to ``LAMBDA_TOL`` in x.
 
-    ``scans[i]`` is ``_scan_grid(lo, hi)`` of point ``i``'s bounds, and
-    ``f(points, xs)`` maps two 1-D arrays, point indices and x values, to
-    the array of the values of each (point, x) pair.  Each point's bounds
-    are validated by a finite-difference sign check at both endpoints.
+    Each entry of ``scans`` is a ``_scan_grid(lo, hi)`` and the indices of
+    the points that take it, the points numbered ``0 .. P-1`` over all the
+    entries.  ``f(points, xs)`` maps point indices and x values to the
+    values of f in the two forms of ``engine.p1_evaluator``: two 1-D arrays
+    of one length, one value per (point, x) pair, or one entry's points of
+    shape (P, 1) and its scan of shape (1, K), one value per (point, x) of
+    the two.  Each point's bounds are validated by a finite-difference sign
+    check at both endpoints.
     Each strict local maximum of the coarse logarithmic grid of
     ``COARSE_POINTS`` brackets a peak between its two neighbours, and a
     Brent step refines each one until the bracket is at most ``LAMBDA_TOL``
     wide.  ``f`` need not be unimodal, and the single-photon probability is
     not always (two local maxima in x at 1,729 of 10,920 random grid
     points).  A second peak that the grid's points do not resolve is not
-    refined, and no fixed grid rules one out.  Each point's sign checks and
-    grid take one call of ``f``; then the Brent steps of every peak of
-    every point advance in lock-step, one call of ``f`` per round for all
-    the peaks still refining.
+    refined, and no fixed grid rules one out.  The sign checks and grids of
+    each entry's points take one call of ``f``; then the Brent steps of
+    every peak of every point advance in lock-step, one call of ``f`` per
+    round for all the peaks still refining.
 
     Yields:
         Each point's peaks in point order, one ``(x, f(x))`` per refined
@@ -203,13 +212,16 @@ def _maximize(
             from ``lo`` or does not decrease toward ``hi``, after yielding
             the points before it.
     """
+    scanned = {}
+    for scan, members in scans:
+        xs, values = scan.tolist(), f(np.array(members)[:, None], scan[None, :]).tolist()
+        scanned.update((i, (xs, ys)) for i, ys in zip(members, values))
     peaks: list[list] = []
     active = []  # (point, peak, Brent step, its next x)
     error = None
-    for i, scan in enumerate(scans):
-        ys = f(np.full(scan.size, i), scan).tolist()
+    for i in range(len(scanned)):
         try:
-            brackets = _brackets(scan.tolist(), ys)
+            brackets = _brackets(*scanned[i])
         except BracketError as exc:
             error = exc
             break
@@ -337,8 +349,16 @@ def _solve(spec: SweepSpec, points: list[tuple[int, int]]) -> Iterator[list[tupl
     """
     kernel = p1_evaluator(spec.source_kind, spec.params.v_d, _row_runs(spec.params, points), spec.logic)
     windows = np.array([n for _, n in points], dtype=float)
-    scans = {n: _scan_grid(*(spec.lambda_bounds or (1e-4, 10.0 * n))) for n in dict.fromkeys(n for _, n in points)}
-    yield from _maximize(lambda i, lams: kernel(i, lams / windows[i]), [scans[n] for _, n in points])
+    members: dict[int, list[int]] = {}
+    for i, (_, n) in enumerate(points):
+        members.setdefault(n, []).append(i)
+
+    def objective(i: np.ndarray, lams: np.ndarray) -> np.ndarray:
+        # An outer call's points share their n, so their means stay one row.
+        return kernel(i, lams / windows[i[0] if i.ndim == 2 else i])
+
+    scans = [(_scan_grid(*(spec.lambda_bounds or (1e-4, 10.0 * n))), group) for n, group in members.items()]
+    yield from _maximize(objective, scans)
 
 
 def optimize_lambda(
@@ -385,9 +405,9 @@ def optimize_lambda(
 def sweep(spec: SweepSpec) -> OptimizationResult:
     """Optimize the pump strength at every (m, n) grid point, as ``optimize_lambda`` does at each.
 
-    The points' refinements run in lock-step, so a sweep costs one scan call
-    per point and one call per round of Brent steps; every optimum is bit
-    for bit the one ``optimize_lambda`` gives alone.
+    The points' scans take one call per n, and their refinements run in
+    lock-step, one call per round of Brent steps; every optimum is bit for
+    bit the one ``optimize_lambda`` gives alone.
     """
     points = [(m, n) for m in spec.m_values for n in spec.n_values]
     refined = _solve(spec, points)

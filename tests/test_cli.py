@@ -39,6 +39,7 @@ from photonmux.cli import (
 from photonmux.config import ConfigError, parse_config
 from photonmux.engine import p1_evaluator
 from photonmux.tables import TABLE1_ROWS
+from test_optimize import is_scan, record_kernel_calls
 
 
 def write_config(tmp_path, **overrides):
@@ -678,9 +679,16 @@ def digests(directory):
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in directory.iterdir()}
 
 
-def test_tables_output_is_pinned(tmp_path):
+def test_tables_output_is_pinned(tmp_path, monkeypatch):
+    # The run's kernel calls are pinned too: each sweep scans the points of
+    # each window count in one outer call, 317 in all for 1,244 grid points,
+    # and then refines them in 537 rounds.
+    record = record_kernel_calls(monkeypatch)
     assert run_tables(tmp_path) == EXIT_OK
     assert digests(tmp_path) == PINNED_TABLES
+    calls = [call for _, _, calls in record for call in calls]
+    assert sum(len(runs) for runs, _, _ in record) == 1244
+    assert (sum(map(is_scan, calls)), sum(not is_scan(call) for call in calls)) == (317, 537)
 
 
 def test_readme_configuration_output_is_pinned(tmp_path):

@@ -51,25 +51,25 @@ def multi_peak():
     """``(set, source, (m, n), optimum, spec)`` at every multi-peak point with m*n <= 4096.
 
     Each point is picked from its scan alone: one P(1) kernel per set and
-    source, on the row runs that a sweep builds, and one scan call per
-    point.  The picked points of each set and source are then solved
-    together, their peaks refined in lock-step as a sweep's are, each point
-    expected to warn.
+    source, on the row runs that a sweep builds, and one outer scan call per
+    window count, as a sweep makes.  The picked points of each set and
+    source are then solved together, their peaks refined in lock-step as a
+    sweep's are, each point expected to warn.
     """
     points = [(m, n) for m, n in corpus.grid_points() if m * n <= 4096]
     m_values, n_values = (tuple(sorted(set(axis))) for axis in zip(*points))
-    scans = [optimize._scan_grid(1e-4, 10.0 * n) / n for _, n in points]
+    groups = {n: np.array([i for i, (_, k) in enumerate(points) if k == n])[:, None] for _, n in points}
+    means = {n: optimize._scan_grid(1e-4, 10.0 * n)[None, : optimize.COARSE_POINTS] / n for n in groups}
     optima = []
     with pytest.warns(UserWarning) as record:
         for k, params in enumerate(corpus.loss_sets()):
             runs = optimize._row_runs(params, points)
             for kind in corpus.SOURCES:
                 p1 = p1_evaluator(kind, params.v_d, runs, PriorityLogic.LOWEST_LOSS)
-                picked = [
-                    point
-                    for i, (point, means) in enumerate(zip(points, scans))
-                    if corpus.scan_peaks(p1(np.full(means.size, i), means)[: optimize.COARSE_POINTS].tolist()) > 1
-                ]
+                peaks = {}
+                for n, group in groups.items():
+                    peaks.update(zip(group[:, 0].tolist(), map(corpus.scan_peaks, p1(group, means[n]).tolist())))
+                picked = [point for i, point in enumerate(points) if peaks[i] > 1]
                 spec = SweepSpec(m_values=m_values, n_values=n_values, params=params, source_kind=kind)
                 refined = optimize._solve(spec, picked)
                 optima += [(k, kind, point, optimize_lambda(point, spec, _refined=refined), spec) for point in picked]

@@ -21,6 +21,7 @@ from photonmux import (
     single_photon_probability,
     sweep,
 )
+from photonmux import engine, optimize
 from photonmux.engine import PhotonNumberDistribution, p1_evaluator
 from photonmux.statistics import HeraldedInputDistribution
 
@@ -301,7 +302,16 @@ def closed_p1(model, v_d, tm, layout):
 
 
 def one_point(kind, v_d, tm, logic):
-    """``p1_evaluator`` of the single geometry ``tm``, as a function of an array of means."""
+    """``p1_evaluator`` of the single geometry ``tm``, as a function of an array of means.
+
+    One outer call of the point against the means, as a scan makes.
+    """
+    p1 = p1_evaluator(kind, v_d, [tm.row_runs], logic)
+    return lambda mu: p1(np.zeros((1, 1), int), np.asarray(mu)[None, :])[0]
+
+
+def pairs_of_one_point(kind, v_d, tm, logic):
+    """As ``one_point``, by one call of 1-D pairs, as a round makes."""
     p1 = p1_evaluator(kind, v_d, [tm.row_runs], logic)
     return lambda mu: p1(np.zeros(len(mu), int), mu)
 
@@ -431,13 +441,16 @@ class TestClosedFormP1:
         if (m, n) == (256, 512):
             assert tm.row_runs.rows.shape == (9, 512)
         p1 = one_point(kind, params.v_d, tm, layout.logic)
+        pairs = pairs_of_one_point(kind, params.v_d, tm, layout.logic)
         mu = np.geomspace(1e-6, 10.0, 20)
         batch = p1(mu)
         assert batch.shape == (20,)
+        assert np.array_equal(pairs(mu), batch)
         one = np.empty(1)
         for value, mean in zip(batch, mu):
             one[0] = mean
             assert value == p1(one)[0]
+            assert value == pairs(one)[0]
             assert value == p1(np.array([mean]))[0]
             assert value == closed_p1(PairSourceModel(kind, mean * n, n), 0.9, tm, layout)
         assert np.array_equal(p1(mu), batch)
@@ -453,8 +466,9 @@ class TestClosedFormP1:
             tm = build_matrix(params, layout)
             mu = np.exp(rng.uniform(np.log(1e-6), np.log(10.0), int(rng.integers(1, 38))))
             expected = two_pass_p1(model.kind, params.v_d, tm, layout, mu)
-            actual = one_point(model.kind, params.v_d, tm, layout.logic)(mu)
-            assert np.array_equal(actual, expected), (case, model, layout)
+            for form in (one_point, pairs_of_one_point):
+                actual = form(model.kind, params.v_d, tm, layout.logic)(mu)
+                assert np.array_equal(actual, expected), (case, model, layout, form.__name__)
             crossed += mu.size * tm.row_runs.rows.size > 1 << 15
         assert crossed >= 100, crossed
 
@@ -507,9 +521,91 @@ class TestClosedFormP1:
     def test_points_and_means_must_pair_up(self):
         tm = build_matrix(LOSSLESS, MultiplexerLayout(2, 2))
         p1 = p1_evaluator(SourceKind.POISSONIAN, 1.0, [tm.row_runs], LL)
-        for points, mu in ((np.zeros(2, int), np.ones(3)), (np.zeros((1, 1), int), np.ones((1, 1)))):
-            with pytest.raises(ValueError, match="1-D arrays of one length"):
-                p1(points, mu)
+        shapes = [
+            ((2,), (3,)),
+            ((1,), (1, 1)),
+            ((1, 1), (1,)),
+            ((2, 1), (2, 3)),
+            ((1, 2), (1, 3)),
+            ((2, 1, 1), (1, 1, 3)),
+            ((), ()),
+        ]
+        for points, mu in shapes:
+            with pytest.raises(ValueError, match=r"1-D arrays of one length, or of shapes \(P, 1\) and \(1, K\)"):
+                p1(np.zeros(points, int), np.ones(mu))
+        assert p1(np.zeros((1, 1), int), np.ones((1, 1))).shape == (1, 1)
+        assert p1(np.zeros((3, 1), int), np.ones((1, 0))).shape == (3, 0)
+        assert p1(np.zeros((0, 1), int), np.ones((1, 4))).shape == (0, 4)
+        assert p1(np.zeros(0, int), np.ones(0)).shape == (0,)
+
+    @pytest.mark.parametrize("outer", [False, True], ids=["pairs", "outer"])
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([0, -1], "point indices must be integers in \\[0, 2\\), got -1"),
+            ([2, 0], "point indices must be integers in \\[0, 2\\), got 2"),
+            ([0.0, 1.0], "point indices must be integers in \\[0, 2\\), got 0.0"),
+            ([True, False], "point indices must be integers in \\[0, 2\\), got True"),
+        ],
+        ids=["negative", "past-the-end", "float", "bool"],
+    )
+    def test_point_indices_outside_the_geometries_rejected(self, monkeypatch, outer, points, message):
+        # In a kernel of two geometries, index -1 evaluated the last one.
+        p1 = self.two_geometries(monkeypatch)
+        points, mu = np.array(points), np.array([0.5, 1.0])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            p1(points[:, None], mu[None, :]) if outer else p1(points, mu)
+
+    @pytest.mark.parametrize("outer", [False, True], ids=["pairs", "outer"])
+    @pytest.mark.parametrize(
+        "bad", [-0.5, -math.inf, math.inf, math.nan, -5e-324], ids=["negative", "-inf", "inf", "nan", "-subnormal"]
+    )
+    def test_means_that_are_negative_or_not_finite_rejected(self, monkeypatch, outer, bad):
+        # At the parent, -0.5 gave P(1) = -0.742 and inf gave NaN with a RuntimeWarning.
+        p1 = self.two_geometries(monkeypatch)
+        points, mu = np.array([0, 1]), np.array([1.0, bad])
+        with pytest.raises(ValueError, match=f"^means must be finite and >= 0, got {bad}$"):
+            p1(points[:, None], mu[None, :]) if outer else p1(points, mu)
+
+    @staticmethod
+    def two_geometries(monkeypatch):
+        """The kernel of (2, 2) and (4, 8), with the cell pass patched to fail, so a check must come first."""
+        params = LossParameters(v_r=0.996, v_t=0.97, v_p=0.95, v_p0_s=0.99, v_d=0.9)
+        runs = [build_matrix(params, MultiplexerLayout(m, n)).row_runs for m, n in ((2, 2), (4, 8))]
+        p1 = p1_evaluator(SourceKind.POISSONIAN, params.v_d, runs, LL)
+
+        def no_work(*args):
+            raise AssertionError("evaluated before the inputs were checked")
+
+        monkeypatch.setattr(engine, "_one_photon", no_work)
+        return p1
+
+    @pytest.mark.parametrize("kind", list(SourceKind))
+    @pytest.mark.parametrize("logic", [LL, FD])
+    def test_outer_call_equals_single_pair_calls(self, kind, logic):
+        # Sixteen geometries from (1, 1) to (256, 512).  The points of each n
+        # take one outer call of the scan's 34 means, as a sweep's scan does,
+        # and so do all sixteen at once; at n = 64 the four points' cells
+        # cross a chunk boundary between points, at (256, 512) one point's
+        # cross it between means.  Each value is, bit for bit, the one its
+        # pair gives alone in a 1-D call.
+        params = LossParameters(v_r=0.996, v_t=0.97, v_p=0.95, v_p0_s=0.99, v_d=0.9)
+        geometries = [(m, n) for m in (1, 2, 16, 256) for n in (1, 8, 64, 512)]
+        runs = [build_matrix(params, MultiplexerLayout(m, n, logic=logic)).row_runs for m, n in geometries]
+        p1 = p1_evaluator(kind, params.v_d, runs, logic)
+        groups = [[i for i, (_, k) in enumerate(geometries) if k == n] for n in (1, 8, 64, 512)]
+        crossed = 0
+        for group in [*groups, list(range(16))]:
+            n = geometries[group[0]][1]
+            mu = optimize._scan_grid(1e-4, 10.0 * n) / n
+            values = p1(np.array(group)[:, None], mu[None, :])
+            assert values.shape == (len(group), mu.size)
+            for i, row in zip(group, values.tolist()):
+                assert row == [p1(np.array([i]), np.array([x]))[0] for x in mu.tolist()], geometries[i]
+            crossed += sum(runs[i].rows.size for i in group) * mu.size > 1 << 15
+        assert sum(runs[i].rows.size for i in groups[2]) * 34 > 1 << 15
+        assert runs[15].rows.size * 34 > 1 << 15
+        assert crossed == 3
 
     def test_forty_digit_reference_decides_against_the_truncated_series(self):
         # A weak pump at the largest geometry: the adaptive series stops at

@@ -94,7 +94,7 @@ def spec_for(params, m_values, n_values, **kwargs):
 
 def maximize(f, lo, hi):
     """The peaks that the pump-strength search of ``f`` refines on the scan grid of [lo, hi]."""
-    [peaks] = optimize._maximize(lambda points, xs: f(xs), [optimize._scan_grid(lo, hi)])
+    [peaks] = optimize._maximize(lambda points, xs: f(xs), [(optimize._scan_grid(lo, hi), [0])])
     return peaks
 
 
@@ -111,7 +111,8 @@ def record_kernel_calls(monkeypatch):
 
     The record holds one entry per kernel that a sweep or ``optimize_lambda``
     builds: ``(runs, kernel, calls)``, each call a ``(points, means, values)``
-    triple of copies.
+    triple of copies, in the call's own form: 1-D pairs (a round) or the
+    outer form, points of shape (P, 1) and means of shape (1, K) (a scan).
     """
     record = []
     evaluator = optimize.p1_evaluator
@@ -130,6 +131,18 @@ def record_kernel_calls(monkeypatch):
 
     monkeypatch.setattr(optimize, "p1_evaluator", recording)
     return record
+
+
+def is_scan(call):
+    """Whether a recorded call is in the outer form, as the scans are."""
+    points, mu, values = call
+    return points.ndim == 2
+
+
+def pairs_of(call):
+    """``(point, mean, value)`` of every (point, mean) pair of a recorded call, in either form."""
+    points, mu, values = call
+    return zip(*(np.broadcast_to(a, values.shape).ravel().tolist() for a in (points, mu, values)))
 
 
 class TestMaximizeUnimodal:
@@ -236,28 +249,36 @@ class TestOptimizeLambda:
             optimize_lambda(point, spec_for(params, (point[0],), (point[1],), source_kind=kind))
         means = {}
         for k, (_, _, calls) in enumerate(record):
-            for points, mu, _ in calls:
-                for i, x in zip(points.tolist(), mu.tolist()):
+            for call in calls:
+                for i, x, _ in pairs_of(call):
                     means.setdefault((k, i), []).append(x)
         assert len(means) == 11
         for key, xs in means.items():
             assert len(set(xs)) == len(xs), key
 
     def test_brent_steps_equal_batch_entries(self, monkeypatch):
-        # Every round of a sweep from (1, 1) to (256, 512) sends one pump
-        # strength per peak still refining, and each value is, bit for bit,
-        # the one that its pair alone gives, and the entry that a batch of
-        # all of that point's steps gives.  The lock-step optima are
-        # optimize_lambda's, each solved alone.
+        # A sweep from (1, 1) to (256, 512) scans the three points of each n
+        # in one outer call of the scan's pump strengths, and each scan value
+        # is, bit for bit, the one that its pair alone gives.  Every round
+        # sends one pump strength per peak still refining, and each value is,
+        # bit for bit, the one that its pair alone gives, and the entry that
+        # a batch of all of that point's steps gives.  The lock-step optima
+        # are optimize_lambda's, each solved alone.
         record = record_kernel_calls(monkeypatch)
         for kind in SourceKind:
             for logic in (LL, FD):
                 spec = spec_for(ROW4, (1, 4, 256), (1, 64, 512), source_kind=kind, logic=logic)
                 result = sweep(spec)
                 _, p1, calls = record[-1]
-                assert [mu.size for _, mu, _ in calls[:9]] == [optimize.COARSE_POINTS + 2] * 9
+                assert [is_scan(call) for call in calls] == [True] * 3 + [False] * (len(calls) - 3)
+                for k, (n, (points, mu, values)) in enumerate(zip((1, 64, 512), calls[:3])):
+                    assert points.tolist() == [[k], [k + 3], [k + 6]]  # the points (1, n), (4, n), (256, n)
+                    assert mu.shape == (1, optimize.COARSE_POINTS + 2) and values.shape == (3, mu.size)
+                    assert np.array_equal(mu, optimize._scan_grid(1e-4, 10.0 * n)[None, :] / n)
+                    for i, x, value in pairs_of((points, mu, values)):
+                        assert p1(np.array([i]), np.array([x]))[0] == value
                 steps = {}
-                for points, mu, values in calls[9:]:
+                for points, mu, values in calls[3:]:
                     assert np.array_equal(np.unique(points), points)  # one step per point
                     for i, x, value in zip(points.tolist(), mu.tolist(), values.tolist()):
                         assert p1(np.array([i]), np.array([x]))[0] == value
@@ -265,7 +286,7 @@ class TestOptimizeLambda:
                         xs.append(x)
                         ys.append(value)
                 assert sorted(steps) == list(range(9))
-                assert len(calls) - 9 == max(len(xs) for xs, _ in steps.values())
+                assert len(calls) - 3 == max(len(xs) for xs, _ in steps.values())
                 for i, (xs, ys) in steps.items():
                     assert len(xs) >= 5
                     assert p1(np.full(len(xs), i), np.array(xs)).tolist() == ys
@@ -274,33 +295,45 @@ class TestOptimizeLambda:
         assert len(record) == 4 * (1 + 9)
 
     def test_sweep_refines_in_lock_step(self, monkeypatch):
-        # A 4 x 4 sweep: one scan call per grid point, then one call per round
-        # for every peak still refining, so the rounds number as many as the
-        # Brent steps of its slowest peak, not the steps of all its points.
+        # A 4 x 4 sweep: one outer scan call per window count for its four
+        # points, then one call per round for every peak still refining, so
+        # the rounds number as many as the Brent steps of its slowest peak,
+        # not the steps of all its points.
         record = record_kernel_calls(monkeypatch)
         sweep(spec_for(TABLE2_ROWS[0].losses(), (1, 2, 4, 8), (1, 2, 4, 8)))
         [(runs, _, calls)] = record
         assert len(runs) == 16
-        scans, rounds = calls[:16], calls[16:]
-        for i, (points, mu, _) in enumerate(scans):
-            assert points.tolist() == [i] * (optimize.COARSE_POINTS + 2)
+        scans, rounds = calls[:4], calls[4:]
+        for k, (points, mu, values) in enumerate(scans):
+            n = 2**k
+            assert points.tolist() == [[k], [k + 4], [k + 8], [k + 12]]  # (1, n), (2, n), (4, n), (8, n)
+            assert np.array_equal(mu, optimize._scan_grid(1e-4, 10.0 * n)[None, :] / n)
+            assert values.shape == (4, optimize.COARSE_POINTS + 2)
+        assert not any(is_scan(call) for call in rounds)
         sizes = [mu.size for _, mu, _ in rounds]
         assert sizes[0] == 16 and sizes == sorted(sizes, reverse=True)
         steps = np.bincount(np.concatenate([points for points, _, _ in rounds]))
         assert len(rounds) == steps.max() <= 20
-        assert len(calls) <= 16 + 20
+        assert len(calls) <= 4 + 20
 
     def test_table2_row_averages_few_objective_calls(self, monkeypatch):
-        # One batched call for the bracket checks and the scan at each of the
-        # row's 92 grid points, then one call per round of Brent steps in each
-        # of its three sweeps, and at most 10 Brent steps per point on average.
+        # One outer call for the bracket checks and the scans of each window
+        # count of each of the row's three sweeps (10 + 1 + the combined
+        # grid's n values; 92 grid points), then one call per round of Brent
+        # steps, and at most 10 Brent steps per point on average.
         record = record_kernel_calls(monkeypatch)
         reproduce_table2_row(TABLE2_ROWS[0])
         assert sorted(len(runs) for runs, _, _ in record) == [10, 10, 72]
-        evaluations = 0
+        evaluations, scan_sizes = 0, []
         for runs, _, calls in record:
-            assert len(calls) <= len(runs) + 15
-            evaluations += sum(mu.size for _, mu, _ in calls)
+            scans = sum(map(is_scan, calls))
+            assert all(map(is_scan, calls[:scans]))
+            assert sum(points.size for points, _, _ in calls[:scans]) == len(runs)
+            scan_sizes.append(sorted(points.size for points, _, _ in calls[:scans]))
+            assert len(calls) <= scans + 15
+            evaluations += sum(values.size for _, _, values in calls)
+        # Time multiplexing: 10 window counts of one point; spatial: one of 10.
+        assert sorted(scan_sizes) == sorted([[1] * 10, [10], [len(COMBINED_M_GRID)] * len(COMBINED_N_GRID)])
         assert evaluations / 92 <= 34 + 10
 
     def test_explicit_bounds_respected(self):
@@ -403,7 +436,9 @@ def test_two_peaks_refine_in_the_same_rounds(case, monkeypatch):
     with pytest.warns(UserWarning, match="local maxima"):
         optimize_lambda((m, n), spec_for(params, (m,), (n,), source_kind=kind))
     [(_, p1, calls)] = record
-    rounds = calls[1:]
+    scan, rounds = calls[0], calls[1:]
+    assert scan[0].shape == (1, 1) and scan[1].shape == (1, optimize.COARSE_POINTS + 2)
+    assert not any(map(is_scan, rounds))
     assert sum(mu.size == 2 for _, mu, _ in rounds) >= 5
     for points, mu, values in rounds:
         assert points.tolist() == [0] * mu.size
