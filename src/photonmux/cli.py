@@ -124,8 +124,9 @@ def compare_to_oracle(
     spurious rejections; a zero standard error with a nonzero difference
     yields an infinite z.  ``analytic_tm`` feeds a different matrix to the
     analytic side only, which lets a mutation test measure the harness's
-    sensitivity; it defaults to ``build_matrix(params, layout)``, the matrix
-    the sampler builds for itself.
+    sensitivity; it defaults to ``build_matrix(params, layout)``, whose
+    entries are, bit for bit, the cell transmissions that the sampler reads
+    as products of the arm and window factors without building a matrix.
 
     Raises:
         TruncationError: the heralded input cannot be truncated within

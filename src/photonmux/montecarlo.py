@@ -44,19 +44,30 @@ the multinomial one binomial per pair number up to the largest one drawn,
 one survivor call per present pair number, plus one survivor draw per
 heralded trial.  Besides its ``J + 1`` bins it holds the survivors of one
 pair number of one cell at a time, at most one int64 per heralded trial,
-whatever the geometry.
+whatever the geometry.  The run holds the ``m`` ranked arm transmissions
+and the ``n`` window transmissions and reads a visited cell's transmission
+as their product, the entry of the transmission matrix bit for bit; it
+builds no m x n matrix.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import PhotonNumberDistribution
 from .statistics import PairSourceModel, SourceKind
-from .transmission import LossParameters, MultiplexerLayout, PriorityLogic, _count, build_matrix
+from .transmission import (
+    LossParameters,
+    MultiplexerLayout,
+    PriorityLogic,
+    _count,
+    _window_column,
+    spatial_arm_transmissions,
+)
 
 BLOCK_SIZE = 1 << 20
 CLOSING_BOUND = 1e-20
@@ -175,6 +186,26 @@ def _heralded_pair_pmf(model: PairSourceModel, v_d: float) -> np.ndarray:
     return pvals
 
 
+@dataclass(frozen=True)
+class _CellTransmissions:
+    """The net transmission of a cell, ``arms[k] * windows[w]``, read as ``[k, w]``.
+
+    Each is the entry that the outer product of the two holds, bit for bit,
+    but no m x n matrix is built: a walk reads only the cells it visits.
+    """
+
+    arms: np.ndarray
+    windows: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.arms.size, self.windows.size
+
+    def __getitem__(self, cell: tuple[int, int]) -> float:
+        k, w = cell
+        return self.arms[k] * self.windows[w]
+
+
 def _simulate_block(
     h: float,
     pvals: np.ndarray,
@@ -183,7 +214,12 @@ def _simulate_block(
     n_trials: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Photon-count histogram of one block of trials, up to its largest count."""
+    """Photon-count histogram of one block of trials, up to its largest count.
+
+    ``transmissions`` gives the (arm rank, window) shape and the net
+    transmission ``transmissions[k, w]`` of each cell: a matrix, or
+    ``_CellTransmissions``.
+    """
     hist = np.zeros(pvals.size - 1, dtype=np.int64)
     waiting = n_trials
     for k, w in _visiting_order(*transmissions.shape, logic):
@@ -235,7 +271,7 @@ def simulate(
     trials, seed = _trials(trials), _count("seed", seed, least=0)
     if model.n_windows != layout.n:
         raise ValueError(f"source spans {model.n_windows} windows, but the layout has {layout.n}")
-    transmissions = build_matrix(params, layout).values
+    transmissions = _CellTransmissions(spatial_arm_transmissions(params, layout.m), _window_column(params, layout.n))
     h = _click_probability(model, params.v_d)
     if h == 0.0:
         # No detector ever clicks: every trial is vacuum, and nothing is drawn.

@@ -36,12 +36,14 @@ full ``photonmux tables`` run makes 317 scan calls for its 1,244 grid
 points, and 537 rounds.  The rounds number as many as the steps of the
 slowest peak, 9 to 16 per sweep of the reference tables, where each point
 takes about 9.  A round's cost is numpy dispatch more than arithmetic, and
-it is shared: about 4 to 7 us per point in a round of the 16-point design
-grid or of table 2's 72-point combined grid, against about 14 us for a
-one-point call at (2, 64), on a 2-core host.  A scan's cost is shared the
-same way: the four points of one n of the design grid take about 75 us in
-one call, against about 120 us in four.  A second peak that the scan
-resolves refines in the same rounds as the first.
+it is shared: the kernel takes a round's run weights and sums in one pass
+each, and only the window product per point, so a point costs about 4.8
+us in a round of the 16-point design grid and 7.6 us in one of table 2's
+72-point combined grid, against about 27 us for a call of one pair at (2,
+64), on a 2-core host.  A scan's cost is shared the same way: the four
+points of one n of the design grid take about 71 us in one call, against
+about 150 us in four.  A second peak that the scan resolves refines in the
+same rounds as the first.
 """
 
 from __future__ import annotations

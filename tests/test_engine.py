@@ -1,5 +1,6 @@
 """Output photon-number distribution for both priority logics, and the closed-form P(1)."""
 
+import collections
 import math
 from decimal import Decimal
 
@@ -496,17 +497,20 @@ class TestClosedFormP1:
                 assert value == alone[i](np.array([mean]))[0], (layouts[i], mean)
 
     def test_several_points_equal_the_two_pass_formula_bit_for_bit(self):
-        # Random sets of up to 12 geometries up to (256, 512), both sources
-        # and logics, and up to 59 pairs in random order, which often cross
-        # chunk boundaries.
+        # Random sets of up to 12 geometries up to (256, 512), plus one at
+        # m = 1024 and one at m = 4096 (11 and 13 row runs), both sources and
+        # logics, and up to 59 pairs in random order, which often cross chunk
+        # boundaries.
         rng = np.random.default_rng(13)
-        crossed = 0
+        crossed, pairs_by_runs = 0, collections.Counter()
         for case in range(150):
             model, params, layout = draw_closed_form_case(rng, 8, 9, 1e-4, 10.0)
             layouts = [layout]
             for _ in range(int(rng.integers(1, 12))):
                 m, n = 2 ** int(rng.integers(0, 9)), 2 ** int(rng.integers(5, 10))
                 layouts.append(MultiplexerLayout(m, n, logic=layout.logic))
+            for m in (1024, 4096):
+                layouts.append(MultiplexerLayout(m, 2 ** int(rng.integers(5, 10)), logic=layout.logic))
             matrices = [build_matrix(params, lay) for lay in layouts]
             p1 = p1_evaluator(model.kind, params.v_d, [tm.row_runs for tm in matrices], layout.logic)
             points = rng.integers(0, len(layouts), int(rng.integers(2, 60)))
@@ -516,7 +520,9 @@ class TestClosedFormP1:
                 expected = two_pass_p1(model.kind, params.v_d, matrices[i], layouts[i], np.array([mean]))[0]
                 assert value == expected, (case, layouts[i], mean)
             crossed += sum(matrices[i].row_runs.rows.size for i in points) > 1 << 15
+            pairs_by_runs.update(len(matrices[i].row_runs.rows) for i in points.tolist())
         assert crossed >= 20, crossed
+        assert pairs_by_runs[11] >= 200 and pairs_by_runs[13] >= 200, pairs_by_runs
 
     def test_points_and_means_must_pair_up(self):
         tm = build_matrix(LOSSLESS, MultiplexerLayout(2, 2))

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import sys
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -247,13 +248,48 @@ def test_block_b_draws_from_child_b_of_the_seed(monkeypatch):
     assert np.rint(dist.probs * 10_000).astype(np.int64).tolist() == np.trim_zeros(expected, "b").tolist()
 
 
+def test_cells_read_the_entries_of_the_built_matrix():
+    # Each visited cell's transmission is the product that np.outer forms in
+    # build_matrix, bit for bit, at every cell of both logics' first arm and
+    # window and at 2000 random cells.
+    rng = np.random.default_rng(21)
+    names = ("v_r", "v_t", "v_p", "v_p0_s", "v_d", "v_b", "v_r_s", "v_t_s")
+    params = LossParameters(**{name: float(rng.uniform(0.5, 1.0)) for name in names})
+    layout = MultiplexerLayout(256, 512)
+    matrix = build_matrix(params, layout).values
+    cells = montecarlo._CellTransmissions(
+        montecarlo.spatial_arm_transmissions(params, 256), montecarlo._window_column(params, 512)
+    )
+    assert cells.shape == matrix.shape
+    visited = [(0, w) for w in range(512)] + [(k, 0) for k in range(256)]
+    visited += zip(rng.integers(0, 256, 2000).tolist(), rng.integers(0, 512, 2000).tolist())
+    for k, w in visited:
+        assert cells[k, w] == matrix[k, w], (k, w)
+
+
+@pytest.mark.parametrize("logic", [LL, FD])
+def test_largest_geometry_builds_no_matrix(logic):
+    # At (4096, 4096), the largest point a configuration admits, an m x n
+    # matrix holds 134 MB; 1e5 trials built one and peaked at 168 MB traced.
+    model = PairSourceModel(SourceKind.POISSONIAN, 4096.0, 4096)
+    tracemalloc.start()
+    try:
+        dist = simulate(model, ROW1, MultiplexerLayout(4096, 4096, logic), trials=100_000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
+    assert np.rint(dist.probs * 100_000).sum() == 100_000
+
+
 @pytest.mark.parametrize("trials", [2**40 + 1, 2**62, 10**30], ids=["2**40+1", "2**62", "10**30"])
 def test_trials_beyond_the_cap_rejected_before_sampling(monkeypatch, trials):
     # Uncapped, 10**30 overflows SeedSequence.spawn and 2**62 samples for ever.
     def fail(*args, **kwargs):
         raise AssertionError("built or sampled a run beyond the trials cap")
 
-    monkeypatch.setattr(montecarlo, "build_matrix", fail)
+    monkeypatch.setattr(montecarlo, "spatial_arm_transmissions", fail)
+    monkeypatch.setattr(montecarlo, "_window_column", fail)
     model = PairSourceModel(SourceKind.POISSONIAN, 1.0, 1)
     with pytest.raises(ValueError, match=f"trials must be at most {2**40}, got {trials}"):
         simulate(model, ROW1, MultiplexerLayout(1, 1), trials=trials, seed=1)
@@ -273,7 +309,8 @@ def test_source_windows_must_match_the_layout(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("built or sampled a mismatched source")
 
-    monkeypatch.setattr(montecarlo, "build_matrix", fail)
+    monkeypatch.setattr(montecarlo, "spatial_arm_transmissions", fail)
+    monkeypatch.setattr(montecarlo, "_window_column", fail)
     monkeypatch.setattr(montecarlo, "_simulate_block", fail)
     model = PairSourceModel(SourceKind.POISSONIAN, 1.0, 8)
     with pytest.raises(ValueError, match="8 windows, but the layout has 4"):

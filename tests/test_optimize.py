@@ -27,7 +27,7 @@ from photonmux import (
     single_photon_probability,
     sweep,
 )
-from photonmux import optimize
+from photonmux import engine, optimize
 from photonmux.engine import p1_evaluator
 from photonmux.optimize import OptimizationResult
 from photonmux.tables import (
@@ -315,6 +315,23 @@ class TestOptimizeLambda:
         steps = np.bincount(np.concatenate([points for points, _, _ in rounds]))
         assert len(rounds) == steps.max() <= 20
         assert len(calls) <= 4 + 20
+
+    def test_sweeps_never_contract_point_by_point(self, monkeypatch):
+        # The kernel takes every run weight and every sum of a chunk in one
+        # pass each; the per-point helpers that output_distribution keeps
+        # must not run.  A 4 x 4 sweep and table 2's combined grid, both
+        # sources and logics.
+        def per_point(*args):
+            raise AssertionError("the P(1) kernel contracted one point at a time")
+
+        monkeypatch.setattr(engine, "_contract", per_point)
+        monkeypatch.setattr(engine, "_priority_weights", per_point)
+        params = TABLE2_ROWS[0].losses()
+        for kind in (P, T):
+            for logic in (LL, FD):
+                design = sweep(spec_for(params, (1, 2, 4, 8), (1, 2, 4, 8), source_kind=kind, logic=logic))
+                combined = sweep(spec_for(params, COMBINED_M_GRID, COMBINED_N_GRID, source_kind=kind, logic=logic))
+                assert len(design.surface) == 16 and len(combined.surface) == 72
 
     def test_table2_row_averages_few_objective_calls(self, monkeypatch):
         # One outer call for the bracket checks and the scans of each window
