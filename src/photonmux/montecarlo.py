@@ -209,7 +209,7 @@ class _CellTransmissions:
 def _simulate_block(
     h: float,
     pvals: np.ndarray,
-    transmissions: np.ndarray,
+    transmissions: np.ndarray | _CellTransmissions,
     logic: PriorityLogic,
     n_trials: int,
     rng: np.random.Generator,
@@ -271,7 +271,9 @@ def simulate(
     trials, seed = _trials(trials), _count("seed", seed, least=0)
     if model.n_windows != layout.n:
         raise ValueError(f"source spans {model.n_windows} windows, but the layout has {layout.n}")
-    transmissions = _CellTransmissions(spatial_arm_transmissions(params, layout.m), _window_column(params, layout.n))
+    transmissions = _CellTransmissions(
+        spatial_arm_transmissions(params, layout.m), _window_column(params, layout.n)
+    )
     h = _click_probability(model, params.v_d)
     if h == 0.0:
         # No detector ever clicks: every trial is vacuum, and nothing is drawn.

@@ -250,8 +250,8 @@ def test_block_b_draws_from_child_b_of_the_seed(monkeypatch):
 
 def test_cells_read_the_entries_of_the_built_matrix():
     # Each visited cell's transmission is the product that np.outer forms in
-    # build_matrix, bit for bit, at every cell of both logics' first arm and
-    # window and at 2000 random cells.
+    # build_matrix, bit for bit: along the first arm, along the first window
+    # and at 2000 random cells.
     rng = np.random.default_rng(21)
     names = ("v_r", "v_t", "v_p", "v_p0_s", "v_d", "v_b", "v_r_s", "v_t_s")
     params = LossParameters(**{name: float(rng.uniform(0.5, 1.0)) for name in names})
