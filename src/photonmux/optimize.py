@@ -17,7 +17,9 @@ no input truncation.  One P(1) kernel serves every grid point of a sweep:
 it maps pairs of a grid point and a pump strength to probabilities, or
 every grid point of a set against every pump strength of a set, so the
 bracket checks at both bounds and the whole scan of every point of one n
-take one call.  ``optimize_lambda`` is a sweep of one point.
+take one call.  ``optimize_lambda`` is a sweep of one point, and sweeps
+that share a source, a logic and ``v_d`` can be solved as one, as
+``tables.reproduce_tables`` solves all the sweeps of a run.
 
 The transmission matrix of a grid point is the outer product of the ranked
 arm transmissions and the window column, and the router tree gives only
@@ -28,14 +30,17 @@ window column (``RowRuns`` merges rows that come out equal); no m x n
 matrix is built.  The scan's pump strengths depend on the bounds only, so
 a sweep builds them once per n too.
 
-Cost of a sweep: one kernel call per window count n, of its grid points
-against their 34 shared pump strengths (the four bracket-check points and
-the 30 inner scan points), then one call per round of Brent steps, each
-round one pump strength for every peak of every point still refining.  A
-full ``photonmux tables`` run makes 317 scan calls for its 1,244 grid
-points, and 537 rounds.  The rounds number as many as the steps of the
-slowest peak, 9 to 16 per sweep of the reference tables, where each point
-takes about 9.  A round's cost is numpy dispatch more than arithmetic, and
+Cost of a solve: one kernel call per window count n (and pair of bounds),
+of its grid points against their 34 shared pump strengths (the four
+bracket-check points and the 30 inner scan points), then one call per round
+of Brent steps, each round one pump strength for every peak of every point
+still refining.  The rounds number as many as the steps of the slowest
+peak, where each point takes about 9.  A full ``photonmux tables`` run
+solves its 50 sweeps and 1,244 grid points as one, in 10 scan calls and 16
+rounds.  Solved sweep by sweep they took 317 scan calls and 537 rounds, 9
+to 16 rounds per sweep, and the time and spatial sweeps, of one point per
+window count or of one window count, paid little but those calls' fixed
+cost.  A round's cost is numpy dispatch more than arithmetic, and
 it is shared: the kernel takes a round's run weights and sums in one pass
 each, and only the window product per point, so a point costs about 4.8
 us in a round of the 16-point design grid and 7.6 us in one of table 2's
@@ -341,25 +346,54 @@ def _row_runs(params: LossParameters, points: list[tuple[int, int]]) -> list[Row
     return [RowRuns(rows=arms[m].rows * columns[n], starts=arms[m].starts, ranks=m) for m, n in points]
 
 
-def _solve(spec: SweepSpec, points: list[tuple[int, int]]) -> Iterator[list[tuple[float, float]]]:
-    """Each point's refined peaks, in point order, with every point's peaks refined in lock-step.
+def _grid_points(spec: SweepSpec) -> list[tuple[int, int]]:
+    """Every (m, n) grid point of ``spec``, m-major: the order of a sweep's surface."""
+    return [(m, n) for m in spec.m_values for n in spec.n_values]
 
-    One P(1) kernel serves all the points, and each n's scan is built once.
-    A generator that does all its work, every scan and every round, before
-    it yields the first point's peaks; a ``BracketError`` comes at the
-    first failing point, after the points before it.
+
+def _solve(groups: Sequence[tuple[SweepSpec, list[tuple[int, int]]]]) -> Iterator[list[tuple[float, float]]]:
+    """Each point's refined peaks, group by group in point order, every peak of every group in lock-step.
+
+    Each group is a spec and the points solved under it; the groups share
+    one source, logic and ``v_d``, since one P(1) kernel serves all their
+    points.  Each loss set's row runs come from one ``_row_runs`` call
+    over all the points that use it, and each scan, one per pair of
+    explicit or default bounds and n, is built once and takes one call for
+    every point that uses it, whichever its group.  A generator that does
+    all its work, every scan and every round, before it yields the first
+    point's peaks; a ``BracketError`` comes at the first failing point,
+    after the points before it.
+
+    Raises:
+        ValueError: the groups' specs differ in source, logic or ``v_d``,
+            before anything is built.
     """
-    kernel = p1_evaluator(spec.source_kind, spec.params.v_d, _row_runs(spec.params, points), spec.logic)
+    physics = {(spec.source_kind, spec.logic, spec.params.v_d) for spec, _ in groups}
+    if len(physics) > 1:
+        given = sorted((kind.value, logic.value, v_d) for kind, logic, v_d in physics)
+        raise ValueError(f"specs solved together must share source, logic and v_d, got {given}")
+    points: list[tuple[int, int]] = []
+    by_losses: dict[LossParameters, list[int]] = {}
+    members: dict[tuple, list[int]] = {}  # (explicit bounds or None, n) -> point indices
+    for spec, group in groups:
+        indices = range(len(points), len(points) + len(group))
+        by_losses.setdefault(spec.params, []).extend(indices)
+        for i, (_, n) in zip(indices, group):
+            members.setdefault((spec.lambda_bounds, n), []).append(i)
+        points += group
+    runs: list = [None] * len(points)
+    for params, indices in by_losses.items():
+        for i, row_runs in zip(indices, _row_runs(params, [points[i] for i in indices])):
+            runs[i] = row_runs
+    kind, logic, v_d = physics.pop()
+    kernel = p1_evaluator(kind, v_d, runs, logic)
     windows = np.array([n for _, n in points], dtype=float)
-    members: dict[int, list[int]] = {}
-    for i, (_, n) in enumerate(points):
-        members.setdefault(n, []).append(i)
 
     def objective(i: np.ndarray, lams: np.ndarray) -> np.ndarray:
         # An outer call's points share their n, so their means stay one row.
         return kernel(i, lams / windows[i[0] if i.ndim == 2 else i])
 
-    scans = [(_scan_grid(*(spec.lambda_bounds or (1e-4, 10.0 * n))), group) for n, group in members.items()]
+    scans = [(_scan_grid(*(bounds or (1e-4, 10.0 * n))), group) for (bounds, n), group in members.items()]
     yield from _maximize(objective, scans)
 
 
@@ -376,8 +410,8 @@ def optimize_lambda(
     the grid point, the logic and each refined peak's pump strength and
     P(1), so Python's default filter shows it once per grid point.
 
-    ``sweep`` passes ``_refined``, the ``_solve`` of its whole grid, and
-    calls this function once per grid point through the module's own name,
+    ``sweep`` passes ``_refined``, the ``_solve`` of its whole grid (or of
+    several sweeps at once), and calls this function once per grid point through the module's own name,
     so a profiler or tracer that wraps ``optimize_lambda`` (the benchmark's
     traced mode does) still sees every point, and the first point's call
     holds the sweep's scans and rounds.
@@ -393,7 +427,7 @@ def optimize_lambda(
     if len(point) != 2:
         raise ValueError(f"point must hold {rule}, got {point}")
     m, n = _grid_values("point", point, rule)
-    peaks = next(_solve(spec, [(m, n)]) if _refined is None else _refined)
+    peaks = next(_solve([(spec, [(m, n)])]) if _refined is None else _refined)
     if len(peaks) > 1:
         refined = ", ".join(f"({lam:.6g}, {p1:.6g})" for lam, p1 in peaks)
         warnings.warn(
@@ -404,13 +438,24 @@ def optimize_lambda(
     return max(peaks, key=lambda peak: peak[1])
 
 
-def sweep(spec: SweepSpec) -> OptimizationResult:
+def sweep(
+    spec: SweepSpec,
+    *,
+    _refined: Iterator[list[tuple[float, float]]] | None = None,
+) -> OptimizationResult:
     """Optimize the pump strength at every (m, n) grid point, as ``optimize_lambda`` does at each.
 
     The points' scans take one call per n, and their refinements run in
     lock-step, one call per round of Brent steps; every optimum is bit for
     bit the one ``optimize_lambda`` gives alone.
+
+    A caller that solves several sweeps in one ``_solve`` (as
+    ``tables.reproduce_tables`` does) passes each sweep its part of the
+    stream as ``_refined``, the next of the spec's grid points in surface
+    order, and still calls this function once per sweep, so a profiler or
+    tracer that wraps ``sweep`` (the benchmark's traced mode does) still
+    sees every sweep.
     """
-    points = [(m, n) for m in spec.m_values for n in spec.n_values]
-    refined = _solve(spec, points)
+    points = _grid_points(spec)
+    refined = _solve([(spec, points)]) if _refined is None else _refined
     return OptimizationResult(surface={point: optimize_lambda(point, spec, _refined=refined) for point in points})

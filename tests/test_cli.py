@@ -573,6 +573,15 @@ class TestRunTables:
         ]
         assert "table1 row 1: PASS" in capsys.readouterr().out
 
+    def test_no_rows_write_header_only_files(self, tmp_path, capsys, monkeypatch):
+        record = record_kernel_calls(monkeypatch)
+        assert run_tables(tmp_path, rows1=(), rows2=()) == EXIT_OK
+        assert record == []
+        for name, columns in (("table1", cli._TABLE1_COLUMNS), ("table2", cli._TABLE2_COLUMNS)):
+            header = ",".join(header for header, _ in columns)
+            assert (tmp_path / f"{name}_repro.csv").read_text(encoding="utf-8") == header + "\n"
+        assert capsys.readouterr().out == ""
+
 
 def test_fmt_writes_flags_and_numbers():
     # Comparisons of numpy scalars give np.bool_, which is not a bool.
@@ -642,7 +651,7 @@ def test_output_dir_under_a_file_exits_2_before_any_work(tmp_path, capsys, monke
     def no_work(*args, **kwargs):
         raise AssertionError("swept, sampled or reproduced with nowhere to write the result")
 
-    for name in ("sweep", "compare_to_oracle", "reproduce_table1"):
+    for name in ("sweep", "compare_to_oracle", "reproduce_tables"):
         monkeypatch.setattr(f"photonmux.cli.{name}", no_work)
     taken = tmp_path / TAKEN
     taken.write_text("")
@@ -680,15 +689,15 @@ def digests(directory):
 
 
 def test_tables_output_is_pinned(tmp_path, monkeypatch):
-    # The run's kernel calls are pinned too: each sweep scans the points of
-    # each window count in one outer call, 317 in all for 1,244 grid points,
-    # and then refines them in 537 rounds.
+    # The run's kernel calls are pinned too: all 50 sweeps of the 19 rows are
+    # solved as one, in one kernel over the 1,244 grid points, with one outer
+    # scan call per window count, 10 in all, and then 16 rounds.
     record = record_kernel_calls(monkeypatch)
     assert run_tables(tmp_path) == EXIT_OK
     assert digests(tmp_path) == PINNED_TABLES
-    calls = [call for _, _, calls in record for call in calls]
-    assert sum(len(runs) for runs, _, _ in record) == 1244
-    assert (sum(map(is_scan, calls)), sum(not is_scan(call) for call in calls)) == (317, 537)
+    [(runs, _, calls)] = record
+    assert len(runs) == 1244
+    assert (sum(map(is_scan, calls)), sum(not is_scan(call) for call in calls)) == (10, 16)
 
 
 def test_readme_configuration_output_is_pinned(tmp_path):
@@ -772,8 +781,7 @@ def test_no_config_crashes_the_command_line(tmp_path, capsys, monkeypatch):
         return simulate(model, params, layout, min(trials, budget[0]), seed)
 
     forbid_work_beyond_the_caps(monkeypatch, sample)
-    for name in ("reproduce_table1", "reproduce_table2"):
-        monkeypatch.setattr(cli, name, lambda rows: [])
+    monkeypatch.setattr(cli, "reproduce_tables", lambda rows1, rows2: ([], []))
     for case in range(FUZZ_CASES):
         case_dir = tmp_path / str(case)
         case_dir.mkdir()

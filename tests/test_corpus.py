@@ -71,7 +71,7 @@ def multi_peak():
                     peaks.update(zip(group[:, 0].tolist(), map(corpus.scan_peaks, p1(group, means[n]).tolist())))
                 picked = [point for i, point in enumerate(points) if peaks[i] > 1]
                 spec = SweepSpec(m_values=m_values, n_values=n_values, params=params, source_kind=kind)
-                refined = optimize._solve(spec, picked)
+                refined = optimize._solve([(spec, picked)])
                 optima += [(k, kind, point, optimize_lambda(point, spec, _refined=refined), spec) for point in picked]
     assert len(record) == len(optima)
     assert all("local maxima" in str(warning.message) for warning in record)

@@ -202,3 +202,23 @@ def test_bench_traces_the_optimizer_seams():
     calls = {name: agg["calls"] for name, agg in tracer.summary().items()}
     assert calls.get("optimize.sweep") == 2
     assert calls.get("optimize.optimize_lambda") == 20
+
+
+def test_bench_traces_a_tables_run(tmp_path):
+    # A tables run solves all its sweeps as one but still calls sweep once
+    # per sweep and optimize_lambda once per grid point through the rebound
+    # names: one table-1 row (2 sweeps, 20 points) and one table-2 row (3
+    # sweeps, 92 points), as the bench's tables workload runs them.
+    from photonmux import cli
+    from photonmux.tables import TABLE1_ROWS, TABLE2_ROWS
+
+    spans, workloads = bench_module("spans"), bench_module("workloads")
+    tracer = spans.Tracer()
+    targets = workloads.rebinding_targets()
+    with spans.Rebinding(tracer, targets):
+        for module, attribute, *_ in targets:
+            assert hasattr(getattr(module, attribute), "__wrapped__"), f"{module.__name__}.{attribute}"
+        assert cli.run_tables(tmp_path, rows1=TABLE1_ROWS[:1], rows2=TABLE2_ROWS[:1]) == 0
+    calls = {name: agg["calls"] for name, agg in tracer.summary().items()}
+    assert calls.get("optimize.sweep") == 5
+    assert calls.get("optimize.optimize_lambda") == 112

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from photonmux import (
     single_photon_probability,
     sweep,
 )
-from photonmux import engine, optimize
+from photonmux import engine, optimize, tables
 from photonmux.engine import p1_evaluator
 from photonmux.optimize import OptimizationResult
 from photonmux.tables import (
@@ -37,6 +38,7 @@ from photonmux.tables import (
     TABLE1_ROWS,
     TABLE2_ROWS,
     reproduce_table2_row,
+    reproduce_tables,
 )
 
 LOSSLESS = LossParameters(v_r=1, v_t=1, v_p=1, v_p0_s=1, v_d=1, v_b=1)
@@ -334,23 +336,23 @@ class TestOptimizeLambda:
                 assert len(design.surface) == 16 and len(combined.surface) == 72
 
     def test_table2_row_averages_few_objective_calls(self, monkeypatch):
-        # One outer call for the bracket checks and the scans of each window
-        # count of each of the row's three sweeps (10 + 1 + the combined
-        # grid's n values; 92 grid points), then one call per round of Brent
-        # steps, and at most 10 Brent steps per point on average.
+        # The row's three sweeps (92 grid points) are solved as one: one
+        # kernel, one outer call for the bracket checks and the scans of each
+        # window count (n = 1: the time sweep's point and the spatial sweep's
+        # 10; each other n: 8 combined points and one time point), then one
+        # call per round of Brent steps for every peak of every sweep, and at
+        # most 10 Brent steps per point on average.
         record = record_kernel_calls(monkeypatch)
         reproduce_table2_row(TABLE2_ROWS[0])
-        assert sorted(len(runs) for runs, _, _ in record) == [10, 10, 72]
-        evaluations, scan_sizes = 0, []
-        for runs, _, calls in record:
-            scans = sum(map(is_scan, calls))
-            assert all(map(is_scan, calls[:scans]))
-            assert sum(points.size for points, _, _ in calls[:scans]) == len(runs)
-            scan_sizes.append(sorted(points.size for points, _, _ in calls[:scans]))
-            assert len(calls) <= scans + 15
-            evaluations += sum(values.size for _, _, values in calls)
-        # Time multiplexing: 10 window counts of one point; spatial: one of 10.
-        assert sorted(scan_sizes) == sorted([[1] * 10, [10], [len(COMBINED_M_GRID)] * len(COMBINED_N_GRID)])
+        [(runs, _, calls)] = record
+        assert len(runs) == 92
+        scans = sum(map(is_scan, calls))
+        assert all(map(is_scan, calls[:scans]))
+        assert sum(points.size for points, _, _ in calls[:scans]) == len(runs)
+        scan_sizes = sorted((points.size for points, _, _ in calls[:scans]), reverse=True)
+        assert scan_sizes == [11] + [len(COMBINED_M_GRID) + 1] * len(COMBINED_N_GRID)
+        assert len(calls) <= scans + 15
+        evaluations = sum(values.size for _, _, values in calls)
         assert evaluations / 92 <= 34 + 10
 
     def test_explicit_bounds_respected(self):
@@ -498,6 +500,91 @@ def test_sweep_warns_once_per_two_peak_grid_point(tmp_path):
     for line in lines:
         assert "found 2 local maxima" in line and "lowest_loss" in line
         assert len(re.findall(r"\(\d[\d.e+-]*, 0\.\d+\)", line)) == 2, line
+
+
+def solve_together(specs):
+    """Each spec's sweep, all their grid points solved in one ``_solve``."""
+    refined = optimize._solve([(spec, optimize._grid_points(spec)) for spec in specs])
+    return [sweep(spec, _refined=refined) for spec in specs]
+
+
+def surfaces_and_warnings(solve):
+    """The repr of each sweep's surface that ``solve()`` returns, and the text of every warning it raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = solve()
+    return [repr(list(result.surface.items())) for result in results], [str(w.message) for w in caught]
+
+
+class TestSharedSolve:
+    def test_reference_rows_solved_together_equal_their_sweeps_alone(self, monkeypatch):
+        # The 50 sweeps of the 19 reference rows share one kernel; every
+        # optimum of every sweep is the one its sweep gives alone, bit for bit.
+        solved = []
+
+        def recording(spec, **kwargs):
+            result = sweep(spec, **kwargs)
+            solved.append((spec, kwargs, result))
+            return result
+
+        monkeypatch.setattr(tables, "sweep", recording)
+        record = record_kernel_calls(monkeypatch)
+        reproduce_tables()
+        assert [len(runs) for runs, _, _ in record] == [1244]
+        assert len(solved) == 2 * len(TABLE1_ROWS) + 3 * len(TABLE2_ROWS)
+        assert sum(len(result.surface) for _, _, result in solved) == 1244
+        for spec, kwargs, result in solved:
+            assert "_refined" in kwargs
+            assert repr(list(result.surface.items())) == repr(list(sweep(spec).surface.items()))
+
+    def test_shared_solve_warns_once_per_two_peak_point(self):
+        # A time grid and then the grid of the 11 two-peak points of
+        # test_sweep_warns_once_per_two_peak_grid_point, over the losses of
+        # the Poissonian (256, 32) case: solved together, they warn at the
+        # points and with the texts that their sweeps do alone, and give the
+        # same surfaces.
+        kind, _, params, _ = BIMODAL_CASES[1]
+        specs = [
+            spec_for(params, (1,), STANDALONE_GRID, source_kind=kind),
+            spec_for(params, (64, 128, 256), (16, 32, 64, 128), source_kind=kind),
+        ]
+        surfaces, texts = surfaces_and_warnings(lambda: solve_together(specs))
+        assert (surfaces, texts) == surfaces_and_warnings(lambda: [sweep(spec) for spec in specs])
+        points = [re.search(r"\(m, n\) = \((\d+), (\d+)\)", text).groups() for text in texts]
+        assert len(points) == len(set(points))
+        assert sum(m != "1" for m, _ in points) == 11 and ("256", "32") in points
+
+    def test_other_losses_and_bounds_share_one_kernel(self, monkeypatch):
+        # Loss sets and bounds may differ between the specs of one solve; each
+        # (bounds, n) scan takes one call for the points that use it.
+        record = record_kernel_calls(monkeypatch)
+        specs = [
+            spec_for(ROW4, (1, 2), (1, 2)),
+            spec_for(dataclasses.replace(ROW4, v_p=0.9), (1, 2), (1, 2)),
+            spec_for(ROW4, (4,), (2,), lambda_bounds=(1e-3, 30.0)),
+        ]
+        together = surfaces_and_warnings(lambda: solve_together(specs))
+        [(runs, _, calls)] = record
+        assert len(runs) == 9
+        assert sorted(points.size for points, _, _ in filter(is_scan, calls)) == [1, 4, 4]
+        assert together == surfaces_and_warnings(lambda: [sweep(spec) for spec in specs])
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"source_kind": T}, {"logic": FD}, {"params": dataclasses.replace(ROW4, v_d=0.8)}],
+        ids=["source", "logic", "v_d"],
+    )
+    def test_specs_of_other_physics_are_refused_before_anything_is_built(self, monkeypatch, change):
+        def built(*args):
+            raise AssertionError("built before the specs were checked")
+
+        monkeypatch.setattr(optimize, "p1_evaluator", built)
+        monkeypatch.setattr(optimize, "_row_runs", built)
+        monkeypatch.setattr(optimize, "_scan_grid", built)
+        first = spec_for(ROW4, (1, 2), (1,))
+        other = dataclasses.replace(first, **change)
+        with pytest.raises(ValueError, match="must share source, logic and v_d"):
+            next(optimize._solve([(first, [(1, 1)]), (other, [(2, 1)])]))
 
 
 class TestSweep:
