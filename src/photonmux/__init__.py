@@ -3,8 +3,9 @@
 The package models a periodic single-photon source built from M heralded
 sources, each time-multiplexed over N windows and spatially multiplexed into
 one output.  It computes the exact output photon-number distribution for two
-priority logics, validates it against an independent Monte-Carlo sampler, and
-optimizes the single-photon probability over the pump strength and geometry.
+priority logics, validates its statistics and priority rules against a
+Monte-Carlo sampler, and optimizes the single-photon probability over the
+pump strength and geometry.
 """
 
 from .engine import output_distribution, single_photon_probability

@@ -135,8 +135,11 @@ def compare_to_oracle(
     yields an infinite z.  ``analytic_tm`` feeds a different matrix to the
     analytic side only, which lets a mutation test measure the harness's
     sensitivity; it defaults to ``build_matrix(params, layout)``, whose
-    entries are, bit for bit, the cell transmissions that the sampler reads
-    as products of the arm and window factors without building a matrix.
+    entry ``[k, w]`` is, bit for bit, the product ``arms[k] * windows[w]``
+    of the ranked arm and window transmissions that the sampler reads at
+    each cell it visits.  Both sides take those transmissions from the same
+    builders, so the z-scores check the heralding statistics and the
+    priority rules, not the optics.
 
     Raises:
         TruncationError: the heralded input cannot be truncated within

@@ -72,49 +72,43 @@ elementwise pass once over all its cells: the thinned means, ``T``, the
 and the subtraction ``-p0 T(mu' v) - (-T(mu v))`` gives ``F_1`` with no
 pass of its own to restore the sign.
 
-The contraction of a chunk takes three steps, with the entries (pairs,
-or points against the means) end to end along the last axis:
+Both evaluators take their priority weights in the exponential form
+``p0^e = exp(e log p0)``, one ``exp`` over the rank exponents followed by
+the window exponents, with ``log p0`` from the heralded input or from the
+source (``-mu v_d`` or ``-log1p(mu v_d)``): the factored exponents reach
+about ``M*N`` (130,560 at M = 256, N = 512), where ``exp`` is cheaper than
+``power``.  Both lay out each geometry the same way (``_geometry``) and
+contract in one function, ``_contract``, and differ only in their cell
+terms: ``output_distribution`` passes its ``j``-series stack, ``F_i`` for
+each ``i``, as the rows of one entry against one row of weights; the
+kernel passes ``F_1`` of its chunk's entries, one row per mean.  The
+contraction takes three steps, with the entries end to end along the last
+axis:
 
-- run weights: one ``np.add.reduceat`` over the chunk's weights gives
-  every entry's run weights, at segments that start at the entry's run
-  starts and at its window part, offset by its place in the chunk;
+- run weights: one ``np.add.reduceat`` over the weights gives every
+  entry's run weights, at segments that start at the entry's run starts
+  and at its window part, offset by its place in the chunk;
 - window products: each entry takes its own batched ``matmul`` of its
-  cells with its window weights, over its point's means (outer) or for its
-  pair alone (pairs), and writes the row sums into a flat buffer, after a
-  0 of its own.  The product's last bits depend on its shape, so it stays
-  per entry;
-- sums: one more ``reduceat`` over the row sums times the run weights gives
-  every P(1).  Each entry's segment starts with its 0, so it adds in the
-  order of a sum over the last axis, which starts from the identity 0: a
-  plain ``reduceat`` starts from the first term and often differs in the
-  last bits.
+  cells with its window weights and writes the row sums into a flat
+  buffer, after a 0 of its own.  The product's last bits depend on its
+  shape, so it stays per entry;
+- sums: one more ``reduceat`` over the row sums times the run weights
+  gives every value.  Each entry's segment starts with its 0, so it adds
+  in the order of a sum over the last axis, which starts from the
+  identity 0: a plain ``reduceat`` starts from the first term and often
+  differs in the last bits.
 
-So every value is bit for bit the one that its pair gives alone, and a
-chunk's contraction costs a fixed part and one product per entry: a round
-of the 4 x 4 design grid takes about 4.8 us per pair, against 7.6 us when
-each point took its own run-weight ``reduceat`` and its own sum (2-core
-host).  Besides the chunk's weights, the contraction allocates two arrays
-of (row runs + 1) values per entry and mean, the run weights and the row
-sums, beside the (row runs x windows) cells: one 4 x 4 design sweep peaks
-at 1,150 KB traced, against 1,147 KB with one contraction per point, and
-one table-2 row at 1,942 KB, against 1,926 KB.
+So every P(1) of the kernel is bit for bit the one that its pair gives
+alone, and a chunk's contraction costs a fixed part and one product per
+entry.  Besides the weights, the contraction allocates two arrays of (row
+runs + 1) values per entry and row, the run weights and the row sums,
+beside the (row runs x windows) cells.
 
-The window product needs each point's cells and weights contiguous along
+The window product needs each entry's cells and weights contiguous along
 the window axis, as slices of the chunk's arrays are: a gathered copy such
 as ``w[:, idx]`` is column-major, and a contraction fed with it changed
 P(1) in the last bits at m = 1 points (``np.take(w, idx, axis=1)`` did
 not).
-
-The two evaluators differ only in how they build cell terms: the ``j``-series
-stacks ``F_i`` over ``i``, the closed form stacks ``F_1`` over the means.  Both
-take their priority weights in the exponential form ``p0^e = exp(e log p0)``,
-one ``exp`` over the rank exponents followed by the window exponents, with
-``log p0`` from the heralded input or from the source (``-mu v_d`` or
-``-log1p(mu v_d)``): the factored exponents reach about ``M*N`` (130,560 at
-M = 256, N = 512), where ``exp`` is cheaper than ``power``.  Both contract
-their stacked cells with the window weights in batched matrix products and
-weight the row sums with the run weights: ``output_distribution`` in one
-product over its ``i`` stack, the kernel as above.
 """
 
 from __future__ import annotations
@@ -168,27 +162,51 @@ class PhotonNumberDistribution:
         return self.probs.size - 1
 
 
-def _weight_exponents(runs: RowRuns, logic: PriorityLogic) -> np.ndarray:
-    """Exponents of ``p0`` in the rank factors ``a[k]``, then in the window factors ``b[n]``."""
-    m, n = runs.ranks, runs.rows.shape[1]
+def _geometry(runs: RowRuns, logic: PriorityLogic) -> tuple[np.ndarray, list[int], tuple[int, int, int]]:
+    """A geometry's weight exponents, its ``reduceat`` starts and its ``(runs, windows, exponents)`` shape.
+
+    The exponents of ``p0`` are those of the rank factors ``a[k]``, then
+    those of the window factors ``b[n]``.  The starts are the run starts,
+    then the start of the window exponents, ``runs.ranks``.
+    """
+    m, (r, n) = runs.ranks, runs.rows.shape
     ranks, windows = np.arange(m, dtype=float), np.arange(n, dtype=float)
     if logic is PriorityLogic.FIRST_DETECTION:
-        return np.concatenate((ranks, m * windows))
-    return np.concatenate((n * ranks, windows))
+        exponents = np.concatenate((ranks, m * windows))
+    else:
+        exponents = np.concatenate((n * ranks, windows))
+    return exponents, [*runs.starts.tolist(), m], (r, n, m + n)
 
 
-def _priority_weights(weights: np.ndarray, runs: RowRuns) -> tuple[np.ndarray, np.ndarray]:
-    """Weight of each row run (summed over its ranks) and of each window, from ``exp(e log p0)``.
+def _contract(
+    cells: np.ndarray, weights: np.ndarray, starts: Sequence[int], shapes: Sequence[tuple[int, int, int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``sum_r A[r] sum_n b[n] cells[r, n]`` of each entry of each row, and the entries' run weights.
 
-    ``weights`` holds ``exp(e log p0)`` at the ``runs.ranks`` rank exponents
-    followed by the window exponents, along its last axis.
+    Each row of ``cells`` holds the entries' (runs x windows) cells end to
+    end, and each row of ``weights`` their weights ``exp(e log p0)``, or one
+    row of weights serves every row of cells.  ``starts`` holds each
+    entry's ``reduceat`` starts (``_geometry``), offset by its place among
+    the weights, and ``shapes`` each entry's ``(runs, windows, exponents)``.
+    Returns the (rows, entries) sums and the (rows of weights, starts)
+    ``reduceat`` of the weights: each entry's run weights, then the sum of
+    its window weights, which no sum uses.
     """
-    return np.add.reduceat(weights[..., : runs.ranks], runs.starts, axis=-1), weights[..., runs.ranks :]
-
-
-def _contract(cells: np.ndarray, run_weights: np.ndarray, window_weights: np.ndarray) -> np.ndarray:
-    """``sum_r A[..., r] sum_n b[..., n] cells[..., r, n]`` over stacked ``(runs, windows)`` cells."""
-    return ((cells @ window_weights[..., None])[..., 0] * run_weights).sum(axis=-1)
+    run_weights = np.add.reduceat(weights, starts, axis=-1)
+    # Each entry's row sums, after a 0 of its own.
+    terms = np.zeros((len(cells), run_weights.shape[1]))
+    firsts = []
+    cell_at = weight_at = term_at = 0
+    for r, n, w in shapes:
+        window_weights = weights[:, weight_at + w - n : weight_at + w, None]
+        products = cells[:, cell_at : cell_at + r * n].reshape(-1, r, n) @ window_weights
+        terms[:, term_at + 1 : term_at + 1 + r] = products[..., 0]
+        firsts.append(term_at)
+        cell_at, weight_at, term_at = cell_at + r * n, weight_at + w, term_at + r + 1
+    # Each 0 meets the window sum before it, and each sum starts from its
+    # 0 as a sum over the last axis starts from its identity.
+    terms[:, 1:] *= run_weights[:, :-1]
+    return np.add.reduceat(terms, firsts, axis=-1), run_weights
 
 
 def _horner(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -226,32 +244,35 @@ def output_distribution(
     i_max = _count("i_max", i_max)
     p0 = heralded.p0
     runs = tm.row_runs
+    exponents, starts, shape = _geometry(runs, layout.logic)
     # At p0 = 0, log p0 = -inf would make the weight at exponent 0 NaN; any
     # log below -745 keeps that weight 1 and underflows every other to 0.
     log_p0 = math.log(p0) if p0 > 0.0 else -1e3
-    weights = np.exp(log_p0 * _weight_exponents(runs, layout.logic))
-    run_weights, window_weights = _priority_weights(weights, runs)
-    v = runs.rows
+    weights = np.exp(log_p0 * exponents)
+    v = runs.rows.reshape(-1)
     x = 1.0 - v
     j_max = heralded.j_max
     js = np.arange(j_max + 1)
     pj = np.concatenate(([0.0], heralded.pj))
-    terms = []
+    # The i stack, F_i's cells in row i: the rows of one entry, against one
+    # row of weights.
+    stack = np.empty((min(i_max, j_max) + 1, v.size))
     v_pow = np.ones_like(v)
     comb = np.ones(j_max + 1)  # C(j, i), exact while below 2^53
-    for i in range(min(i_max, j_max) + 1):
-        terms.append(v_pow * _horner(x, (comb * pj)[i:]))
+    for i, row in enumerate(stack):
+        np.multiply(v_pow, _horner(x, (comb * pj)[i:]), out=row)
         v_pow = v_pow * v
         comb = comb * (js - i) / (i + 1)
+    sums, run_weights = _contract(stack, weights[None], starts, [shape])
     # Bins above j_max stay 0: their mass is part of the input tail bound.
     probs = np.zeros(i_max + 1)
-    probs[: len(terms)] = _contract(np.stack(terms), run_weights, window_weights)
+    probs[: len(stack)] = sums[:, 0]
     p0_all = p0 ** (m * n)
     probs[0] += p0_all
     # Mass accounting: everything the truncated sums can reach, minus what
     # landed in probs, is output-truncation mass; the input truncation adds
     # at most sum(W) * tail_bound.
-    weight_sum = float(np.sum(run_weights)) * float(np.sum(window_weights))
+    weight_sum = float(np.sum(run_weights[0, :-1])) * float(np.sum(weights[m:]))
     included = p0_all + weight_sum * float(np.sum(heralded.pj))
     output_truncated = max(included - float(np.sum(probs)), 0.0)
     tail_bound = output_truncated + weight_sum * heralded.tail_bound
@@ -302,12 +323,9 @@ def p1_evaluator(
       (P, K) array of P(1) at every (point, mean) of the two.
 
     Each entry is the value that its pair alone gives, whatever else the
-    arrays hold.  Each entry keeps its own window product, on cells and
-    weights contiguous along the window axis (a column-major gather of them
-    changes the last bits); a chunk takes all its run weights in one
-    ``np.add.reduceat`` and all its sums in one more, each sum from a
-    leading 0 so that it adds as ``sum`` over the last axis does.  The
-    function reuses its own work arrays, so it serves one thread at a time.
+    arrays hold: a chunk takes one ``_contract`` call, with one window
+    product per entry.  The function reuses its own work arrays, so it
+    serves one thread at a time.
 
     Raises:
         ValueError: the arrays are in neither form, a point index is not an
@@ -316,11 +334,10 @@ def p1_evaluator(
     """
     runs = tuple(runs)
     rows = [r.rows.reshape(-1) for r in runs]
-    exponents = [_weight_exponents(r, logic) for r in runs]
-    shapes = [(*r.rows.shape, e.size) for r, e in zip(runs, exponents)]
-    # From each run start of a point to the next, then from the start of its
-    # window exponents to the next point's first exponent.
-    gaps = [np.diff(np.append(r.starts, (r.ranks, e.size))) for r, e in zip(runs, exponents)]
+    exponents, starts, shapes = zip(*(_geometry(r, logic) for r in runs)) if runs else ((), (), ())
+    # From each reduceat start of a point to the next, the last to the next
+    # point's first exponent.
+    gaps = [np.diff([*s, w]) for s, (_, _, w) in zip(starts, shapes)]
     cell_counts, weight_counts = (np.array([a.size for a in x]) for x in (rows, exponents))
     sizes = cell_counts.tolist()
     thermal = kind is SourceKind.THERMAL
@@ -351,36 +368,7 @@ def p1_evaluator(
         missed *= p0
         return np.subtract(missed, f1, out=f1)  # -p0 T(mu' v) + T(mu v) = F_1
 
-    def contract(f1: np.ndarray, weights: np.ndarray, order: list[int]) -> np.ndarray:
-        """P(1) of each entry of a chunk, from its ``F_1`` cells and its weights ``exp(e log p0)``.
-
-        ``f1`` and ``weights`` hold one row per mean of the chunk, each row
-        the entries' cells or exponents end to end, and ``order`` names
-        each entry's point: one row of 1-D pairs, or one row per mean of an
-        outer call.  Returns the P(1) of every (row, entry).
-        """
-        # Segments from each entry's run starts and from its window part, each
-        # start the sum of the gaps before it: the entry's run weights, then
-        # its window sum, unused.
-        steps = np.concatenate([gaps[i] for i in order])
-        run_weights = np.add.reduceat(weights, steps.cumsum() - steps, axis=-1)
-        # Each entry's row sums, after a 0 of its own.
-        terms = np.zeros(run_weights.shape)
-        firsts = []
-        cell_at = weight_at = term_at = 0
-        for i in order:
-            r, n, w = shapes[i]
-            window_weights = weights[:, weight_at + w - n : weight_at + w, None]
-            products = f1[:, cell_at : cell_at + r * n].reshape(-1, r, n) @ window_weights
-            terms[:, term_at + 1 : term_at + 1 + r] = products[..., 0]
-            firsts.append(term_at)
-            cell_at, weight_at, term_at = cell_at + r * n, weight_at + w, term_at + r + 1
-        # Each 0 meets the window sum before it, and each sum starts from its
-        # 0 as a sum over the last axis starts from its identity.
-        terms[:, 1:] *= run_weights[:, :-1]
-        return np.add.reduceat(terms, firsts, axis=-1)
-
-    def pairs_chunk(points: np.ndarray, mu: np.ndarray, size: int) -> np.ndarray:
+    def pairs_chunk(points: np.ndarray, mu: np.ndarray, size: int, starts: np.ndarray, shapes: list) -> np.ndarray:
         """Pairs: their rows and exponents end to end, each pair's values repeated over its own."""
         (neg_means, neg_missed_means), p0, log_p0 = source(mu)
         order, counts = points.tolist(), cell_counts[points]
@@ -391,28 +379,31 @@ def p1_evaluator(
         thinned[0] *= neg_means.repeat(counts)
         f1 = cell_terms(thinned, p0.repeat(counts))
         weights = np.exp(log_p0.repeat(weight_counts[points]) * np.concatenate([exponents[i] for i in order]))
-        return contract(f1[None], weights[None], order)[0]
+        return _contract(f1[None], weights[None], starts, shapes)[0][0]
 
-    def outer_chunk(order: list[int], mu: np.ndarray, size: int) -> np.ndarray:
+    def outer_chunk(order: list[int], mu: np.ndarray, size: int, starts: np.ndarray, shapes: list) -> np.ndarray:
         """Outer: the points' rows and exponents end to end, broadcast against the means."""
         scaled, p0, log_p0 = source(mu)
         thinned = means[: 2 * mu.size * size].reshape(2, mu.size, size)
         np.multiply(scaled[:, :, None], np.concatenate([rows[i] for i in order]), out=thinned)
         f1 = cell_terms(thinned, p0[:, None])
         weights = np.exp(log_p0[:, None] * np.concatenate([exponents[i] for i in order]))
-        return contract(f1, weights, order).T
+        return _contract(f1, weights, starts, shapes)[0].T
 
-    def spans(order: list[int], limit: int) -> Iterator[tuple[int, int, int]]:
-        """``(lo, hi, cells)`` of each run of consecutive ``order`` entries whose cells fit in ``limit``.
+    def spans(order: list[int], limit: int) -> Iterator[tuple[int, int, int, np.ndarray, list]]:
+        """``(lo, hi, cells, starts, shapes)`` of each run of consecutive ``order`` entries that fit in ``limit`` cells.
 
-        Each run is as long as fits, and at least one entry.
+        Each run is as long as fits, and at least one entry.  ``starts`` and
+        ``shapes`` lay its entries out for ``_contract``: each start the sum
+        of the gaps before it.
         """
         lo = 0
         while lo < len(order):
             hi, size = lo + 1, sizes[order[lo]]
             while hi < len(order) and size + sizes[order[hi]] <= limit:
                 hi, size = hi + 1, size + sizes[order[hi]]
-            yield lo, hi, size
+            steps = np.concatenate([gaps[i] for i in order[lo:hi]])
+            yield lo, hi, size, steps.cumsum() - steps, [shapes[i] for i in order[lo:hi]]
             lo = hi
 
     def p1(points: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -435,16 +426,16 @@ def p1_evaluator(
             raise ValueError(f"means must be finite and >= 0, got {mu[~((mu >= 0.0) & (mu < math.inf))].flat[0]}")
         if not outer:
             out = np.empty(mu.size)
-            for lo, hi, size in spans(order, _CHUNK_CELLS):
-                out[lo:hi] = pairs_chunk(points[lo:hi], mu[lo:hi], size)
+            for lo, hi, *chunk in spans(order, _CHUNK_CELLS):
+                out[lo:hi] = pairs_chunk(points[lo:hi], mu[lo:hi], *chunk)
             return out
         mu = mu[0]
         out = np.empty((len(order), mu.size))
-        for lo, hi, size in spans(order, _CHUNK_CELLS // max(mu.size, 1)):
+        for lo, hi, size, *layout in spans(order, _CHUNK_CELLS // max(mu.size, 1)):
             # Every mean at once, or as many as fit when one point alone does not.
             step = max(_CHUNK_CELLS // size, 1)
             for at in range(0, mu.size, step):
-                out[lo:hi, at : at + step] = outer_chunk(order[lo:hi], mu[at : at + step], size)
+                out[lo:hi, at : at + step] = outer_chunk(order[lo:hi], mu[at : at + step], size, *layout)
         return out
 
     return p1

@@ -1,4 +1,4 @@
-"""Stochastic simulation of the multiplexer, independent of the analytic engine.
+"""Stochastic simulation of the multiplexer, beside the analytic engine.
 
 Each trial walks the (arm, window) cells in the order that the priority rule
 consults them: arm-major for lowest-loss (the best-ranked arm's windows,
@@ -6,9 +6,16 @@ earliest first, then the next arm), window-major for first-detection (the
 earliest window's arms, best-ranked first, then the next window).  The first
 cell whose detector clicks ends the trial's walk, and each signal photon of
 that cell passes a Bernoulli loss channel.  The priority rule is thus the
-visiting order itself.  A trial no cell heralds emits no photon.  Nothing is
-shared with the series evaluation in :mod:`photonmux.engine`, so agreement
-between the two is a genuine cross-check.
+visiting order itself.  A trial no cell heralds emits no photon.
+
+The sampler draws the heralding and the priority rule on its own, with
+nothing from :mod:`photonmux.engine` or :mod:`photonmux.statistics` but
+their types.  It reads the cell transmissions from the same builders as
+the engine, though: ``spatial_arm_transmissions`` and ``_window_column``
+of :mod:`photonmux.transmission`.  So its agreement with the engine checks
+the statistics and the priority rules, not the optics, where a builder's
+error reaches both sides alike (ROADMAP item 21 plans a sampler that walks
+the optical path itself).
 
 Trials are exchangeable, so a cell draws counts, not per waiting trial.
 Every cell sees the same source, so each waiting trial clicks there with the
@@ -54,7 +61,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,43 +192,24 @@ def _heralded_pair_pmf(model: PairSourceModel, v_d: float) -> np.ndarray:
     return pvals
 
 
-@dataclass(frozen=True)
-class _CellTransmissions:
-    """The net transmission of a cell, ``arms[k] * windows[w]``, read as ``[k, w]``.
-
-    Each is the entry that the outer product of the two holds, bit for bit,
-    but no m x n matrix is built: a walk reads only the cells it visits.
-    """
-
-    arms: np.ndarray
-    windows: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.arms.size, self.windows.size
-
-    def __getitem__(self, cell: tuple[int, int]) -> float:
-        k, w = cell
-        return self.arms[k] * self.windows[w]
-
-
 def _simulate_block(
     h: float,
     pvals: np.ndarray,
-    transmissions: np.ndarray | _CellTransmissions,
+    arms: np.ndarray,
+    windows: np.ndarray,
     logic: PriorityLogic,
     n_trials: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Photon-count histogram of one block of trials, up to its largest count.
 
-    ``transmissions`` gives the (arm rank, window) shape and the net
-    transmission ``transmissions[k, w]`` of each cell: a matrix, or
-    ``_CellTransmissions``.
+    A cell's net transmission is ``arms[k] * windows[w]``, from the ranked
+    arm transmissions and the window transmissions: the entry of their
+    outer product bit for bit, read only at the cells that the walk visits.
     """
     hist = np.zeros(pvals.size - 1, dtype=np.int64)
     waiting = n_trials
-    for k, w in _visiting_order(*transmissions.shape, logic):
+    for k, w in _visiting_order(arms.size, windows.size, logic):
         if waiting == 0:
             break
         heralded = int(rng.binomial(waiting, h))
@@ -234,7 +221,7 @@ def _simulate_block(
                     f"a category of probability below {CLOSING_BOUND:g}"
                 )
             # One scalar-n call per present pair number, in increasing order.
-            v = transmissions[k, w]
+            v = arms[k] * windows[w]
             for j in split.nonzero()[0]:
                 np.add.at(hist, rng.binomial(j, v, size=split[j]), 1)
             waiting -= heralded
@@ -271,9 +258,7 @@ def simulate(
     trials, seed = _trials(trials), _count("seed", seed, least=0)
     if model.n_windows != layout.n:
         raise ValueError(f"source spans {model.n_windows} windows, but the layout has {layout.n}")
-    transmissions = _CellTransmissions(
-        spatial_arm_transmissions(params, layout.m), _window_column(params, layout.n)
-    )
+    arms, windows = spatial_arm_transmissions(params, layout.m), _window_column(params, layout.n)
     h = _click_probability(model, params.v_d)
     if h == 0.0:
         # No detector ever clicks: every trial is vacuum, and nothing is drawn.
@@ -285,9 +270,7 @@ def simulate(
     while remaining:
         # Children are numbered in spawn order, so block b draws from child b.
         block, stream = min(BLOCK_SIZE, remaining), root.spawn(1)[0]
-        hist = _simulate_block(
-            h, pvals, transmissions, layout.logic, block, np.random.default_rng(stream)
-        )
+        hist = _simulate_block(h, pvals, arms, windows, layout.logic, block, np.random.default_rng(stream))
         counts[: hist.size] += hist
         remaining -= block
     return PhotonNumberDistribution(probs=np.trim_zeros(counts, "b") / trials, tail_bound=0.0)

@@ -37,18 +37,11 @@ of Brent steps, each round one pump strength for every peak of every point
 still refining.  The rounds number as many as the steps of the slowest
 peak, where each point takes about 9.  A full ``photonmux tables`` run
 solves its 50 sweeps and 1,244 grid points as one, in 10 scan calls and 16
-rounds.  Solved sweep by sweep they took 317 scan calls and 537 rounds, 9
-to 16 rounds per sweep, and the time and spatial sweeps, of one point per
-window count or of one window count, paid little but those calls' fixed
-cost.  A round's cost is numpy dispatch more than arithmetic, and
-it is shared: the kernel takes a round's run weights and sums in one pass
-each, and only the window product per point, so a point costs about 4.8
-us in a round of the 16-point design grid and 7.6 us in one of table 2's
-72-point combined grid, against about 27 us for a call of one pair at (2,
-64), on a 2-core host.  A scan's cost is shared the same way: the four
-points of one n of the design grid take about 71 us in one call, against
-about 150 us in four.  A second peak that the scan resolves refines in the
-same rounds as the first.
+rounds.  A call's cost is numpy dispatch more than arithmetic, and it is
+shared: the kernel contracts each chunk of a call in one pass, with one
+window product per point, so a point in a round or a scan costs a
+fraction of a call of its own.  A second peak that the scan resolves
+refines in the same rounds as the first.
 """
 
 from __future__ import annotations

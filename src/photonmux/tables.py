@@ -14,9 +14,9 @@ table-2 row a combined, a time and a spatial sweep, and every sweep of a
 run is solved as one (``optimize._solve``): one P(1) kernel over all their
 grid points, one scan call per window count and one call per round of
 Brent steps.  A full run of both tables makes 10 scan calls and 16 rounds
-for its 1,244 grid points, where a solve per sweep made 317 and 537; the
-time and spatial sweeps, of one point per window count or one window count
-in all, add almost nothing to the combined grids' calls.  Each sweep still
+for its 1,244 grid points; the time and spatial sweeps, of one point per
+window count or one window count in all, add almost nothing to the
+combined grids' calls.  Each sweep still
 gets its own ``sweep`` call, through this module's name, so a tracer that
 wraps ``sweep`` sees every sweep, and each optimum is bit for bit the one
 its sweep gives alone.  ``reproduce_table1`` and ``reproduce_table2`` are

@@ -5,16 +5,19 @@ and every exported name is documented, demonstrated or an exception class.
 The package imports no third-party module but numpy, as ``pyproject.toml`` declares,
 the Monte-Carlo sampler takes nothing from the engine or the heralding layer but types,
 every module-level private name is used somewhere in the package,
+no docstring or comment of the package quotes a timing or a memory size,
 and every attribute the benchmark's traced mode rebinds exists and is called through.
 """
 
 import ast
 import importlib
 import importlib.util
+import io
 import os
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -159,6 +162,38 @@ def test_module_private_names_are_used():
     used = set().union(*map(used_names, SOURCES))
     assert defined
     assert sorted(defined - used) == []
+
+
+# A figure with a unit of time or memory, such as "4.8 us" or "1,150 KB",
+# possibly broken over two lines of a docstring.
+MEASUREMENT = re.compile(r"\b\d[\d,.]*\s*(?:µs|us|ms|KB|kB|MB|GB)\b")
+
+
+def docstrings_and_comments(path: Path) -> list[tuple[int, str]]:
+    """``(line, text)`` of every docstring and every comment of a module."""
+    source = path.read_text(encoding="utf-8")
+    texts = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            docstring = ast.get_docstring(node, clean=False)
+            if docstring is not None:
+                texts.append((node.body[0].lineno, docstring))
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    texts += [(token.start[0], token.string) for token in tokens if token.type == tokenize.COMMENT]
+    return texts
+
+
+def test_source_quotes_no_timings_or_sizes():
+    # Timings and memory figures belong to a host and a moment: they live in
+    # the BENCH_*.json records and CHANGES.md, and a docstring that quotes
+    # one goes stale unseen.  Counts and invariants stay.
+    quoted = [
+        f"{path.name}:{line + text.count(chr(10), 0, match.start())}: {match.group(0)!r}"
+        for path in SOURCES
+        for line, text in docstrings_and_comments(path)
+        for match in MEASUREMENT.finditer(text)
+    ]
+    assert quoted == []
 
 
 def test_import_and_heralding_load_no_scipy():

@@ -275,6 +275,96 @@ class TestRowRunCollapse:
         assert abs(single_photon_probability(h, tm, layout) - expected[1]) <= 1e-14
 
 
+def two_step_distribution(heralded, tm, layout, i_max):
+    """Reference: ``output_distribution``'s probs and tail bound, with each weight step and product on its own.
+
+    The run weights take one ``reduceat`` over the rank weights alone, the
+    window weights are the rest, and the ``i`` stack of ``(runs, windows)``
+    cells contracts as ``((cells @ b)[..., 0] * A).sum(axis=-1)``.
+    """
+    m, n = layout.m, layout.n
+    runs, p0 = tm.row_runs, heralded.p0
+    ranks, windows = np.arange(m, dtype=float), np.arange(n, dtype=float)
+    if layout.logic is FD:
+        exponents = np.concatenate((ranks, m * windows))
+    else:
+        exponents = np.concatenate((n * ranks, windows))
+    weights = np.exp((math.log(p0) if p0 > 0.0 else -1e3) * exponents)
+    run_weights, window_weights = np.add.reduceat(weights[:m], runs.starts), weights[m:]
+    v = runs.rows
+    x = 1.0 - v
+    js = np.arange(heralded.j_max + 1)
+    pj = np.concatenate(([0.0], heralded.pj))
+    terms = []
+    v_pow, comb = np.ones_like(v), np.ones(heralded.j_max + 1)
+    for i in range(min(i_max, heralded.j_max) + 1):
+        coeffs = (comb * pj)[i:].tolist()
+        series = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            series = series * x + c
+        terms.append(v_pow * series)
+        v_pow = v_pow * v
+        comb = comb * (js - i) / (i + 1)
+    probs = np.zeros(i_max + 1)
+    probs[: len(terms)] = ((np.stack(terms) @ window_weights[:, None])[..., 0] * run_weights).sum(axis=-1)
+    p0_all = p0 ** (m * n)
+    probs[0] += p0_all
+    weight_sum = float(np.sum(run_weights)) * float(np.sum(window_weights))
+    included = p0_all + weight_sum * float(np.sum(heralded.pj))
+    tail_bound = max(included - float(np.sum(probs)), 0.0) + weight_sum * heralded.tail_bound
+    return np.clip(probs, 0.0, 1.0), tail_bound
+
+
+class TestOneContraction:
+    """``output_distribution`` through the kernel's contraction, bit for bit the two-step formula."""
+
+    @staticmethod
+    def assert_two_step(heralded, tm, layout, i_max, label):
+        dist = output_distribution(heralded, tm, layout, i_max=i_max)
+        probs, tail_bound = two_step_distribution(heralded, tm, layout, i_max)
+        assert dist.probs.tobytes() == probs.tobytes(), label
+        assert dist.tail_bound == tail_bound, label
+
+    def test_built_matrices_up_to_4096_arms(self):
+        # Random geometries up to m = 4096 (13 row runs) and n = 512, both
+        # sources and logics, each at i_max = 1, at j_max, beyond it and at
+        # one random order below it.
+        rng = np.random.default_rng(31)
+        runs_seen, cases = collections.Counter(), 0
+        while cases < 120:
+            model, params, layout = draw_closed_form_case(rng, 12, 9, 1e-3, 3.0)
+            if layout.m * layout.n > 1 << 17:
+                continue
+            cases += 1
+            tm = build_matrix(params, layout)
+            heralded = herald_convolve(model, params.v_d)
+            j_max = heralded.j_max
+            for i_max in sorted({1, int(rng.integers(1, j_max + 1)), j_max, j_max + 2}):
+                self.assert_two_step(heralded, tm, layout, i_max, (model, layout, i_max))
+            runs_seen[len(tm.row_runs.starts)] += 1
+        assert runs_seen[13] >= 3 and max(runs_seen) == 13, runs_seen
+
+    @pytest.mark.parametrize("logic", [LL, FD])
+    @pytest.mark.parametrize("label", COLLAPSE_INPUTS)
+    def test_external_matrices_with_many_runs(self, logic, label):
+        # 16 to 64 distinct rows, where numpy's sum over the runs takes its
+        # unrolled pairwise loop, and the merged and separate runs of
+        # external_matrices; p0 = 0 and p0 near 1 among the inputs.
+        heralded, n = COLLAPSE_INPUTS[label]
+        rng = np.random.default_rng(37)
+        matrices = dict(external_matrices(n))
+        for rows in (16, 17, 40, 64):
+            matrices[f"{rows} distinct rows"] = rng.uniform(0.2, 1.0, size=(rows, n))
+        repeated = rng.uniform(0.2, 1.0, size=(48, n))
+        matrices["48 runs of 1 to 3 rows"] = np.repeat(repeated, rng.integers(1, 4, 48), axis=0)
+        for name, values in matrices.items():
+            m = values.shape[0]
+            tm = TransmissionMatrix(values=values, arm_order=tuple(range(m)))
+            layout = MultiplexerLayout(m, n, logic=logic)
+            for i_max in (1, 4, heralded.j_max, heralded.j_max + 1):
+                self.assert_two_step(heralded, tm, layout, i_max, (name, i_max))
+
+
 def series_p1(model, v_d, tm, layout):
     """The ``j``-series P(1) and its certified truncation error ``W_sum * tail_bound``."""
     h = herald_convolve(model, v_d)

@@ -210,16 +210,45 @@ def test_one_survivor_call_equals_one_call_per_pair_number():
     assert np.array_equal(single, np.random.default_rng(10).binomial(2, 0.83, size=1000))
 
 
+def cell_factors(params, m, n):
+    """The ranked arm transmissions and the window transmissions that ``simulate`` reads."""
+    return montecarlo.spatial_arm_transmissions(params, m), montecarlo._window_column(params, n)
+
+
+def block_over_matrix(h, pvals, matrix, logic, n_trials, rng):
+    """Reference: one block walked over the entries of a built transmission matrix.
+
+    The draws of ``_simulate_block``, in its order, with each visited cell's
+    transmission read as ``matrix[k, w]``; a changed last bit of any one
+    changes the survivors' stream.
+    """
+    hist = np.zeros(pvals.size - 1, dtype=np.int64)
+    waiting = n_trials
+    for k, w in _visiting_order(*matrix.shape, logic):
+        if waiting == 0:
+            break
+        heralded = int(rng.binomial(waiting, h))
+        if heralded:
+            split = rng.multinomial(heralded, pvals)
+            for j in split.nonzero()[0]:
+                np.add.at(hist, rng.binomial(j, matrix[k, w], size=split[j]), 1)
+            waiting -= heralded
+    hist[0] += waiting
+    return np.trim_zeros(hist, "b")
+
+
 @pytest.mark.parametrize("kind", [SourceKind.POISSONIAN, SourceKind.THERMAL])
 @pytest.mark.parametrize("logic", [LL, FD])
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 4), (128, 512)])
 def test_block_histogram_counts_every_trial(kind, logic, m, n):
     model = PairSourceModel(kind, 2.0, n)
-    transmissions = build_matrix(ROW1, MultiplexerLayout(m, n, logic=logic)).values
+    arms, windows = cell_factors(ROW1, m, n)
     h = _click_probability(model, ROW1.v_d)
     pvals = _heralded_pair_pmf(model, ROW1.v_d)
-    hist = _simulate_block(h, pvals, transmissions, logic, 30_000, np.random.default_rng(12))
+    hist = _simulate_block(h, pvals, arms, windows, logic, 30_000, np.random.default_rng(12))
     assert hist.sum() == 30_000 and hist[-1] > 0
+    matrix = build_matrix(ROW1, MultiplexerLayout(m, n, logic=logic)).values
+    assert np.array_equal(hist, block_over_matrix(h, pvals, matrix, logic, 30_000, np.random.default_rng(12)))
 
 
 def test_blocks_together_count_every_trial(monkeypatch):
@@ -237,34 +266,40 @@ def test_block_b_draws_from_child_b_of_the_seed(monkeypatch):
     monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 4096)
     model = PairSourceModel(SourceKind.THERMAL, 2.0, 4)
     layout = MultiplexerLayout(2, 4)
-    transmissions = build_matrix(ROW1, layout).values
+    arms, windows = cell_factors(ROW1, 2, 4)
     h, pvals = _click_probability(model, ROW1.v_d), _heralded_pair_pmf(model, ROW1.v_d)
     expected = np.zeros(pvals.size - 1, dtype=np.int64)
     children = np.random.SeedSequence(13).spawn(3)
     for block, child in zip((4096, 4096, 1808), children):
-        hist = _simulate_block(h, pvals, transmissions, layout.logic, block, np.random.default_rng(child))
+        hist = _simulate_block(h, pvals, arms, windows, layout.logic, block, np.random.default_rng(child))
         expected[: hist.size] += hist
     dist = simulate(model, ROW1, layout, trials=10_000, seed=13)
     assert np.rint(dist.probs * 10_000).astype(np.int64).tolist() == np.trim_zeros(expected, "b").tolist()
 
 
-def test_cells_read_the_entries_of_the_built_matrix():
-    # Each visited cell's transmission is the product that np.outer forms in
-    # build_matrix, bit for bit: along the first arm, along the first window
-    # and at 2000 random cells.
+@pytest.mark.parametrize("logic", [LL, FD])
+def test_cells_read_the_entries_of_the_built_matrix(logic):
+    # Each visited cell's transmission, arms[k] * windows[w], is the product
+    # that np.outer forms in build_matrix, bit for bit: along the first arm,
+    # along the first window and at 2000 random cells.  A block walked over
+    # the factors draws, bit for bit, the block walked over the matrix's
+    # entries: some 3,000 cells, several arms (lowest-loss) or windows
+    # (first-detection) deep.
     rng = np.random.default_rng(21)
     names = ("v_r", "v_t", "v_p", "v_p0_s", "v_d", "v_b", "v_r_s", "v_t_s")
     params = LossParameters(**{name: float(rng.uniform(0.5, 1.0)) for name in names})
-    layout = MultiplexerLayout(256, 512)
-    matrix = build_matrix(params, layout).values
-    cells = montecarlo._CellTransmissions(
-        montecarlo.spatial_arm_transmissions(params, 256), montecarlo._window_column(params, 512)
-    )
-    assert cells.shape == matrix.shape
+    matrix = build_matrix(params, MultiplexerLayout(256, 512, logic)).values
+    arms, windows = cell_factors(params, 256, 512)
+    assert (arms.size, windows.size) == matrix.shape
     visited = [(0, w) for w in range(512)] + [(k, 0) for k in range(256)]
     visited += zip(rng.integers(0, 256, 2000).tolist(), rng.integers(0, 512, 2000).tolist())
     for k, w in visited:
-        assert cells[k, w] == matrix[k, w], (k, w)
+        assert arms[k] * windows[w] == matrix[k, w], (k, w)
+    model = PairSourceModel(SourceKind.THERMAL, 2.0, 512)
+    h, pvals = _click_probability(model, params.v_d), _heralded_pair_pmf(model, params.v_d)
+    hist = _simulate_block(h, pvals, arms, windows, logic, 30_000, np.random.default_rng(22))
+    assert hist.sum() == 30_000
+    assert np.array_equal(hist, block_over_matrix(h, pvals, matrix, logic, 30_000, np.random.default_rng(22)))
 
 
 @pytest.mark.parametrize("logic", [LL, FD])

@@ -135,6 +135,30 @@ def record_kernel_calls(monkeypatch):
     return record
 
 
+def chunk_entries(runs, points, mu):
+    """Reference: the entries of each chunk that a kernel call of ``points`` and ``mu`` contracts, in order.
+
+    A chunk takes as many consecutive points as fit in ``_CHUNK_CELLS``
+    cells (row runs x windows x means), and at least one.  An outer call
+    whose one point does not fit with all its means splits the means into
+    as many chunks as it takes.
+    """
+    limit = engine._CHUNK_CELLS
+    sizes = [runs[i].rows.size for i in points.ravel().tolist()]
+    outer = points.ndim == 2
+    if outer:
+        limit //= max(mu.size, 1)
+    chunks, lo = [], 0
+    while lo < len(sizes):
+        hi, size = lo + 1, sizes[lo]
+        while hi < len(sizes) and size + sizes[hi] <= limit:
+            hi, size = hi + 1, size + sizes[hi]
+        steps = -(-mu.size // max(engine._CHUNK_CELLS // size, 1)) if outer else 1
+        chunks += [hi - lo] * steps
+        lo = hi
+    return chunks
+
+
 def is_scan(call):
     """Whether a recorded call is in the outer form, as the scans are."""
     points, mu, values = call
@@ -319,21 +343,46 @@ class TestOptimizeLambda:
         assert len(calls) <= 4 + 20
 
     def test_sweeps_never_contract_point_by_point(self, monkeypatch):
-        # The kernel takes every run weight and every sum of a chunk in one
-        # pass each; the per-point helpers that output_distribution keeps
-        # must not run.  A 4 x 4 sweep and table 2's combined grid, both
-        # sources and logics.
-        def per_point(*args):
-            raise AssertionError("the P(1) kernel contracted one point at a time")
+        # The kernel contracts each chunk in one _contract call, which takes
+        # all the chunk's run weights in one reduceat and all its sums in one
+        # more.  A chunk holds as many consecutive entries as fit in
+        # _CHUNK_CELLS cells (row runs x windows x means), so each call of
+        # the 4 x 4 design grid takes one contraction of all its points, and
+        # table 2's combined grid takes far fewer contractions than points.
+        # Both sources and logics.
+        calls = []  # (runs, points, means, entries of each contraction)
+        contract, evaluator = engine._contract, optimize.p1_evaluator
 
-        monkeypatch.setattr(engine, "_contract", per_point)
-        monkeypatch.setattr(engine, "_priority_weights", per_point)
+        def counting(cells, weights, starts, shapes):
+            calls[-1][3].append(len(shapes))
+            return contract(cells, weights, starts, shapes)
+
+        def recording(kind, v_d, runs, logic):
+            p1 = evaluator(kind, v_d, runs, logic)
+
+            def kernel(points, mu):
+                calls.append((runs, np.asarray(points), np.asarray(mu), []))
+                return p1(points, mu)
+
+            return kernel
+
+        monkeypatch.setattr(engine, "_contract", counting)
+        monkeypatch.setattr(optimize, "p1_evaluator", recording)
         params = TABLE2_ROWS[0].losses()
         for kind in (P, T):
             for logic in (LL, FD):
+                calls.clear()
                 design = sweep(spec_for(params, (1, 2, 4, 8), (1, 2, 4, 8), source_kind=kind, logic=logic))
+                assert len(design.surface) == 16
+                for runs, points, mu, entries in calls:
+                    assert entries == [points.size] == chunk_entries(runs, points, mu)
+                calls.clear()
                 combined = sweep(spec_for(params, COMBINED_M_GRID, COMBINED_N_GRID, source_kind=kind, logic=logic))
-                assert len(design.surface) == 16 and len(combined.surface) == 72
+                assert len(combined.surface) == 72
+                for runs, points, mu, entries in calls:
+                    assert entries == chunk_entries(runs, points, mu)
+                contractions = sum(len(entries) for *_, entries in calls)
+                assert 3 * contractions < sum(points.size for _, points, _, _ in calls)
 
     def test_table2_row_averages_few_objective_calls(self, monkeypatch):
         # The row's three sweeps (92 grid points) are solved as one: one
