@@ -261,10 +261,10 @@ _TABLE2_COLUMNS = (
     ("m_spatial_ref", lambda r: r.row.m_spatial_ref),
     ("n_time_ref", lambda r: r.row.n_time_ref),
     ("standalone_flag", lambda r: r.standalone_ok),
-    ("p_combined", lambda r: r.combined[3]),
-    ("m_combined_opt", lambda r: r.combined[0]),
-    ("n_combined_opt", lambda r: r.combined[1]),
-    ("lambda_combined", lambda r: r.combined[2]),
+    ("p_combined", lambda r: r.combined.p1),
+    ("m_combined_opt", lambda r: r.combined.m),
+    ("n_combined_opt", lambda r: r.combined.n),
+    ("lambda_combined", lambda r: r.combined.lambda_opt),
     ("p_combined_ref", lambda r: r.row.p_combined_ref),
     ("m_combined_ref", lambda r: r.row.m_combined_ref),
     ("n_combined_ref", lambda r: r.row.n_combined_ref),

@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterator, Sequence
+from typing import Callable, Generator, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -129,6 +129,20 @@ class SweepSpec:
             object.__setattr__(self, "lambda_bounds", (lo, hi))
 
 
+class Optimum(NamedTuple):
+    """The best grid point of a sweep, with its pump strength and single-photon probability."""
+
+    m: int
+    n: int
+    lambda_opt: float
+    p1: float
+
+    @property
+    def size(self) -> int:
+        """``m * n``: the optimal n of a time sweep, the optimal m of a spatial sweep."""
+        return self.m * self.n
+
+
 @dataclass(frozen=True)
 class OptimizationResult:
     """Per-point optima of a sweep, ``(m, n) -> (lambda_opt, p1)``."""
@@ -143,15 +157,15 @@ class OptimizationResult:
                 raise ValueError(f"p1 at ({m}, {n}) out of [0, 1]: {p1}")
 
     @property
-    def best(self) -> tuple[int, int, float, float]:
-        """``(m, n, lambda_opt, p1_max)``; exact ties in p1 prefer smaller m*n, then smaller m."""
+    def best(self) -> Optimum:
+        """The ``Optimum`` of highest p1; exact ties in p1 prefer smaller m*n, then smaller m."""
 
         def rank(item):
             (m, n), (_, p1) = item
             return p1, -m * n, -m
 
         (m, n), (lam, p1) = max(self.surface.items(), key=rank)
-        return m, n, lam, p1
+        return Optimum(m, n, lam, p1)
 
 
 def _scan_grid(lo: float, hi: float) -> np.ndarray:

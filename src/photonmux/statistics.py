@@ -114,8 +114,7 @@ def pair_pmf(model: PairSourceModel, k_max: int) -> np.ndarray:
     as ``r^k / (1 + mu)`` with ``r = mu / (1 + mu) < 1``, the Poissonian one as
     ``exp(k log mu - mu - log k!)``, so neither overflows at any ``k``.
     """
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    k_max = _count("k_max", k_max, least=0)
     mu = model.mean_per_window
     if mu == 0.0:
         out = np.zeros(k_max + 1)
@@ -124,7 +123,7 @@ def pair_pmf(model: PairSourceModel, k_max: int) -> np.ndarray:
     k = np.arange(k_max + 1)
     if model.kind is SourceKind.THERMAL:
         return (mu / (1.0 + mu)) ** k / (1.0 + mu)
-    log_factorials = _log_factorial_table(1 << int(k_max).bit_length())[: k_max + 1]
+    log_factorials = _log_factorial_table(1 << k_max.bit_length())[: k_max + 1]
     return np.exp(k * math.log(mu) - mu - log_factorials)
 
 

@@ -19,16 +19,17 @@ window count or one window count in all, add almost nothing to the
 combined grids' calls.  Each sweep still
 gets its own ``sweep`` call, through this module's name, so a tracer that
 wraps ``sweep`` sees every sweep, and each optimum is bit for bit the one
-its sweep gives alone.  ``reproduce_table1`` and ``reproduce_table2`` are
-its one-table cases, ``reproduce_table1_row`` and ``reproduce_table2_row``
-its one-row cases.
+its sweep gives alone.  A result holds each sweep's ``best``, an
+``optimize.Optimum``, as it is; a standalone sweep's optimal size is its
+``size``.  ``reproduce_table1`` and ``reproduce_table2`` are its one-table
+cases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .optimize import OptimizationResult, SweepSpec, _grid_points, _solve, sweep
+from .optimize import Optimum, SweepSpec, _grid_points, _solve, sweep
 from .transmission import LossParameters
 
 PROB_TOL = 5e-4
@@ -113,13 +114,6 @@ TABLE2_ROWS: tuple[Table2Row, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class StandaloneOptimum:
-    p1: float
-    size: int  # optimal n for a time sweep, optimal m for a spatial sweep
-    lambda_opt: float
-
-
 def _agrees(p1: float, size, p_ref: float, size_ref) -> bool:
     """Agreement at the reference precision: ``p1`` within ``PROB_TOL``, the optimal size exact."""
     return abs(p1 - p_ref) <= PROB_TOL and size == size_ref
@@ -133,17 +127,11 @@ def _standalone_specs(params: LossParameters) -> list[SweepSpec]:
     ]
 
 
-def _standalone_optimum(result: OptimizationResult) -> StandaloneOptimum:
-    """The best point of a standalone sweep, its size the one grid value that is not 1."""
-    m, n, lam, p1 = result.best
-    return StandaloneOptimum(p1=p1, size=m * n, lambda_opt=lam)
-
-
 @dataclass(frozen=True)
 class Table1Result:
     row: Table1Row
-    time: StandaloneOptimum
-    spatial: StandaloneOptimum
+    time: Optimum
+    spatial: Optimum
 
     @property
     def time_ok(self) -> bool:
@@ -161,9 +149,9 @@ class Table1Result:
 @dataclass(frozen=True)
 class Table2Result:
     row: Table2Row
-    time: StandaloneOptimum
-    spatial: StandaloneOptimum
-    combined: tuple[int, int, float, float]  # (m, n, lambda_opt, p1)
+    time: Optimum
+    spatial: Optimum
+    combined: Optimum
 
     @property
     def standalone_ok(self) -> bool:
@@ -174,14 +162,13 @@ class Table2Result:
 
     @property
     def combined_ok(self) -> bool:
-        m, n, _, p1 = self.combined
-        row = self.row
-        return _agrees(p1, (m, n), row.p_combined_ref, (row.m_combined_ref, row.n_combined_ref))
+        c, row = self.combined, self.row
+        return _agrees(c.p1, (c.m, c.n), row.p_combined_ref, (row.m_combined_ref, row.n_combined_ref))
 
     @property
     def product_ok(self) -> bool:
         """Computed combined optimum satisfies m_opt * n_opt = n_time_opt."""
-        return self.combined[0] * self.combined[1] == self.time.size
+        return self.combined.size == self.time.size
 
     @property
     def passes(self) -> bool:
@@ -198,20 +185,9 @@ def reproduce_tables(
         combined = SweepSpec(m_values=COMBINED_M_GRID, n_values=COMBINED_N_GRID, params=params)
         specs += [combined, *_standalone_specs(params)]
     refined = _solve([(spec, _grid_points(spec)) for spec in specs])
-    results = iter([sweep(spec, _refined=refined) for spec in specs])
-    table1 = [
-        Table1Result(row=row, time=_standalone_optimum(next(results)), spatial=_standalone_optimum(next(results)))
-        for row in rows1
-    ]
-    table2 = [
-        Table2Result(
-            row=row,
-            combined=next(results).best,
-            time=_standalone_optimum(next(results)),
-            spatial=_standalone_optimum(next(results)),
-        )
-        for row in rows2
-    ]
+    optima = iter([sweep(spec, _refined=refined).best for spec in specs])
+    table1 = [Table1Result(row=row, time=next(optima), spatial=next(optima)) for row in rows1]
+    table2 = [Table2Result(row=row, combined=next(optima), time=next(optima), spatial=next(optima)) for row in rows2]
     return table1, table2
 
 
@@ -221,11 +197,3 @@ def reproduce_table1(rows: tuple[Table1Row, ...] = TABLE1_ROWS) -> list[Table1Re
 
 def reproduce_table2(rows: tuple[Table2Row, ...] = TABLE2_ROWS) -> list[Table2Result]:
     return reproduce_tables((), rows)[1]
-
-
-def reproduce_table1_row(row: Table1Row) -> Table1Result:
-    return reproduce_table1((row,))[0]
-
-
-def reproduce_table2_row(row: Table2Row) -> Table2Result:
-    return reproduce_table2((row,))[0]

@@ -603,8 +603,9 @@ class TestMain:
             main([])
 
 
-# An output directory that is an existing file, and a config that is not UTF-8.
-TAKEN, NOT_UTF8 = "taken", b'{"version": 1, "x": "\xff"}'
+# An output directory that is an existing file, a config that is not UTF-8 and
+# one whose root is a JSON list.
+TAKEN, NOT_UTF8, LIST_ROOT = "taken", b'{"version": 1, "x": "\xff"}', b'[{"version": 1}]\n'
 ONE_POINT = {"trials": 100_000, "points": [[1, 1, 1.0]]}
 # (command, config overrides or raw bytes, exit code): one case for each input that
 # once escaped as a traceback, and one for each exit path that already did not.
@@ -617,6 +618,7 @@ COMMAND_LINE_FAILURES = {
     "tables-out-is-a-file": ("tables", {}, EXIT_CONFIG),
     "sweep-config-not-utf8": ("sweep", NOT_UTF8, EXIT_CONFIG),
     "validate-config-not-utf8": ("validate", NOT_UTF8, EXIT_CONFIG),
+    "config-root-is-a-list": ("sweep", LIST_ROOT, EXIT_CONFIG),
     "loss-above-1": ("sweep", {"losses": {"v_r": 1.5, "v_t": 0.97, "v_p": 0.95, "v_p0_s": 0.99}}, EXIT_CONFIG),
     "bracket-failure": ("sweep", {"m_values": [1], "n_values": [1], "lambda_bounds": [8.0, 10.0]}, EXIT_BRACKET),
     "untruncatable-point": (
@@ -632,9 +634,9 @@ def test_command_line_failure_is_one_stderr_line(tmp_path, capsys, command, conf
     (tmp_path / TAKEN).write_text("")
     if command == "tables":
         argv = ["tables", "--out", str(tmp_path / TAKEN)]
-    elif config == NOT_UTF8:
+    elif isinstance(config, bytes):
         path = tmp_path / "config.json"
-        path.write_bytes(NOT_UTF8)
+        path.write_bytes(config)
         argv = [command, str(path)]
     else:
         overrides = {key: str(tmp_path / TAKEN) if value == TAKEN else value for key, value in config.items()}
@@ -642,6 +644,8 @@ def test_command_line_failure_is_one_stderr_line(tmp_path, capsys, command, conf
     assert main(argv) == code  # returns, so no exception escaped
     err = capsys.readouterr().err
     assert err.endswith("\n") and len(err.splitlines()) == 1, err
+    if isinstance(config, bytes):  # a file that is no config object fails at its line 1
+        assert err.startswith(f"{path}:1: "), err
     if command == "sweep":
         assert not (tmp_path / "out").exists()
 

@@ -228,12 +228,12 @@ def test_bench_rebinding_targets_exist():
 def test_bench_traces_the_optimizer_seams():
     # Rebinding swaps module globals, so a sweep that stopped calling
     # optimize_lambda through its module global would silently trace nothing.
-    from photonmux.tables import TABLE1_ROWS, reproduce_table1_row
+    from photonmux.tables import TABLE1_ROWS, reproduce_table1
 
     spans, workloads = bench_module("spans"), bench_module("workloads")
     tracer = spans.Tracer()
     with spans.Rebinding(tracer, workloads.rebinding_targets()):
-        reproduce_table1_row(TABLE1_ROWS[0])
+        reproduce_table1(TABLE1_ROWS[:1])
     calls = {name: agg["calls"] for name, agg in tracer.summary().items()}
     assert calls.get("optimize.sweep") == 2
     assert calls.get("optimize.optimize_lambda") == 20

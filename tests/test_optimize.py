@@ -30,14 +30,13 @@ from photonmux import (
 )
 from photonmux import engine, optimize, tables
 from photonmux.engine import p1_evaluator
-from photonmux.optimize import OptimizationResult
+from photonmux.optimize import OptimizationResult, Optimum
 from photonmux.tables import (
     COMBINED_M_GRID,
     COMBINED_N_GRID,
     STANDALONE_GRID,
     TABLE1_ROWS,
     TABLE2_ROWS,
-    reproduce_table2_row,
     reproduce_tables,
 )
 
@@ -392,7 +391,7 @@ class TestOptimizeLambda:
         # call per round of Brent steps for every peak of every sweep, and at
         # most 10 Brent steps per point on average.
         record = record_kernel_calls(monkeypatch)
-        reproduce_table2_row(TABLE2_ROWS[0])
+        reproduce_tables((), TABLE2_ROWS[:1])
         [(runs, _, calls)] = record
         assert len(runs) == 92
         scans = sum(map(is_scan, calls))
@@ -655,7 +654,10 @@ class TestSweep:
     def test_grid_ranking_prefers_larger_p1(self):
         result = sweep(spec_for(ROW4, (1, 2), (1, 2, 4)))
         best_p1 = max(p1 for _, p1 in result.surface.values())
-        assert result.best[3] == best_p1
+        best = result.best
+        assert type(best) is Optimum and best[3] == best.p1 == best_p1
+        assert best == (best.m, best.n, *result.surface[(best.m, best.n)])
+        assert (best.lambda_opt, best.size) == (best[2], best.m * best.n)
 
     def test_tie_breaking_rules(self):
         def best(*points):

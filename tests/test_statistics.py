@@ -63,6 +63,12 @@ class TestPairDistribution:
         se = math.sqrt(p_hat * (1 - p_hat) / trials)
         assert abs(p_hat - pair_pmf(model, 2)[2]) < 4 * se
 
+    @pytest.mark.parametrize("k_max", [2.5, 2.0, True, "2"], ids=repr)
+    def test_k_max_refuses_non_counts(self, k_max):
+        # Unchecked, 2.5 fails in slicing with a TypeError and True reads as k_max = 1.
+        with pytest.raises(ValueError, match=r"^k_max must be an integer >= 0"):
+            pair_pmf(PairSourceModel(POISSONIAN, 1.0, 1), k_max)
+
     def test_negative_arguments_rejected(self):
         model = PairSourceModel(POISSONIAN, 1.0, 1)
         with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ from photonmux import (
 )
 from photonmux import transmission
 from photonmux.cli import EXIT_CONFIG, run_sweep
+from photonmux.optimize import OptimizationResult
 from photonmux.tables import TABLE1_ROWS, TABLE2_ROWS
 from photonmux.transmission import RowRuns, _arm_runs, _window_column
 
@@ -284,6 +285,7 @@ COUNT_SITES = {
         PairSourceModel(SourceKind.POISSONIAN, 1e-7, 1), 0.9, j_max=v
     ),
     "RowRuns.ranks": lambda v: RowRuns(rows=np.ones((1, 2)), starts=np.array([0]), ranks=v),
+    "time_window_transmission.n": lambda v: time_window_transmission(params(), v, 8),
 }
 
 
@@ -305,6 +307,31 @@ def test_records_store_counts_as_python_ints():
     model = PairSourceModel(SourceKind.THERMAL, 1.0, np.int64(8))
     assert (layout.m, layout.n, model.n_windows) == (4, 8, 8)
     assert all(type(x) is int for x in (layout.m, layout.n, model.n_windows))
+
+
+# Each record's own field checks, beyond the count and number rules: (build, message).
+RECORD_REFUSALS = {
+    "OptimizationResult.surface-empty": (lambda: OptimizationResult(surface={}), "surface must be non-empty"),
+    "OptimizationResult.p1-above-1": (
+        lambda: OptimizationResult(surface={(1, 1): (1.0, 0.5), (2, 4): (1.0, 1.5)}),
+        r"p1 at \(2, 4\) out of \[0, 1\]: 1\.5",
+    ),
+    "OptimizationResult.p1-below-0": (
+        lambda: OptimizationResult(surface={(2, 4): (1.0, -0.25)}),
+        r"p1 at \(2, 4\) out of \[0, 1\]: -0\.25",
+    ),
+    "PairSourceModel.kind": (lambda: PairSourceModel("thermal", 1.0, 1), "kind must be a SourceKind, got 'thermal'"),
+    "MultiplexerLayout.logic": (
+        lambda: MultiplexerLayout(4, 8, "lowest_loss"),
+        "logic must be a PriorityLogic, got 'lowest_loss'",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, message", RECORD_REFUSALS.values(), ids=list(RECORD_REFUSALS))
+def test_records_refuse_invalid_fields(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 # Every m and n of the built-in builders follows one size rule: a count that is
