@@ -19,8 +19,8 @@ print("\nstandalone optima (grids up to 512):")
 grid = tuple(2**i for i in range(10))
 time_best = sweep(SweepSpec(m_values=(1,), n_values=grid, params=params)).best
 spatial_best = sweep(SweepSpec(m_values=grid, n_values=(1,), params=params)).best
-print(f"  time:    p1 = {time_best[3]:.6f} at n = {time_best[1]}, lambda = {time_best[2]:.4f}")
-print(f"  spatial: p1 = {spatial_best[3]:.6f} at m = {spatial_best[0]}, lambda = {spatial_best[2]:.4f}")
+print(f"  time:    p1 = {time_best.p1:.6f} at n = {time_best.n}, lambda = {time_best.lambda_opt:.4f}")
+print(f"  spatial: p1 = {spatial_best.p1:.6f} at m = {spatial_best.m}, lambda = {spatial_best.lambda_opt:.4f}")
 
 print("\ncombined sweep (m in 2..16, n in 2..128 for a quick demo):")
 result = sweep(
@@ -33,7 +33,7 @@ result = sweep(
 )
 m, n, lam, p1 = result.best
 print(f"  best: p1 = {p1:.6f} at (m = {m}, n = {n}), lambda_opt = {lam:.4f}")
-print(f"  product regularity: m * n = {m * n}, standalone n_time_opt = {time_best[1]}")
+print(f"  product regularity: m * n = {m * n}, standalone n_time_opt = {time_best.n}")
 
 print("\np1 along n at m = 2:")
 for n_val in (2, 8, 32, 64, 128):

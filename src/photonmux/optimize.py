@@ -11,7 +11,11 @@ grid point is solved by a coarse logarithmic scan followed by a bracketed
 Brent step (parabolic interpolation, safeguarded by golden-section steps)
 at each peak the scan resolves, and the result is the best of them: the
 global maximum unless a higher peak lies between two scan points, where
-the scan does not see it; the sweep then ranks all grid points.  The
+the scan does not see it; the sweep then ranks all grid points.  Every
+point's bounds are checked before any peak is refined, so a sweep with a
+point that the bounds do not bracket raises ``BracketError`` before its
+first Brent step, and a ``SweepSpec`` refuses mistyped physics (a string
+for a source or a logic, say) when it is built.  The
 objective is the engine's closed-form single-photon probability, which has
 no input truncation.  One P(1) kernel serves every grid point of a sweep:
 it maps pairs of a grid point and a pump strength to probabilities, or
@@ -47,6 +51,7 @@ refines in the same rounds as the first.
 from __future__ import annotations
 
 import math
+import reprlib
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Generator, Iterator, NamedTuple, Sequence
@@ -104,7 +109,15 @@ def _grid_values(name: str, raw: tuple, rule: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid and physics of one optimization sweep."""
+    """Grid and physics of one optimization sweep.
+
+    A spec refuses mistyped physics when it is built: ``params`` must be a
+    ``LossParameters``, ``source_kind`` a ``SourceKind``, ``logic`` a
+    ``PriorityLogic`` and ``lambda_bounds`` a ``(lo, hi)`` pair or None, so
+    a string never stands in for an enum member.  A sweep checks every grid
+    point's bounds before it refines any peak, and raises the first
+    point's ``BracketError`` in grid order.
+    """
 
     m_values: tuple[int, ...]
     n_values: tuple[int, ...]
@@ -114,6 +127,9 @@ class SweepSpec:
     lambda_bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
+        for name, kind in (("params", LossParameters), ("source_kind", SourceKind), ("logic", PriorityLogic)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         for name in ("m_values", "n_values"):
             raw = tuple(getattr(self, name))
             rule = f"distinct powers of 2 up to {_GRID_MAX}, at least one"
@@ -121,8 +137,13 @@ class SweepSpec:
             if not (values and len(set(values)) == len(values)):
                 raise ValueError(f"{name} must hold {rule}, got {raw}")
             object.__setattr__(self, name, values)
-        if self.lambda_bounds is not None:
-            lo, hi = (_number(f"lambda_bounds[{i}]", x, math.inf) for i, x in enumerate(self.lambda_bounds))
+        bounds = self.lambda_bounds
+        if bounds is not None:
+            try:
+                lo, hi = bounds
+            except (TypeError, ValueError):
+                raise ValueError(f"lambda_bounds must be a (lo, hi) pair or None, got {reprlib.repr(bounds)}") from None
+            lo, hi = (_number(f"lambda_bounds[{i}]", x, math.inf) for i, x in enumerate((lo, hi)))
             if not lo < hi:
                 raise ValueError(f"lambda_bounds must satisfy lo < hi, got ({lo!r}, {hi!r})")
             _scan_grid(lo, hi)  # refuses bounds whose scan is not finite
@@ -194,7 +215,7 @@ def _scan_grid(lo: float, hi: float) -> np.ndarray:
 
 def _maximize(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray], scans: Sequence[tuple[np.ndarray, Sequence[int]]]
-) -> Iterator[list[tuple[float, float]]]:
+) -> list[list[tuple[float, float]]]:
     """Locate every peak that each point's scan resolves, each to ``LAMBDA_TOL`` in x.
 
     Each entry of ``scans`` is a ``_scan_grid(lo, hi)`` and the indices of
@@ -216,31 +237,24 @@ def _maximize(
     every peak of every point advance in lock-step, one call of ``f`` per
     round for all the peaks still refining.
 
-    Yields:
+    Returns:
         Each point's peaks in point order, one ``(x, f(x))`` per refined
         peak, as Python floats, ``x`` the best point evaluated in its
         bracket; the best grid point's peak first.
 
     Raises:
         BracketError: at the first point where ``f`` does not increase away
-            from ``lo`` or does not decrease toward ``hi``, after yielding
-            the points before it.
+            from ``lo`` or does not decrease toward ``hi``, before any peak
+            is refined.
     """
     scanned = {}
     for scan, members in scans:
         xs, values = scan.tolist(), f(np.array(members)[:, None], scan[None, :]).tolist()
         scanned.update((i, (xs, ys)) for i, ys in zip(members, values))
-    peaks: list[list] = []
-    active = []  # (point, peak, Brent step, its next x)
-    error = None
-    for i in range(len(scanned)):
-        try:
-            brackets = _brackets(*scanned[i])
-        except BracketError as exc:
-            error = exc
-            break
-        peaks.append([None] * len(brackets))
-        active += [(i, k, _brent(*bracket), None) for k, bracket in enumerate(brackets)]
+    brackets = [_brackets(*scanned[i]) for i in range(len(scanned))]
+    peaks: list[list] = [[None] * len(point) for point in brackets]
+    # (point, peak, Brent step, its next x)
+    active = [(i, k, _brent(*bracket), None) for i, point in enumerate(brackets) for k, bracket in enumerate(point)]
     values = [None] * len(active)
     while active:
         refining = []
@@ -253,9 +267,7 @@ def _maximize(
         if active:
             points, xs = zip(*((i, u) for i, _, _, u in active))
             values = f(np.array(points), np.array(xs)).tolist()
-    yield from peaks
-    if error is not None:
-        raise error
+    return peaks
 
 
 def _brackets(scan: list[float], ys: list[float]) -> list[tuple[float, float, float, float]]:
@@ -368,8 +380,7 @@ def _solve(groups: Sequence[tuple[SweepSpec, list[tuple[int, int]]]]) -> Iterato
     explicit or default bounds and n, is built once and takes one call for
     every point that uses it, whichever its group.  A generator that does
     all its work, every scan and every round, before it yields the first
-    point's peaks; a ``BracketError`` comes at the first failing point,
-    after the points before it.
+    point's peaks; a ``BracketError`` comes before any peak is refined.
 
     Raises:
         ValueError: the groups' specs differ in source, logic or ``v_d``,

@@ -212,7 +212,7 @@ def time_window_transmission(params: LossParameters, n: int, big_n: int) -> floa
     ``v_r^h * v_t^(levels-h) * v_p^((big_n-n)/big_n) * v_b`` with ``h`` the
     number of set bits (Hamming weight).
     """
-    n = _count("window index", n)
+    big_n, n = _size("window count", big_n), _count("window index", n)
     if n > big_n:
         raise ValueError(f"window index must lie in 1..{big_n}, got {n}")
     return _delay_transmission(params, _splitter_factors(params, big_n), big_n - n, big_n)

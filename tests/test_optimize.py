@@ -550,6 +550,51 @@ def test_sweep_warns_once_per_two_peak_grid_point(tmp_path):
         assert len(re.findall(r"\(\d[\d.e+-]*, 0\.\d+\)", line)) == 2, line
 
 
+def record_brent_steps(monkeypatch):
+    """Patch the optimizer's Brent step to record each pump strength it asks for; returns the record."""
+    steps = []
+    brent = optimize._brent
+
+    def recording(*bracket):
+        inner, fu = brent(*bracket), None
+        while True:
+            try:
+                u = inner.send(fu)
+            except StopIteration as done:
+                return done.value
+            steps.append(u)
+            fu = yield u
+
+    monkeypatch.setattr(optimize, "_brent", recording)
+    return steps
+
+
+def test_bracket_failure_at_a_later_point_takes_no_brent_step(monkeypatch):
+    # (1, 1) comes first and brackets, (1, 512) does not: every point's
+    # brackets are checked before any peak is refined, even the first's.
+    steps = record_brent_steps(monkeypatch)
+    spec = spec_for(TABLE2_ROWS[0].losses(), (1, 2, 4), (1, 512), lambda_bounds=(0.5, 3.0))
+    with pytest.raises(BracketError, match=r"^objective not decreasing at upper bound 3\.0$"):
+        sweep(spec)
+    assert steps == []
+
+
+def test_bracket_failure_after_a_two_peak_point_raises_before_it_warns(monkeypatch):
+    # Under [1, 60] the first point still shows both of its peaks, and
+    # (4, 512) fails its bracket: the sweep raises that failure, with no
+    # warning about the first point's peaks and no Brent step.
+    kind, (m, n), params, _ = BIMODAL_CASES[0]
+    steps = record_brent_steps(monkeypatch)
+    spec = spec_for(params, (m,), (n, 2 * n), source_kind=kind, lambda_bounds=(1.0, 60.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BracketError, match=r"^objective not decreasing at upper bound 60\.0$"):
+            sweep(spec)
+    assert steps == []
+    with pytest.warns(UserWarning, match=rf"2 local maxima at \(m, n\) = \({m}, {n}\)"):
+        sweep(dataclasses.replace(spec, n_values=(n,)))
+
+
 def solve_together(specs):
     """Each spec's sweep, all their grid points solved in one ``_solve``."""
     refined = optimize._solve([(spec, optimize._grid_points(spec)) for spec in specs])

@@ -286,6 +286,7 @@ COUNT_SITES = {
     ),
     "RowRuns.ranks": lambda v: RowRuns(rows=np.ones((1, 2)), starts=np.array([0]), ranks=v),
     "time_window_transmission.n": lambda v: time_window_transmission(params(), v, 8),
+    "time_window_transmission.big_n": lambda v: time_window_transmission(params(), 1, v),
 }
 
 
@@ -324,6 +325,26 @@ RECORD_REFUSALS = {
     "MultiplexerLayout.logic": (
         lambda: MultiplexerLayout(4, 8, "lowest_loss"),
         "logic must be a PriorityLogic, got 'lowest_loss'",
+    ),
+    "SweepSpec.params": (
+        lambda: SweepSpec((4,), (8,), {"v_r": 0.9}),
+        r"params must be a LossParameters, got \{'v_r': 0\.9\}",
+    ),
+    "SweepSpec.source_kind": (
+        lambda: SweepSpec((4,), (8,), params(), source_kind="thermal"),
+        "source_kind must be a SourceKind, got 'thermal'",
+    ),
+    "SweepSpec.logic": (
+        lambda: SweepSpec((4,), (8,), params(), logic="first_detection"),
+        "logic must be a PriorityLogic, got 'first_detection'",
+    ),
+    "SweepSpec.lambda_bounds-triple": (
+        lambda: SweepSpec((4,), (8,), params(), lambda_bounds=(1, 2, 3)),
+        r"lambda_bounds must be a \(lo, hi\) pair or None, got \(1, 2, 3\)",
+    ),
+    "SweepSpec.lambda_bounds-scalar": (
+        lambda: SweepSpec((4,), (8,), params(), lambda_bounds=5),
+        r"lambda_bounds must be a \(lo, hi\) pair or None, got 5",
     ),
 }
 
