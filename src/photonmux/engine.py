@@ -72,6 +72,17 @@ elementwise pass once over all its cells: the thinned means, ``T``, the
 and the subtraction ``-p0 T(mu' v) - (-T(mu v))`` gives ``F_1`` with no
 pass of its own to restore the sign.
 
+Each outer call runs its passes under a ufunc buffer of ``_BUFSIZE``
+elements and sets the caller's buffer size back when it returns or raises.
+numpy buffers a broadcast operand whenever the inner axis is shorter than
+the buffer: the outer form's thinning product of a (means, 1) column
+against the cells, its ``p0`` product and its weight exponents all do, and
+under numpy's default buffer of 8192 elements such a pass runs several
+times slower than under a small one.  An elementwise pass gives the same
+values under any buffer, so no P(1) depends on it.  A pairs call repeats
+each pair's values over its own cells, broadcasts no column, and keeps the
+caller's buffer, as ``output_distribution`` does.
+
 Both evaluators take their priority weights in the exponential form
 ``p0^e = exp(e log p0)``, one ``exp`` over the rank exponents followed by
 the window exponents, with ``log p0`` from the heralded input or from the
@@ -88,10 +99,13 @@ axis:
 - run weights: one ``np.add.reduceat`` over the weights gives every
   entry's run weights, at segments that start at the entry's run starts
   and at its window part, offset by its place in the chunk;
-- window products: each entry takes its own batched ``matmul`` of its
-  cells with its window weights and writes the row sums into a flat
-  buffer, after a 0 of its own.  The product's last bits depend on its
-  shape, so it stays per entry;
+- window products: each entry takes its own product of its cells with its
+  window weights and writes the row sums into a flat buffer, after a 0 of
+  its own.  With one row of cells and of weights, as in a pairs chunk, the
+  product is one BLAS ``np.dot`` per entry; with several rows (an outer
+  chunk, or the ``i`` stack) it is a batched ``matmul``, which makes the
+  same BLAS call per row, so both give the same bits.  The product's last
+  bits depend on its shape, so it stays per entry;
 - sums: one more ``reduceat`` over the row sums times the run weights
   gives every value.  Each entry's segment starts with its 0, so it adds
   in the order of a sum over the last axis, which starts from the
@@ -126,6 +140,8 @@ DEFAULT_I_MAX = 10
 
 # Cells (row runs x windows x means) per chunk of a batched P(1) evaluation.
 _CHUNK_CELLS = 1 << 15
+# Elements per ufunc buffer while an outer P(1) kernel call runs (see the module docstring).
+_BUFSIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -198,9 +214,13 @@ def _contract(
     firsts = []
     cell_at = weight_at = term_at = 0
     for r, n, w in shapes:
-        window_weights = weights[:, weight_at + w - n : weight_at + w, None]
-        products = cells[:, cell_at : cell_at + r * n].reshape(-1, r, n) @ window_weights
-        terms[:, term_at + 1 : term_at + 1 + r] = products[..., 0]
+        entry_cells, window_weights = cells[:, cell_at : cell_at + r * n], weights[:, weight_at + w - n : weight_at + w]
+        if len(cells) == 1:
+            # One row: the BLAS call that the batched product makes, without its dispatch.
+            np.dot(entry_cells.reshape(r, n), window_weights[0], out=terms[0, term_at + 1 : term_at + 1 + r])
+        else:
+            products = entry_cells.reshape(-1, r, n) @ window_weights[..., None]
+            terms[:, term_at + 1 : term_at + 1 + r] = products[..., 0]
         firsts.append(term_at)
         cell_at, weight_at, term_at = cell_at + r * n, weight_at + w, term_at + r + 1
     # Each 0 meets the window sum before it, and each sum starts from its
@@ -324,8 +344,12 @@ def p1_evaluator(
 
     Each entry is the value that its pair alone gives, whatever else the
     arrays hold: a chunk takes one ``_contract`` call, with one window
-    product per entry.  The function reuses its own work arrays, so it
-    serves one thread at a time.
+    product per entry, in the pairs form one BLAS dot.  Each distinct
+    geometry (rank count, row-run shape and run starts) is laid out once,
+    when the evaluator is built.  An outer call runs its broadcast passes
+    under a small ufunc buffer of its own, which no value depends on, and
+    sets the caller's buffer size back when it returns or raises.  The
+    function reuses its own work arrays, so it serves one thread at a time.
 
     Raises:
         ValueError: the arrays are in neither form, a point index is not an
@@ -334,10 +358,15 @@ def p1_evaluator(
     """
     runs = tuple(runs)
     rows = [r.rows.reshape(-1) for r in runs]
-    exponents, starts, shapes = zip(*(_geometry(r, logic) for r in runs)) if runs else ((), (), ())
-    # From each reduceat start of a point to the next, the last to the next
+    # Each distinct geometry's exponents, shape and gaps, laid out once: from
+    # each reduceat start of a point to the next, the last to the next
     # point's first exponent.
-    gaps = [np.diff([*s, w]) for s, (_, _, w) in zip(starts, shapes)]
+    layouts, keys = {}, [(r.ranks, r.rows.shape, r.starts.tobytes()) for r in runs]
+    for key, r in zip(keys, runs):
+        if key not in layouts:
+            exponents, starts, shape = _geometry(r, logic)
+            layouts[key] = exponents, shape, np.diff([*starts, shape[2]])
+    exponents, shapes, gaps = zip(*map(layouts.get, keys)) if runs else ((), (), ())
     cell_counts, weight_counts = (np.array([a.size for a in x]) for x in (rows, exponents))
     sizes = cell_counts.tolist()
     thermal = kind is SourceKind.THERMAL
@@ -429,13 +458,18 @@ def p1_evaluator(
             for lo, hi, *chunk in spans(order, _CHUNK_CELLS):
                 out[lo:hi] = pairs_chunk(points[lo:hi], mu[lo:hi], *chunk)
             return out
-        mu = mu[0]
-        out = np.empty((len(order), mu.size))
-        for lo, hi, size, *layout in spans(order, _CHUNK_CELLS // max(mu.size, 1)):
-            # Every mean at once, or as many as fit when one point alone does not.
-            step = max(_CHUNK_CELLS // size, 1)
-            for at in range(0, mu.size, step):
-                out[lo:hi, at : at + step] = outer_chunk(order[lo:hi], mu[at : at + step], size, *layout)
-        return out
+        bufsize = np.setbufsize(_BUFSIZE)
+        try:
+            mu = mu[0]
+            out = np.empty((len(order), mu.size))
+            for lo, hi, size, *layout in spans(order, _CHUNK_CELLS // max(mu.size, 1)):
+                # Every mean at once, or as many as fit when one point alone does not.
+                step = max(_CHUNK_CELLS // size, 1)
+                for at in range(0, mu.size, step):
+                    out[lo:hi, at : at + step] = outer_chunk(order[lo:hi], mu[at : at + step], size, *layout)
+            return out
+        finally:
+            # Set back explicitly: numpy 1.x does not scope the buffer size to np.errstate.
+            np.setbufsize(bufsize)
 
     return p1

@@ -71,6 +71,7 @@ from .transmission import (
     MultiplexerLayout,
     PriorityLogic,
     _count,
+    _typed,
     _window_column,
     spatial_arm_transmissions,
 )
@@ -251,10 +252,15 @@ def simulate(
         photon number, up to the largest one observed, with a zero tail bound.
 
     Raises:
-        ValueError: ``trials`` or ``seed`` is not such an integer, or the
-            source's window count is not the layout's; raised before
-            anything is built or sampled.
+        ValueError: ``model``, ``params`` or ``layout`` is not a
+            ``PairSourceModel``, ``LossParameters`` or ``MultiplexerLayout``,
+            ``trials`` or ``seed`` is not such an integer, or the source's
+            window count is not the layout's; raised before anything is
+            built or sampled.
     """
+    _typed("model", model, PairSourceModel)
+    _typed("params", params, LossParameters)
+    _typed("layout", layout, MultiplexerLayout)
     trials, seed = _trials(trials), _count("seed", seed, least=0)
     if model.n_windows != layout.n:
         raise ValueError(f"source spans {model.n_windows} windows, but the layout has {layout.n}")

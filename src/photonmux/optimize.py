@@ -72,6 +72,7 @@ from .transmission import (  # noqa: F401
     _count,
     _number,
     _size,
+    _typed,
     _window_column,
     build_matrix,
 )
@@ -128,8 +129,7 @@ class SweepSpec:
 
     def __post_init__(self):
         for name, kind in (("params", LossParameters), ("source_kind", SourceKind), ("logic", PriorityLogic)):
-            if not isinstance(getattr(self, name), kind):
-                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+            _typed(name, getattr(self, name), kind)
         for name in ("m_values", "n_values"):
             raw = tuple(getattr(self, name))
             rule = f"distinct powers of 2 up to {_GRID_MAX}, at least one"
@@ -438,9 +438,11 @@ def optimize_lambda(
         ``(lambda_opt, p1)`` with ``lambda_opt`` resolved to absolute 1e-5.
 
     Raises:
-        ValueError: ``m`` or ``n`` breaks the size rule of the built-in
-            builders (a power of 2 up to 4096), before anything is built.
+        ValueError: ``spec`` is not a ``SweepSpec``, or ``m`` or ``n`` breaks
+            the size rule of the built-in builders (a power of 2 up to 4096),
+            before anything is built.
     """
+    _typed("spec", spec, SweepSpec)
     point, rule = tuple(point), f"two powers of 2 up to {_GRID_MAX}"
     if len(point) != 2:
         raise ValueError(f"point must hold {rule}, got {point}")

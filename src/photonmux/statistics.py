@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .transmission import _count, _number
+from .transmission import _count, _number, _typed
 
 # Hard cap on the adaptive truncation order.
 _J_CAP = 512
@@ -60,8 +60,7 @@ class PairSourceModel:
     n_windows: int
 
     def __post_init__(self):
-        if not isinstance(self.kind, SourceKind):
-            raise ValueError(f"kind must be a SourceKind, got {self.kind!r}")
+        _typed("kind", self.kind, SourceKind)
         object.__setattr__(self, "mean_pairs", _number("mean_pairs", self.mean_pairs, math.inf))
         object.__setattr__(self, "n_windows", _count("n_windows", self.n_windows))
         if 0.0 < self.mean_per_window < sys.float_info.min:  # 1 / mu would overflow

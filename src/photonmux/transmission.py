@@ -9,9 +9,10 @@ a binary tree of polarizing-beam-splitter routers whose arm losses follow the
 binomial expansion of ``(v_r_s + v_t_s)^levels``.
 
 The input rules of every record live here: ``_count`` (an integer, no bool),
-``_number`` (a finite float in range, no bool or string) and ``_size``, the
+``_number`` (a finite float in range, no bool or string), ``_size``, the
 rule of every m and n the built-in builders take (a count that is a power of
-2 up to ``_GRID_MAX``); the config parser builds its values through them too.
+2 up to ``_GRID_MAX``), and ``_typed`` (an instance of a record or enum
+type); the config parser builds its values through them too.
 """
 
 from __future__ import annotations
@@ -81,6 +82,12 @@ def _number(name: str, value, hi: float = 1.0) -> float:
     raise ValueError(f"{name} must be a finite number {rule}, got {reprlib.repr(value)}")
 
 
+def _typed(name: str, value, kind: type) -> None:
+    """Refuse ``value`` unless it is a ``kind``: a dict, a string or None in its place fails by name."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LossParameters:
     """Transmission efficiencies of every optical element, each in [0, 1].
@@ -130,8 +137,7 @@ class MultiplexerLayout:
     def __post_init__(self):
         for name in ("m", "n"):
             object.__setattr__(self, name, _count(name, getattr(self, name)))
-        if not isinstance(self.logic, PriorityLogic):
-            raise ValueError(f"logic must be a PriorityLogic, got {self.logic!r}")
+        _typed("logic", self.logic, PriorityLogic)
 
 
 @dataclass(frozen=True)
@@ -273,7 +279,14 @@ def _arm_runs(params: LossParameters, m: int) -> RowRuns:
 
 
 def build_matrix(params: LossParameters, layout: MultiplexerLayout) -> TransmissionMatrix:
-    """Assemble the full transmission matrix ``V[k, n] = V_arm(k) * V_window(n)``."""
+    """Assemble the full transmission matrix ``V[k, n] = V_arm(k) * V_window(n)``.
+
+    Raises:
+        ValueError: ``params`` is not a ``LossParameters`` or ``layout`` not a
+            ``MultiplexerLayout``, or a size breaks ``_size``'s rule.
+    """
+    _typed("params", params, LossParameters)
+    _typed("layout", layout, MultiplexerLayout)
     arm_values, order = _ranked_arms(params, layout.m)
     return TransmissionMatrix(
         values=np.outer(arm_values, _window_column(params, layout.n)),

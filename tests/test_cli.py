@@ -38,7 +38,7 @@ from photonmux.cli import (
 )
 from photonmux.config import ConfigError, parse_config
 from photonmux.engine import p1_evaluator
-from photonmux.tables import TABLE1_ROWS
+from photonmux.tables import TABLE1_ROWS, reproduce_tables
 from test_optimize import is_scan, record_kernel_calls
 
 
@@ -601,6 +601,24 @@ class TestMain:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_commands_leave_the_numpy_state_as_they_found_it(self, tmp_path, monkeypatch):
+        # The P(1) kernel runs under a ufunc buffer size of its own: after
+        # tables on one row, a sweep and a validation, the caller's buffer
+        # size and floating-point error handling are as they were.
+        monkeypatch.setattr(cli, "reproduce_tables", lambda rows1, rows2: reproduce_tables(rows1[:1], ()))
+        path = write_config(tmp_path, logics=["lowest_loss"], validation=dict(ONE_POINT, seed=3))
+        caller = np.getbufsize()
+        try:
+            np.setbufsize(4096)
+            with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+                before = np.getbufsize(), np.geterr()
+                for argv in (["tables", "--out", str(tmp_path / "tables")], ["sweep", str(path)], ["validate", str(path)]):
+                    assert main(argv) == EXIT_OK, argv
+                    assert (np.getbufsize(), np.geterr()) == before, argv
+        finally:
+            np.setbufsize(caller)
+        assert (tmp_path / "tables" / "table1_repro.csv").read_text().count("\n") == 2
 
 
 # An output directory that is an existing file, a config that is not UTF-8 and

@@ -25,6 +25,7 @@ from photonmux import (
 from photonmux import engine, optimize
 from photonmux.engine import PhotonNumberDistribution, p1_evaluator
 from photonmux.statistics import HeraldedInputDistribution
+from photonmux.transmission import RowRuns
 
 LL = PriorityLogic.LOWEST_LOSS
 FD = PriorityLogic.FIRST_DETECTION
@@ -518,6 +519,17 @@ class TestClosedFormP1:
             assert abs(values[m] - series) <= bound + 1e-15
         assert values[2] != values[4]
 
+    @pytest.mark.parametrize("logic", [LL, FD])
+    def test_geometries_that_differ_only_in_their_run_starts_keep_their_own_layout(self, logic):
+        # Two external 4-arm matrices of the same two rows, split at rank 1
+        # and at rank 3: one kernel of both gives each the P(1) it gives alone.
+        rows = np.array([[0.9, 0.8], [0.5, 0.4]])
+        runs = [RowRuns(rows=rows, starts=np.array([0, split]), ranks=4) for split in (1, 3)]
+        mu = np.array([1.5, 1.5])
+        together = p1_evaluator(SourceKind.POISSONIAN, 0.9, runs, logic)(np.array([0, 1]), mu)
+        alone = [p1_evaluator(SourceKind.POISSONIAN, 0.9, [r], logic)(np.array([0]), mu[:1])[0] for r in runs]
+        assert together.tolist() == alone and alone[0] != alone[1]
+
     @pytest.mark.parametrize("kind", list(SourceKind))
     @pytest.mark.parametrize("logic", [LL, FD])
     @pytest.mark.parametrize("m, n", [(1, 1), (256, 512)])
@@ -718,3 +730,119 @@ class TestClosedFormP1:
         assert heralded.j_max == 2
         assert abs(Decimal(closed) - exact) <= Decimal("1e-13")
         assert Decimal("5e-10") <= abs(Decimal(series) - exact) <= Decimal(bound)
+
+
+def batched_contract(cells, weights, starts, shapes):
+    """Reference: ``engine._contract`` with every entry's window product a batched ``matmul``, one row or many."""
+    run_weights = np.add.reduceat(weights, starts, axis=-1)
+    terms = np.zeros((len(cells), run_weights.shape[1]))
+    firsts = []
+    cell_at = weight_at = term_at = 0
+    for r, n, w in shapes:
+        window_weights = weights[:, weight_at + w - n : weight_at + w, None]
+        products = cells[:, cell_at : cell_at + r * n].reshape(-1, r, n) @ window_weights
+        terms[:, term_at + 1 : term_at + 1 + r] = products[..., 0]
+        firsts.append(term_at)
+        cell_at, weight_at, term_at = cell_at + r * n, weight_at + w, term_at + r + 1
+    terms[:, 1:] *= run_weights[:, :-1]
+    return np.add.reduceat(terms, firsts, axis=-1), run_weights
+
+
+class TestNumpyState:
+    """Outer kernel calls run under their own ufunc buffer size, which changes no value and no caller's setting."""
+
+    PARAMS = LossParameters(v_r=0.996, v_t=0.97, v_p=0.95, v_p0_s=0.99, v_d=0.9)
+    GEOMETRIES = [(1, 1), (2, 64), (16, 8), (256, 512), (4096, 32)]
+
+    @classmethod
+    def kernel(cls, kind, logic):
+        runs = optimize._row_runs(cls.PARAMS, cls.GEOMETRIES)
+        return p1_evaluator(kind, cls.PARAMS.v_d, runs, logic)
+
+    @staticmethod
+    def both_forms(p1):
+        """Bytes of a round of pairs over every point and of a scan of every point against 34 means."""
+        points = np.array([0, 1, 1, 2, 3, 4, 4, 0])
+        mu = np.geomspace(1e-5, 20.0, points.size)
+        scan = optimize._scan_grid(1e-4, 80.0) / 8.0
+        return p1(points, mu).tobytes(), p1(np.arange(5)[:, None], scan[None, :]).tobytes()
+
+    def test_outer_calls_run_under_their_own_buffer_and_restore_the_callers(self, monkeypatch):
+        # The outer form broadcasts its means over the cells and runs under
+        # _BUFSIZE; the pairs form broadcasts no column and keeps the caller's.
+        seen = []
+        one_photon = engine._one_photon
+
+        def recording(kind, y, out):
+            seen.append((y.ndim, np.getbufsize()))
+            return one_photon(kind, y, out)
+
+        monkeypatch.setattr(engine, "_one_photon", recording)
+        p1 = self.kernel(SourceKind.POISSONIAN, LL)
+        caller = np.getbufsize()
+        try:
+            np.setbufsize(4096)
+            self.both_forms(p1)
+            assert np.getbufsize() == 4096
+            assert set(seen) == {(2, 4096), (3, engine._BUFSIZE)}
+            with pytest.raises(ValueError, match="means must be finite"):
+                p1(np.array([0]), np.array([-1.0]))
+            assert np.getbufsize() == 4096
+
+            def failing(*args):
+                raise FloatingPointError("raised inside a chunk")
+
+            monkeypatch.setattr(engine, "_one_photon", failing)
+            for points, mu in ((np.array([3]), np.array([1.0])), (np.array([[3]]), np.array([[1.0]]))):
+                with pytest.raises(FloatingPointError, match="inside a chunk"):
+                    p1(points, mu)
+                assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(caller)
+
+    @pytest.mark.parametrize("kind", list(SourceKind))
+    @pytest.mark.parametrize("logic", [LL, FD])
+    def test_values_do_not_depend_on_any_buffer_size(self, monkeypatch, kind, logic):
+        # The caller's buffer (numpy's default 8192, and 256 and 65536), and
+        # the kernel's own buffer set to each of those instead of _BUFSIZE:
+        # every value bit for bit the same.
+        p1 = self.kernel(kind, logic)
+        expected = self.both_forms(p1)
+        caller = np.getbufsize()
+        try:
+            for size in (8192, 256, 65536):
+                np.setbufsize(size)
+                assert self.both_forms(p1) == expected, size
+        finally:
+            np.setbufsize(caller)
+        for size in (8192, 256, 65536):
+            monkeypatch.setattr(engine, "_BUFSIZE", size)
+            assert self.both_forms(p1) == expected, size
+
+    @pytest.mark.parametrize("logic", [LL, FD])
+    def test_one_row_dot_equals_the_batched_product(self, logic):
+        # One row of cells and of weights, as a round's chunk passes: each
+        # entry's window product by np.dot, bit for bit the batched matmul.
+        # Up to 5 entries end to end, from 1 to 13 row runs (m = 4096) and
+        # from 1 to 4096 windows, 13 x 4096 among them.
+        rng = np.random.default_rng(34)
+        cases = [[(4096, 4096)], [(1, 1), (4096, 4096), (2, 1), (1, 4096)]]
+        for _ in range(60):
+            sizes = 2 ** rng.integers(0, 13, (rng.integers(1, 6), 2))
+            cases.append([(int(m), int(n)) for m, n in sizes])
+        shapes_seen = set()
+        for geometries in cases:
+            starts, shapes, exponents = [], [], []
+            for runs in optimize._row_runs(self.PARAMS, geometries):
+                e, s, shape = engine._geometry(runs, logic)
+                starts += [at + sum(map(len, exponents)) for at in s]
+                shapes.append(shape)
+                exponents.append(e)
+            cells = rng.uniform(0.0, 0.3, sum(r * n for r, n, _ in shapes))[None]
+            weights = np.exp(-rng.uniform(1e-6, 1e-2) * np.concatenate(exponents))[None]
+            actual = engine._contract(cells, weights, starts, shapes)
+            expected = batched_contract(cells, weights, starts, shapes)
+            assert [a.tobytes() for a in actual] == [b.tobytes() for b in expected], geometries
+            shapes_seen.update((r, n) for r, n, _ in shapes)
+        assert (13, 4096) in shapes_seen and len(shapes_seen) >= 60, sorted(shapes_seen)
+        assert {r for r, _ in shapes_seen} >= {1, 13} and {n for _, n in shapes_seen} >= {1, 4096}

@@ -1,5 +1,6 @@
 """Pump-strength optimization and grid sweeps."""
 
+import collections
 import dataclasses
 import json
 import math
@@ -629,6 +630,25 @@ class TestSharedSolve:
         for spec, kwargs, result in solved:
             assert "_refined" in kwargs
             assert repr(list(result.surface.items())) == repr(list(sweep(spec).surface.items()))
+
+    def test_each_geometry_is_laid_out_once_per_kernel(self, monkeypatch):
+        # A full run's 1,244 points share far fewer geometries (arm count,
+        # row runs and windows) across its loss sets: the kernel lays out
+        # each distinct one once.
+        built = collections.Counter()
+        geometry = engine._geometry
+
+        def counting(runs, logic):
+            built[runs.ranks, runs.rows.shape, tuple(runs.starts.tolist()), logic] += 1
+            return geometry(runs, logic)
+
+        monkeypatch.setattr(engine, "_geometry", counting)
+        record = record_kernel_calls(monkeypatch)
+        reproduce_tables()
+        [(runs, _, _)] = record
+        distinct = {(r.ranks, r.rows.shape, tuple(r.starts.tolist()), LL) for r in runs}
+        assert len(runs) == 1244 and len(distinct) < 100
+        assert built == dict.fromkeys(distinct, 1)
 
     def test_shared_solve_warns_once_per_two_peak_point(self):
         # A time grid and then the grid of the 11 two-peak points of

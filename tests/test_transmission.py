@@ -20,9 +20,9 @@ from photonmux import (
     spatial_arm_transmissions,
     time_window_transmission,
 )
-from photonmux import transmission
+from photonmux import montecarlo, optimize, transmission
 from photonmux.cli import EXIT_CONFIG, run_sweep
-from photonmux.optimize import OptimizationResult
+from photonmux.optimize import OptimizationResult, optimize_lambda
 from photonmux.tables import TABLE1_ROWS, TABLE2_ROWS
 from photonmux.transmission import RowRuns, _arm_runs, _window_column
 
@@ -353,6 +353,55 @@ RECORD_REFUSALS = {
 def test_records_refuse_invalid_fields(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+SOURCE, LAYOUT = PairSourceModel(SourceKind.POISSONIAN, 1.0, 8), MultiplexerLayout(4, 8)
+# The entry points that take records refuse anything else by name, in the
+# records' own form.  Unchecked, a dict of losses failed deep inside with
+# "AttributeError: 'dict' object has no attribute 'v_r_s'" and a None spec
+# with "'NoneType' object has no attribute 'source_kind'".
+ARGUMENT_REFUSALS = {
+    "build_matrix.params-dict": (
+        lambda: build_matrix({"v_r": 0.9}, LAYOUT),
+        r"params must be a LossParameters, got \{'v_r': 0\.9\}",
+    ),
+    "build_matrix.params-none": (lambda: build_matrix(None, LAYOUT), "params must be a LossParameters, got None"),
+    "build_matrix.layout-tuple": (
+        lambda: build_matrix(params(), (4, 8)),
+        r"layout must be a MultiplexerLayout, got \(4, 8\)",
+    ),
+    "simulate.model-none": (
+        lambda: simulate(None, params(), LAYOUT, 10, 0),
+        "model must be a PairSourceModel, got None",
+    ),
+    "simulate.params-dict": (
+        lambda: simulate(SOURCE, {"v_r": 0.9}, LAYOUT, 10, 0),
+        r"params must be a LossParameters, got \{'v_r': 0\.9\}",
+    ),
+    "simulate.layout-none": (
+        lambda: simulate(SOURCE, params(), None, 10, 0),
+        "layout must be a MultiplexerLayout, got None",
+    ),
+    "optimize_lambda.spec-none": (
+        lambda: optimize_lambda((1, 1), None),
+        "spec must be a SweepSpec, got None",
+    ),
+    "optimize_lambda.spec-params": (
+        lambda: optimize_lambda((1, 1), params()),
+        r"spec must be a SweepSpec, got LossParameters\(.*\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", ARGUMENT_REFUSALS.values(), ids=list(ARGUMENT_REFUSALS))
+def test_entry_points_refuse_mistyped_arguments_before_building(monkeypatch, call, message):
+    def built(*args, **kwargs):
+        raise AssertionError("built before the arguments were checked")
+
+    for module, name in ((transmission, "_ranked_arms"), (montecarlo, "spatial_arm_transmissions"), (optimize, "_solve")):
+        monkeypatch.setattr(module, name, built)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 # Every m and n of the built-in builders follows one size rule: a count that is
